@@ -34,6 +34,7 @@ import shlex
 import subprocess
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,13 +54,82 @@ OPERATION_PHASE = "operation"
 AGV_PHASE = "agv"
 
 
-def _round6(value: float) -> float:
-    return float(f"{value:.6f}")
-
-
 def encode_message(obj: dict) -> str:
     """Canonical one-line encoding used on both sides of the channel."""
     return json.dumps(obj, separators=(",", ":"))
+
+
+class _OperationFragments(NamedTuple):
+    """The parts of an operation-phase line that are fixed per instance."""
+
+    op_heads: tuple[str, ...]  # "[job,op,machine," per operation, vertex order
+    tail: str  # ',"precedence":[..],"assignment":[..]}'
+
+
+# Keyed by the instance itself, so an entry lives exactly as long as its
+# instance; an id() key could be reused by a later instance.
+_FRAGMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _operation_fragments(instance: Instance) -> _OperationFragments:
+    frags = _FRAGMENTS.get(instance)
+    if frags is None:
+        precedence, assignment = instance.graph_edges
+        edges = encode_message(
+            {
+                "precedence": [list(e) for e in precedence],
+                "assignment": [list(e) for e in assignment],
+            }
+        )
+        frags = _FRAGMENTS[instance] = _OperationFragments(
+            op_heads=tuple(
+                f"[{j},{i},{t},"
+                for j, machines in enumerate(instance.op_machines)
+                for i, t in enumerate(machines, start=1)
+            ),
+            tail="," + edges[1:],
+        )
+    return frags
+
+
+def _round6_text(value: float) -> str:
+    """repr(round(value, 6)), the JSON text of a quantized feature, without
+    repr's shortest-digits search. Below 1e9 a 6-decimal rendering has at
+    most 15 significant digits, so with trailing zeros stripped it already is
+    the shortest text of its float; below 1e-4 repr uses an exponent."""
+    if not 1e-4 <= abs(value) < 1e9:
+        return repr(round(value, 6))
+    text = f"{value:.6f}".rstrip("0")
+    return text + "0" if text.endswith(".") else text
+
+
+def _operation_line(state: ScheduleState) -> str:
+    """The operation-phase line: per-step values are formatted into the
+    per-instance fragments."""
+    graph = build_graph(state)
+    frags = _operation_fragments(state.instance)
+    operations = ",".join(
+        [
+            f"{head}{flag},{raw},{_round6_text(bound)}]"
+            for head, flag, raw, bound in zip(
+                frags.op_heads, graph.op_scheduled, graph.op_bound_raw, graph.op_bound
+            )
+        ]
+    )
+    machines = ",".join(
+        [
+            f"[{t},{flag},{_round6_text(ratio)}]"
+            for t, (flag, ratio) in enumerate(
+                zip(graph.machine_scheduled, graph.machine_ratio)
+            )
+        ]
+    )
+    mask = ",".join(map(str, state.valid_operations()))
+    return (
+        f'{{"type":"observation","schema":{SCHEMA_VERSION},"step":{state.steps},'
+        f'"phase":"{OPERATION_PHASE}","mask":[{mask}],'
+        f'"operations":[{operations}],"machines":[{machines}]{frags.tail}'
+    )
 
 
 def serialize_observation(
@@ -69,39 +139,7 @@ def serialize_observation(
     if phase == OPERATION_PHASE:
         if selected_op is not None:
             raise ProtocolError("operation phase takes no selected job")
-        graph = build_graph(state)
-        inst = state.instance
-        operations = []
-        for j in range(inst.n):
-            for i in range(1, inst.m + 2):
-                v = graph.op_vertex(j, i)
-                operations.append(
-                    [
-                        j,
-                        i,
-                        inst.op_machine(j, i),
-                        graph.op_scheduled[v],
-                        graph.op_bound_raw[v],
-                        _round6(graph.op_bound[v]),
-                    ]
-                )
-        machines = [
-            [t, graph.machine_scheduled[t], _round6(graph.machine_ratio[t])]
-            for t in range(inst.m + 2)
-        ]
-        return encode_message(
-            {
-                "type": "observation",
-                "schema": SCHEMA_VERSION,
-                "step": state.steps,
-                "phase": OPERATION_PHASE,
-                "mask": state.valid_operations(),
-                "operations": operations,
-                "machines": machines,
-                "precedence": [list(e) for e in graph.precedence_edges],
-                "assignment": [list(e) for e in graph.assignment_edges],
-            }
-        )
+        return _operation_line(state)
     if phase == AGV_PHASE:
         if selected_op is None:
             raise ProtocolError("agv phase needs the selected job")
@@ -123,12 +161,12 @@ def serialize_observation(
                         f.empty_travel,
                         f.arrival,
                         f.task_finish,
-                        _round6(f.pickup_ready_scaled),
-                        _round6(f.machine_ready_scaled),
-                        _round6(f.agv_ready_scaled),
-                        _round6(f.empty_travel_scaled),
-                        _round6(f.arrival_scaled),
-                        _round6(f.task_finish_scaled),
+                        round(f.pickup_ready_scaled, 6),
+                        round(f.machine_ready_scaled, 6),
+                        round(f.agv_ready_scaled, 6),
+                        round(f.empty_travel_scaled, 6),
+                        round(f.arrival_scaled, 6),
+                        round(f.task_finish_scaled, 6),
                     ]
                     for f in vectors
                 ],

@@ -25,13 +25,19 @@ def op_lower_bound(state: ScheduleState, job: int, op: int) -> int:
     inst = state.instance
     if not (0 <= job < inst.n and 1 <= op <= inst.m + 1):
         raise StateError(f"no operation ({job}, {op}) in a {inst.n}x{inst.m} instance")
-    nxt = state.next_op[job]
-    done_upto = min(op, nxt - 1)
-    head = state.entries[job][done_upto - 1].end if done_upto >= 1 else 0
-    tail = 0
-    for i in range(max(nxt, 1), op + 1):
-        tail += inst.proc_times[job][i - 1]
-    return head + tail
+    entries = state.entries[job]
+    done = len(entries)
+    if op <= done:
+        return entries[op - 1].end
+    prefix = inst.work_prefix[job]
+    return _open_offset(entries, prefix) + prefix[op - 1]
+
+
+def _open_offset(entries: list, prefix: tuple[int, ...]) -> int:
+    """Bound of an unscheduled operation i minus work_prefix[i-1]: the last
+    completion of the job less the processing time already behind it."""
+    done = len(entries)
+    return entries[-1].end - prefix[done - 1] if done else 0
 
 
 def machine_ratio(state: ScheduleState, machine: int) -> float:
@@ -87,39 +93,26 @@ class DisjunctiveGraph:
 
 
 def build_graph(state: ScheduleState) -> DisjunctiveGraph:
-    """Snapshot the disjunctive graph for the operation-selection phase."""
+    """Snapshot the disjunctive graph for the operation-selection phase. The
+    edge lists are the instance's own; only the vertex features are built."""
     inst = state.instance
     n, m = inst.n, inst.m
-    scheduled = []
-    raw = []
-    for j in range(n):
-        nxt = state.next_op[j]
-        for i in range(1, m + 2):
-            scheduled.append(1 if i < nxt else 0)
-            raw.append(op_lower_bound(state, j, i))
+    scheduled: list[int] = []
+    raw: list[int] = []
+    for entries, prefix in zip(state.entries, inst.work_prefix):
+        done = len(entries)
+        scheduled += [1] * done
+        scheduled += [0] * (m + 1 - done)
+        raw += [e.end for e in entries]
+        offset = _open_offset(entries, prefix)
+        raw += [offset + p for p in prefix[done:]]
     lo, hi = min(raw), max(raw)
     if hi == lo:
         norm = [0.0] * len(raw)
     else:
         span = hi - lo
         norm = [(v - lo) / span for v in raw]
-
-    ratios = [state.machine_ops[t] / n for t in range(m + 2)]
-
-    def op_vertex(j: int, i: int) -> int:
-        return j * (m + 1) + i - 1
-
-    machine_base = n * (m + 1)
-    precedence = []
-    assignment = []
-    for j in range(n):
-        for i in range(1, m + 1):
-            precedence.append((op_vertex(j, i), op_vertex(j, i + 1)))
-        for i in range(1, m + 2):
-            ov = op_vertex(j, i)
-            mv = machine_base + inst.op_machine(j, i)
-            assignment.append((ov, mv))
-            assignment.append((mv, ov))
+    precedence, assignment = inst.graph_edges
     return DisjunctiveGraph(
         n=n,
         m=m,
@@ -127,9 +120,9 @@ def build_graph(state: ScheduleState) -> DisjunctiveGraph:
         op_bound_raw=tuple(raw),
         op_bound=tuple(norm),
         machine_scheduled=(0,) * (m + 2),
-        machine_ratio=tuple(ratios),
-        precedence_edges=tuple(precedence),
-        assignment_edges=tuple(assignment),
+        machine_ratio=tuple(c / n for c in state.machine_ops),
+        precedence_edges=precedence,
+        assignment_edges=assignment,
     )
 
 

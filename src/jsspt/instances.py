@@ -122,6 +122,31 @@ class Instance:
         return tuple(rows)
 
     @cached_property
+    def op_machines(self) -> tuple[tuple[int, ...], ...]:
+        """op_machines[j][i-1] = op_machine(j, i) for ops 1..m+1 of job j."""
+        return tuple(
+            tuple(machine_index(x) for x in row) + (UNLOAD,) for row in self.routings
+        )
+
+    @cached_property
+    def graph_edges(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """(precedence, assignment) edge lists of the disjunctive graph, with
+        operation (j, i) as vertex j*(m+1) + i-1 and transport index t as
+        vertex n*(m+1) + t: job-chain edges in order, then each operation's
+        edge to its machine followed by the reverse edge."""
+        width = self.m + 1
+        machine_base = self.n * width
+        precedence = []
+        assignment = []
+        for j, machines in enumerate(self.op_machines):
+            base = j * width
+            precedence.extend((base + i, base + i + 1) for i in range(self.m))
+            for i, t in enumerate(machines):
+                assignment.append((base + i, machine_base + t))
+                assignment.append((machine_base + t, base + i))
+        return tuple(precedence), tuple(assignment)
+
+    @cached_property
     def path_suffix(self) -> tuple[tuple[int, ...], ...]:
         """path_suffix[j][i-1] = processing plus chained transport time of ops
         i..m+1 of job j (pickup at the machine of op i-1), contention-free."""
@@ -312,6 +337,7 @@ def instance_from_document(doc: dict) -> Instance:
         raise
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"document: malformed field value ({exc})") from exc
+    _check_time_max(inst)
     return inst
 
 
@@ -337,6 +363,16 @@ def load_instance(path: str | Path) -> Instance:
 
 
 # -- invariant checks ------------------------------------------------------
+
+def _check_time_max(inst: Instance) -> None:
+    """Documents stay inside the sampling universe, the domain the metrics
+    are defined on, so a loaded instance also records and summarizes."""
+    for name, rows in (("proc_times", inst.proc_times), ("transport", inst.transport)):
+        for a, row in enumerate(rows):
+            for b, t in enumerate(row):
+                if t > TIME_MAX:
+                    raise DocumentError(f"{name}[{a}][{b}]: must be <= {TIME_MAX}, got {t}")
+
 
 def _check_instance_fields(n, m, k, routings, proc_times, transport) -> None:
     if n < 1:

@@ -20,12 +20,21 @@ import numpy as np
 
 from .bridge import PROTOCOL_VERSION, encode_message, parse_message
 from .engine import JointAction, reset
+from .errors import ProtocolError
 from .instances import load_instance
 from .rules import AgvRule, OperationRule, select_agv, select_operation
 
 
+def _field(msg: dict, name: str):
+    if name not in msg:
+        raise ProtocolError(f"{msg['type']} line has no {name!r} field")
+    return msg[name]
+
+
 def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
           stdin=None, stdout=None) -> None:
+    """Answer protocol v1 lines until stdin closes; a line the protocol does
+    not allow raises ProtocolError naming the missing field or bad value."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     op_rule = OperationRule(op_rule)
@@ -44,22 +53,29 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
         msg = parse_message(line)
         kind = msg["type"]
         if kind == "hello":
-            instance = load_instance(instances_dir / f"{msg['instance']}.json")
+            instance = load_instance(instances_dir / f"{_field(msg, 'instance')}.json")
             state = reset(instance)
             rng = np.random.default_rng(seed)
             reply({"type": "ready", "version": PROTOCOL_VERSION})
-        elif kind == "observation" and msg["phase"] == "operation":
-            job = select_operation(op_rule, state, rng)
-            reply({"type": "decision", "step": msg["step"], "choice": job})
-        elif kind == "observation" and msg["phase"] == "agv":
-            job = msg["selected_job"]
-            agv = select_agv(agv_rule, state, job, rng)
-            reply({"type": "decision", "step": msg["step"], "choice": agv})
-            state = state.apply(JointAction(job, agv))
+        elif kind == "observation":
+            phase = _field(msg, "phase")
+            step = _field(msg, "step")
+            if state is None:
+                raise ProtocolError("observation before any hello")
+            if phase == "operation":
+                job = select_operation(op_rule, state, rng)
+                reply({"type": "decision", "step": step, "choice": job})
+            elif phase == "agv":
+                job = _field(msg, "selected_job")
+                agv = select_agv(agv_rule, state, job, rng)
+                reply({"type": "decision", "step": step, "choice": agv})
+                state = state.apply(JointAction(job, agv))
+            else:
+                raise ProtocolError(f"unknown observation phase {phase!r}")
         elif kind == "terminal":
             state = None
         else:
-            raise SystemExit(f"rule_server: unexpected message type {kind!r}")
+            raise ProtocolError(f"unexpected message type {kind!r}")
 
 
 def main(argv=None) -> int:
@@ -77,7 +93,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    serve(args.op_rule, args.agv_rule, args.instances_dir, args.seed)
+    try:
+        serve(args.op_rule, args.agv_rule, args.instances_dir, args.seed)
+    except ProtocolError as exc:
+        print(f"jsspt: protocol error: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

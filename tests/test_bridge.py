@@ -1,14 +1,19 @@
+import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
+from helpers import micro_instance, random_small_instance
 from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
     ExternalPolicyClient,
     PolicyEndpoint,
     RulePolicy,
+    _round6_text,
+    encode_message,
     hello_message,
     make_policy,
     parse_decision,
@@ -16,8 +21,9 @@ from jsspt.bridge import (
     run_episode,
     serialize_observation,
 )
-from jsspt.engine import reset
+from jsspt.engine import JointAction, reset
 from jsspt.errors import ProtocolError, TransportError
+from jsspt.features import build_graph
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
 from jsspt.rules import solve
 
@@ -48,6 +54,93 @@ def test_agv_observation_contents():
 def test_observation_round_trip(i1):
     line = serialize_observation(reset(i1), OPERATION_PHASE)
     assert json.dumps(json.loads(line), separators=(",", ":")) == line
+
+
+# sha256 over the joined per-step digests of one episode, pinning every byte
+# of the protocol v1 lines it produced.
+GOLDEN_EPISODES = [
+    (GenerationConfig(n=15, m=10, k=9, seed=3), "SPT", "SCTA", 165, 7805,
+     "0e098aca683898f46a117c5110fd7b594c320f59b2cf81855f7f4f0660ff2814"),
+    (GenerationConfig(n=6, m=4, k=2, seed=5), "MOR", "SCPT", 30, 1516,
+     "310c4caf3ff41cbe865d15a6faa2cccabfaaceca8ada335889a98bc32f8312a5"),
+    (GenerationConfig(n=10, m=10, k=3, seed=11), "RANDOM", "RANDOM", 110, 5053,
+     "f8de73ee7b5b06b49b6aa72a9fe0f46770da7ba0bb96b16e79831ff7e6b4d0ff"),
+    # All bounds equal: the degenerate normalization branch.
+    (None, "FCFS", "SPUT", 2, 10,
+     "0304f57dafd5115d388160ba176a5bdae300218fb9a2978fe8660a2c620c73a3"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, op_rule, agv_rule, steps, makespan, digest",
+    GOLDEN_EPISODES,
+    ids=["15x10x9-SPT+SCTA", "6x4x2-MOR+SCPT", "10x10x3-RANDOM+RANDOM", "micro-FCFS+SPUT"],
+)
+def test_protocol_v1_golden_digests(config, op_rule, agv_rule, steps, makespan, digest):
+    inst = micro_instance() if config is None else generate_instance(config)
+    policy = RulePolicy(op_rule, agv_rule, seed=7)
+    trace = run_episode(inst, policy, policy)
+    assert (len(trace.steps), trace.makespan) == (steps, makespan)
+    joined = "\n".join(s.digest for s in trace.steps)
+    assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
+
+
+def _reference_operation_line(state):
+    """The documented v1 operation line, built as a dict from the graph's
+    fields and encoded in one piece."""
+
+    def round6(value):
+        return float(f"{value:.6f}")
+
+    graph = build_graph(state)
+    inst = state.instance
+    operations = []
+    for j in range(inst.n):
+        for i in range(1, inst.m + 2):
+            v = graph.op_vertex(j, i)
+            operations.append([
+                j, i, inst.op_machine(j, i), graph.op_scheduled[v],
+                graph.op_bound_raw[v], round6(graph.op_bound[v]),
+            ])
+    machines = [
+        [t, graph.machine_scheduled[t], round6(graph.machine_ratio[t])]
+        for t in range(inst.m + 2)
+    ]
+    return encode_message({
+        "type": "observation",
+        "schema": 1,
+        "step": state.steps,
+        "phase": "operation",
+        "mask": state.valid_operations(),
+        "operations": operations,
+        "machines": machines,
+        "precedence": [list(e) for e in graph.precedence_edges],
+        "assignment": [list(e) for e in graph.assignment_edges],
+    })
+
+
+def test_operation_lines_match_reference_encoder():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        inst = random_small_instance(rng)
+        state = reset(inst)
+        while not state.is_terminal():
+            line = serialize_observation(state, OPERATION_PHASE)
+            assert line == _reference_operation_line(state)
+            jobs = state.valid_operations()
+            job = jobs[int(rng.integers(len(jobs)))]
+            state = state.apply(JointAction(job, int(rng.integers(inst.k))))
+
+
+def test_round6_text_is_repr_of_rounded_float():
+    rng = np.random.default_rng(4)
+    values = [0.0, -0.0, 1.0, 1e-4, 9.9999995e-5, 5e-7, 4.99e-7, 0.0078125,
+              0.99999995, 999999999.9999997, 1e9, 1234567890123456.7, -0.25]
+    values += [float(x) for x in rng.random(20_000)]
+    values += [float(x) for x in rng.integers(0, 2**20, 5_000) / 2.0 ** 20]
+    values += [float(x) for x in rng.uniform(-1, 1, 5_000) * 10.0 ** rng.integers(-9, 12, 5_000)]
+    for value in values:
+        assert _round6_text(value) == repr(round(value, 6)) == repr(float(f"{value:.6f}"))
 
 
 def test_serialize_phase_guards(i1):

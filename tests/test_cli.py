@@ -58,6 +58,20 @@ def test_solve_missing_instance(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def test_solve_rejects_times_above_time_max(tmp_path, capsys):
+    doc = {
+        "id": "slow", "n": 3, "m": 2, "k": 2, "seed": 0,
+        "routings": [[0, 1], [1, 0], [0, 1]],
+        "proc_times": [[150, 150, 0]] * 3,
+        "transport": [[0 if a == b else 1 for b in range(4)] for a in range(4)],
+    }
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("solve", "--instance", str(path), "--op-rule", "SPT", "--agv-rule", "SCTA")
+    assert code == 3
+    assert "proc_times[0][0]: must be <= 100, got 150" in capsys.readouterr().err
+
+
 def test_bench_cli(tmp_path, capsys):
     code = run_cli(
         "bench", "--sizes", "3x2", "--rhos", "0.4,1.0", "--instances", "2",

@@ -46,6 +46,48 @@ def test_op_lower_bound_telescopes_to_completions():
                 assert op_lower_bound(state, j, i) == state.entries[j][i - 1].end
 
 
+def _summed_bound(state, job, op):
+    """Reference completion bound by direct summation over the job chain."""
+    nxt = state.next_op[job]
+    done_upto = min(op, nxt - 1)
+    head = state.entries[job][done_upto - 1].end if done_upto >= 1 else 0
+    return head + sum(state.instance.proc_times[job][i - 1] for i in range(nxt, op + 1))
+
+
+def test_bounds_and_edges_match_direct_construction():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        inst = random_small_instance(rng)
+        n, m = inst.n, inst.m
+        ops = [(j, i) for j in range(n) for i in range(1, m + 2)]
+        state = reset(inst)
+        graph = build_graph(state)
+        vertex = {op: v for v, op in enumerate(ops)}
+        assert graph.precedence_edges == tuple(
+            (vertex[j, i], vertex[j, i + 1]) for j in range(n) for i in range(1, m + 1)
+        )
+        machine = n * (m + 1)
+        assignment = []
+        for j, i in ops:
+            assignment += [(vertex[j, i], machine + inst.op_machine(j, i)),
+                           (machine + inst.op_machine(j, i), vertex[j, i])]
+        assert graph.assignment_edges == tuple(assignment)
+        while True:
+            expected = [_summed_bound(state, j, i) for j, i in ops]
+            assert [op_lower_bound(state, j, i) for j, i in ops] == expected
+            graph = build_graph(state)
+            assert list(graph.op_bound_raw) == expected
+            assert graph.op_scheduled == tuple(int(i < state.next_op[j]) for j, i in ops)
+            assert graph.machine_ratio == tuple(
+                machine_ratio(state, t) for t in range(m + 2)
+            )
+            if state.is_terminal():
+                break
+            jobs = state.valid_operations()
+            job = jobs[int(rng.integers(len(jobs)))]
+            state = state.apply(JointAction(job, int(rng.integers(inst.k))))
+
+
 def test_machine_ratio(i1):
     state = reset(i1)
     for machine in range(3):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import make_instance, zero_transport
 from jsspt.errors import ConfigurationError, DocumentError
 from jsspt.instances import (
     GRID_BINS,
@@ -197,6 +198,22 @@ def test_load_rejects_nonzero_diagonal():
     doc["transport"][1][1] = 4
     with pytest.raises(DocumentError, match="diagonal"):
         instance_from_document(doc)
+
+
+def test_load_rejects_times_above_time_max():
+    doc = instance_to_document(generate_instance(GenerationConfig(n=3, m=2, k=2, seed=1)))
+    doc["proc_times"] = [[150, 150, 0]] * 3
+    with pytest.raises(DocumentError, match=r"proc_times\[0\]\[0\]: must be <= 100, got 150"):
+        instance_from_document(doc)
+    doc = instance_to_document(generate_instance(GenerationConfig(n=3, m=2, k=2, seed=1)))
+    doc["transport"][2][0] = 101
+    with pytest.raises(DocumentError, match=r"transport\[2\]\[0\]: must be <= 100, got 101"):
+        instance_from_document(doc)
+
+
+def test_zero_transport_instance_round_trips(tmp_path):
+    inst = make_instance([[0, 1], [1, 0]], [[3, 100], [1, 2]], zero_transport(2), k=1)
+    assert load_instance(save_instance(inst, tmp_path)) == inst
 
 
 def test_mean_durations():
