@@ -364,15 +364,18 @@ class ExternalPolicyClient:
         self._send(message)
 
     def close(self) -> None:
-        if self._proc is None:
+        proc, self._proc = self._proc, None
+        if proc is None:
             return
         try:
-            if self._proc.stdin:
-                self._proc.stdin.close()
-            self._proc.wait(timeout=5)
+            proc.stdin.close()
+            proc.wait(timeout=5)
         except (OSError, subprocess.TimeoutExpired):
-            self._proc.kill()
-        self._proc = None
+            proc.kill()
+            proc.wait()
+        # The reader thread ends at the dead child's EOF; close its pipe after.
+        self._reader.join(timeout=5)
+        proc.stdout.close()
 
     def __enter__(self) -> "ExternalPolicyClient":
         self._ensure_running()

@@ -58,6 +58,7 @@ class ScheduleState:
     __slots__ = (
         "instance",
         "next_op",
+        "frontier",
         "entries",
         "machine_free",
         "machine_ops",
@@ -69,6 +70,8 @@ class ScheduleState:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.next_op = [1] * instance.n
+        # Unfinished jobs, ascending; replaced (never mutated) when one ends.
+        self.frontier = list(range(instance.n))
         self.entries: list[list[OpSchedule]] = [[] for _ in range(instance.n)]
         self.machine_free = [0] * (instance.m + 2)
         self.machine_ops = [0] * (instance.m + 2)
@@ -83,8 +86,7 @@ class ScheduleState:
 
     def valid_operations(self) -> list[int]:
         """Jobs that still have an unscheduled operation, ascending."""
-        limit = self.instance.m + 1
-        return [j for j, nxt in enumerate(self.next_op) if nxt <= limit]
+        return list(self.frontier)
 
     def compatible_agvs(self, job: int) -> list[int]:
         """All AGVs can carry any operation (homogeneous fleet)."""
@@ -124,8 +126,9 @@ class ScheduleState:
         if op > inst.m + 1:
             raise ActionError(f"job {job} is already complete")
 
-        source = inst.op_source(job, op)
-        target = inst.op_machine(job, op)
+        machines = inst.op_machines[job]
+        source = machines[op - 2] if op > 1 else LOAD
+        target = machines[op - 1]
         transport = inst.transport
         prev_end = self.entries[job][-1].end if op > 1 else 0
         t_start = max(prev_end, self.agv_free[agv] + transport[self.agv_location[agv]][source])
@@ -141,6 +144,7 @@ class ScheduleState:
         new.instance = inst
         new.next_op = list(self.next_op)
         new.next_op[job] = op + 1
+        new.frontier = self.frontier if op <= inst.m else [j for j in self.frontier if j != job]
         new.entries = list(self.entries)
         new.entries[job] = self.entries[job] + [entry]
         new.machine_free = list(self.machine_free)
@@ -209,21 +213,11 @@ def build_result(
     if not state.is_terminal():
         raise StateError("cannot build a result from a partial schedule")
     inst = state.instance
-    rows = []
-    for j in range(inst.n):
-        for idx, sched in enumerate(state.entries[j]):
-            rows.append(
-                OpRow(
-                    job=j,
-                    op=idx + 1,
-                    machine=inst.op_machine(j, idx + 1),
-                    agv=sched.agv,
-                    transport_start=sched.transport_start,
-                    transport_end=sched.transport_end,
-                    start=sched.start,
-                    end=sched.end,
-                )
-            )
+    rows = [
+        OpRow(j, op, machine, agv, t_start, t_end, start, end)
+        for j, (machines, ent) in enumerate(zip(inst.op_machines, state.entries))
+        for op, (machine, (t_start, t_end, start, end, agv)) in enumerate(zip(machines, ent), 1)
+    ]
     return ScheduleResult(
         instance_id=inst.id,
         solver_id=solver_id,

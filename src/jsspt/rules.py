@@ -17,8 +17,11 @@ import numpy as np
 
 from .engine import JointAction, ScheduleResult, build_result, reset
 from .errors import ActionError, StateError
-from .features import raw_transport_times
-from .instances import Instance
+from .features import _candidate_op
+# Unused here; kept importable because the benchmark's traced run
+# (perfbench/spans.py) wraps `rules.raw_transport_times`.
+from .features import raw_transport_times  # noqa: F401
+from .instances import LOAD, Instance
 
 
 class OperationRule(str, Enum):
@@ -44,7 +47,7 @@ class AgvRule(str, Enum):
 def select_operation(rule, state, rng: np.random.Generator | None = None) -> int:
     """Pick a job from the valid frontier according to `rule`."""
     rule = OperationRule(rule)
-    candidates = state.valid_operations()
+    candidates = state.frontier
     if not candidates:
         raise StateError("no unscheduled operations left")
     if rule is OperationRule.RANDOM:
@@ -52,65 +55,60 @@ def select_operation(rule, state, rng: np.random.Generator | None = None) -> int
             raise ActionError("RANDOM operation rule needs a random generator")
         return candidates[int(rng.integers(len(candidates)))]
 
+    # One score per candidate from the instance's work tables; min and
+    # list.index both take the first extremum, so the lowest index wins ties.
     inst = state.instance
-    best_job = candidates[0]
-    best_score = _operation_score(rule, state, inst, best_job, state.next_op[best_job])
-    for j in candidates[1:]:
-        score = _operation_score(rule, state, inst, j, state.next_op[j])
-        if score < best_score:
-            best_score = score
-            best_job = j
-    return best_job
-
-
-def _operation_score(rule, state, inst: Instance, j: int, i: int) -> float:
-    # Lower is better; max-type rules negate.
-    if rule is OperationRule.SPT:
-        return inst.proc_times[j][i - 1]
-    if rule is OperationRule.LPT:
-        return -inst.proc_times[j][i - 1]
-    remaining_ops = inst.m + 2 - i
-    if rule is OperationRule.SMPT:
-        return inst.work_suffix[j][i - 1] / remaining_ops
-    if rule is OperationRule.MWR:
-        return -inst.work_suffix[j][i - 1]
-    if rule is OperationRule.LWR:
-        return inst.work_suffix[j][i - 1]
-    if rule is OperationRule.FDD_MWR:
-        remaining = inst.work_suffix[j][i - 1]
-        if remaining == 0:
-            return math.inf
-        return inst.work_prefix[j][i - 1] / remaining
-    if rule is OperationRule.MOR:
-        return -remaining_ops
-    if rule is OperationRule.LOR:
-        return remaining_ops
-    if rule is OperationRule.FCFS:
-        return state.entries[j][-1].end if i > 1 else 0
-    raise AssertionError(f"unhandled rule {rule}")
+    nxt = state.next_op
+    pick = min
+    if rule is OperationRule.SPT or rule is OperationRule.LPT:
+        times = inst.proc_times
+        scores = [times[j][nxt[j] - 1] for j in candidates]
+        if rule is OperationRule.LPT:
+            pick = max
+    elif rule is OperationRule.MWR or rule is OperationRule.LWR:
+        suffix = inst.work_suffix
+        scores = [suffix[j][nxt[j] - 1] for j in candidates]
+        if rule is OperationRule.MWR:
+            pick = max
+    elif rule is OperationRule.SMPT:
+        suffix = inst.work_suffix
+        width = inst.m + 2
+        scores = [suffix[j][nxt[j] - 1] / (width - nxt[j]) for j in candidates]
+    elif rule is OperationRule.FDD_MWR:
+        prefix, suffix = inst.work_prefix, inst.work_suffix
+        scores = [
+            prefix[j][nxt[j] - 1] / suffix[j][nxt[j] - 1] if suffix[j][nxt[j] - 1] else math.inf
+            for j in candidates
+        ]
+    elif rule is OperationRule.MOR or rule is OperationRule.LOR:
+        # Fewer ops done means more remaining: MOR takes the least next_op.
+        scores = [nxt[j] for j in candidates]
+        if rule is OperationRule.LOR:
+            pick = max
+    else:  # FCFS: the candidate whose predecessor finished first
+        entries = state.entries
+        scores = [entries[j][-1].end if entries[j] else 0 for j in candidates]
+    return candidates[scores.index(pick(scores))]
 
 
 def select_agv(rule, state, job: int, rng: np.random.Generator | None = None) -> int:
     """Pick a vehicle for the chosen job's next operation according to `rule`."""
     rule = AgvRule(rule)
-    times = raw_transport_times(state, job)  # (ready, empty, arrival, finish)
+    op = _candidate_op(state, job)
     if rule is AgvRule.RANDOM:
         if rng is None:
             raise ActionError("RANDOM agv rule needs a random generator")
-        return int(rng.integers(len(times)))
-    if rule is AgvRule.SPUT:
-        key = 2  # arrival at the pickup machine
-    elif rule is AgvRule.SCTA:
-        key = 3  # finish of the whole transport task
-    else:  # SCPT
-        key = 0  # release from pending tasks
-    best_u = 0
-    best = times[0][key]
-    for u in range(1, len(times)):
-        if times[u][key] < best:
-            best = times[u][key]
-            best_u = u
-    return best_u
+        return int(rng.integers(state.instance.k))
+    free = state.agv_free
+    if rule is AgvRule.SCPT:  # release from pending tasks
+        return free.index(min(free))
+    # SPUT: arrival at the pickup machine. SCTA's task finish adds the loaded
+    # leg, the same for every vehicle, so both rules take the same argmin.
+    inst = state.instance
+    source = inst.op_machines[job][op - 2] if op > 1 else LOAD
+    transport = inst.transport
+    arrival = [f + transport[loc][source] for f, loc in zip(free, state.agv_location)]
+    return arrival.index(min(arrival))
 
 
 OPERATION_RULES: tuple[OperationRule, ...] = tuple(OperationRule)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import subprocess
 import sys
 
 import numpy as np
@@ -343,6 +344,38 @@ def test_unresponsive_server_times_out(tmp_path, i1):
     with ExternalPolicyClient(cmd, timeout=1.5) as client:
         with pytest.raises(TransportError, match="answer"):
             run_episode(i1, client, client)
+
+
+def test_close_reaps_child_and_closes_pipes(tmp_path, i1):
+    # The child answers nothing, so the episode times out; it exits at EOF.
+    cmd = _write_server_script(tmp_path, "    pass\n")
+    client = ExternalPolicyClient(cmd, timeout=0.5)
+    with pytest.raises(TransportError, match="answer"):
+        run_episode(i1, client, client)
+    proc = client._proc
+    client.close()
+    assert proc.stdin.closed and proc.stdout.closed
+    assert proc.returncode == 0
+    assert client._proc is None
+
+
+def test_close_kills_stalled_child_and_closes_pipes(tmp_path, monkeypatch):
+    script = tmp_path / "stall.py"
+    script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+    client = ExternalPolicyClient([sys.executable, str(script)], timeout=1)
+    with client:
+        proc = client._proc
+        real_wait = proc.wait
+
+        def stalled_wait(timeout=None):
+            # Stand in for the child outliving the grace period after EOF.
+            if timeout is not None:
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            return real_wait()
+
+        monkeypatch.setattr(proc, "wait", stalled_wait)
+    assert proc.stdin.closed and proc.stdout.closed
+    assert proc.returncode is not None and proc.returncode < 0  # killed
 
 
 def test_unreachable_endpoint(i1):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,38 @@ def test_aggregate_ci_shrinks_with_sample_size():
 def test_aggregate_ci_needs_two_values():
     with pytest.raises(MetricError):
         aggregate_ci([1.0])
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_aggregate_ci_rejects_level_outside_open_unit_interval(level):
+    with pytest.raises(MetricError, match="confidence level"):
+        aggregate_ci([1.0, 2.0, 3.0], level=level)
+
+
+def test_import_leaves_scipy_stats_out():
+    # A fresh interpreter: this test process may have scipy.stats loaded.
+    code = "import sys, jsspt; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_special_tails_equal_scipy_stats():
+    from scipy import special, stats
+
+    dofs = [1, 2, 3, 7, 30, 121, 1000]
+    xs = np.array([0.0, 1e-9, 0.3, 1.0, 1.96, 4.5, 40.0, 1e6, np.inf, np.nan])
+    qs = np.array([1e-12, 0.025, 0.3, 0.5, 0.5125, 0.95, 0.975, 0.995, 1 - 1e-12])
+    for dof in dofs:
+        for x in xs:
+            np.testing.assert_array_equal(special.stdtr(dof, -abs(x)), stats.t.sf(abs(x), dof))
+        np.testing.assert_array_equal(special.stdtr(dof, -np.abs(xs)), stats.t.sf(np.abs(xs), dof))
+        np.testing.assert_array_equal(special.stdtrit(dof, qs), stats.t.ppf(qs, dof))
+        for d1 in (1, 2, 3, 9):
+            np.testing.assert_array_equal(
+                special.fdtrc(d1, dof, np.abs(xs)), stats.f.sf(np.abs(xs), d1, dof)
+            )
 
 
 def test_noisy_recovery_within_three_se():

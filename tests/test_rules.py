@@ -1,8 +1,13 @@
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
-from helpers import make_instance, micro_instance, zero_transport
-from jsspt.engine import JointAction, lower_bound, reset, validate_schedule
+from helpers import make_instance, micro_instance, random_small_instance, zero_transport
+from jsspt import harness
+from jsspt.engine import JointAction, lower_bound, reset, result_to_document, validate_schedule
 from jsspt.errors import ActionError, StateError
 from jsspt.instances import LOAD, GenerationConfig, generate_instance
 from jsspt.rules import (
@@ -210,3 +215,148 @@ def test_rule_choices_invariant_under_duration_doubling():
     job = select_operation(OperationRule.SPT, state_a)
     for rule in (AgvRule.SPUT, AgvRule.SCTA, AgvRule.SCPT):
         assert select_agv(rule, state_a, job) == select_agv(rule, state_b, job)
+
+
+# -- reference scoring: the per-candidate if-chain and per-vehicle argmin ------
+
+def _reference_operation_score(rule, state, j, i):
+    # Lower is better; max-type rules negate.
+    inst = state.instance
+    if rule is OperationRule.SPT:
+        return inst.proc_times[j][i - 1]
+    if rule is OperationRule.LPT:
+        return -inst.proc_times[j][i - 1]
+    remaining_ops = inst.m + 2 - i
+    if rule is OperationRule.SMPT:
+        return inst.work_suffix[j][i - 1] / remaining_ops
+    if rule is OperationRule.MWR:
+        return -inst.work_suffix[j][i - 1]
+    if rule is OperationRule.LWR:
+        return inst.work_suffix[j][i - 1]
+    if rule is OperationRule.FDD_MWR:
+        remaining = inst.work_suffix[j][i - 1]
+        if remaining == 0:
+            return math.inf
+        return inst.work_prefix[j][i - 1] / remaining
+    if rule is OperationRule.MOR:
+        return -remaining_ops
+    if rule is OperationRule.LOR:
+        return remaining_ops
+    if rule is OperationRule.FCFS:
+        return state.entries[j][-1].end if i > 1 else 0
+    raise AssertionError(f"unhandled rule {rule}")
+
+
+def reference_select_operation(rule, state):
+    candidates = [j for j, i in enumerate(state.next_op) if i <= state.instance.m + 1]
+    best_job = candidates[0]
+    best = _reference_operation_score(rule, state, best_job, state.next_op[best_job])
+    for j in candidates[1:]:
+        score = _reference_operation_score(rule, state, j, state.next_op[j])
+        if score < best:
+            best, best_job = score, j
+    return best_job
+
+
+def reference_select_agv(rule, state, job):
+    inst = state.instance
+    op = state.next_op[job]
+    source, target = inst.op_source(job, op), inst.op_machine(job, op)
+    times = []
+    for u in range(inst.k):
+        ready = state.agv_free[u]
+        arrival = ready + inst.transport[state.agv_location[u]][source]
+        times.append((ready, arrival, arrival + inst.transport[source][target]))
+    key = {AgvRule.SCPT: 0, AgvRule.SPUT: 1, AgvRule.SCTA: 2}[rule]
+    best_u = 0
+    for u in range(1, inst.k):
+        if times[u][key] < times[best_u][key]:
+            best_u = u
+    return best_u
+
+
+def tie_heavy_instance(rng, duration):
+    """Every processing and off-diagonal transport time equals `duration`."""
+    n, m, k = (int(x) for x in rng.integers(1, (9, 7, 5)))
+    routings = [[int(x) for x in rng.permutation(m)] for _ in range(n)]
+    transport = [[0 if a == b else duration for b in range(m + 2)] for a in range(m + 2)]
+    return make_instance(routings, [[duration] * m for _ in range(n)], transport, k=k)
+
+
+def episode_states(instance, rng):
+    """Every non-terminal state of one episode of uniformly random actions."""
+    state = reset(instance)
+    while not state.is_terminal():
+        yield state
+        jobs = state.valid_operations()
+        job = jobs[int(rng.integers(len(jobs)))]
+        state = state.apply(JointAction(job, int(rng.integers(instance.k))))
+
+
+def differential_instances():
+    rng = np.random.default_rng(2024)
+    insts = [random_small_instance(rng) for _ in range(30)]
+    insts += [tie_heavy_instance(rng, d) for d in (1, 1, 7, 7, 100, 100)]
+    return rng, insts
+
+
+DETERMINISTIC_OP_RULES = [r for r in OperationRule if r is not OperationRule.RANDOM]
+DETERMINISTIC_AGV_RULES = [r for r in AgvRule if r is not AgvRule.RANDOM]
+
+
+def test_rules_match_reference_scoring_on_every_state():
+    rng, insts = differential_instances()
+    states = 0
+    for inst in insts:
+        for state in episode_states(inst, rng):
+            states += 1
+            limit = inst.m + 1
+            assert state.valid_operations() == [
+                j for j, i in enumerate(state.next_op) if i <= limit
+            ]
+            for rule in DETERMINISTIC_OP_RULES:
+                assert select_operation(rule, state) == reference_select_operation(rule, state)
+            for job in state.valid_operations():
+                for rule in DETERMINISTIC_AGV_RULES:
+                    assert select_agv(rule, state, job) == reference_select_agv(rule, state, job)
+    assert states > 1000
+
+
+def test_sput_and_scta_choose_alike():
+    # SCTA's task finish is SPUT's arrival plus the loaded leg, which is the
+    # same for every vehicle, so the two rules pick the same vehicle.
+    rng, insts = differential_instances()
+    for inst in insts:
+        for state in episode_states(inst, rng):
+            for job in state.valid_operations():
+                assert select_agv(AgvRule.SPUT, state, job) == select_agv(AgvRule.SCTA, state, job)
+        for rule in DETERMINISTIC_OP_RULES:
+            assert solve(inst, rule, AgvRule.SPUT).rows == solve(inst, rule, AgvRule.SCTA).rows
+
+
+def test_valid_operations_is_a_fresh_copy():
+    state = reset(three_job_instance())
+    state.valid_operations().clear()
+    assert state.valid_operations() == [0, 1, 2]
+
+
+GOLDEN_PLAN = dict(sizes=((6, 4), (10, 10), (30, 10)), rhos=(0.2, 1.2), instances_per_config=2, seed=7)
+GOLDEN_RESULTS_CSV = "861b035c98834b7cb1e428419768aab0bbe238b22db3004f1a3915180ae5bb43"
+GOLDEN_SCHEDULE_DOCS = "50fc59a9c14ba061a5b080a6d5b56e90906db8557270a7694361fc4a0e47d425"
+
+
+def test_golden_bench_digests():
+    plan = harness.ExperimentPlan(**GOLDEN_PLAN)
+    insts = harness.generate_bench_instances(plan)
+    table = harness.records_to_csv(harness.solve_instances(insts, plan.solvers))
+    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_RESULTS_CSV
+    docs = [
+        json.dumps(
+            result_to_document(solve(inst, *parse_combo(ident), seed=harness._solver_seed(inst, ident))),
+            separators=(",", ":"),
+        )
+        for inst in insts
+        for ident in plan.solvers
+    ]
+    assert len(docs) == 480
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == GOLDEN_SCHEDULE_DOCS
