@@ -63,14 +63,12 @@ from .metrics import (
     rpi,
     temporal_dominance,
     win,
-    win_rate,
 )
 from .oracle import OracleResult, brute_force_oracle
 from .regression import RegressionReport, aggregate_ci, ols_fit, vif, z_normalize
 from .rules import (
     ALL_COMBOS,
     AgvRule,
-    ComboSolver,
     OperationRule,
     combo_id,
     parse_combo,

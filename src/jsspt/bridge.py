@@ -33,7 +33,6 @@ import queue
 import shlex
 import subprocess
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -227,19 +226,6 @@ ROLE_AGV = "agv-policy"
 ROLE_JOINT = "joint-policy"
 
 
-@dataclass(frozen=True)
-class PolicyEndpoint:
-    """How to obtain a decider: a builtin rule name or an external command."""
-
-    kind: str  # "builtin-rule" | "external"
-    role: str  # ROLE_OPERATION | ROLE_AGV | ROLE_JOINT
-    op_rule: str | None = None
-    agv_rule: str | None = None
-    command: str = ""
-    timeout: float = DEFAULT_TIMEOUT
-    seed: int = 0
-
-
 class RulePolicy:
     """In-process decider backed by dispatching rules."""
 
@@ -385,14 +371,6 @@ class ExternalPolicyClient:
         self.close()
 
 
-def make_policy(endpoint: PolicyEndpoint):
-    if endpoint.kind == "builtin-rule":
-        return RulePolicy(endpoint.op_rule, endpoint.agv_rule, endpoint.seed)
-    if endpoint.kind == "external":
-        return ExternalPolicyClient(endpoint.command, endpoint.role, endpoint.timeout)
-    raise ProtocolError(f"unknown endpoint kind {endpoint.kind!r}")
-
-
 # -- episode runner -----------------------------------------------------------
 
 class StepRecord(NamedTuple):
@@ -410,7 +388,6 @@ class EpisodeTrace:
     steps: tuple[StepRecord, ...]
     makespan: int
     reward: float
-    wall_time: float
     result: ScheduleResult
 
 
@@ -430,7 +407,6 @@ def run_episode(
         raise ProtocolError(f"{agv_policy.role} cannot act as the AGV decider")
 
     policies = [op_policy] if op_policy is agv_policy else [op_policy, agv_policy]
-    started = time.perf_counter()
     for policy in policies:
         policy.begin_episode(instance)
 
@@ -459,13 +435,11 @@ def run_episode(
     final = terminal_message(state.steps, makespan, reward)
     for policy in policies:
         policy.end_episode(final)
-    wall = time.perf_counter() - started
     result = build_result(state, solver_id, decisions)
     return EpisodeTrace(
         instance_id=instance.id,
         steps=tuple(records),
         makespan=makespan,
         reward=reward,
-        wall_time=wall,
         result=result,
     )

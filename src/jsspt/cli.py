@@ -9,6 +9,7 @@ nonzero with a category prefix on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -72,10 +73,21 @@ def _parse_rhos(text: str) -> tuple[float, ...]:
 def _parse_solvers(text: str) -> tuple[str, ...]:
     if text == "all":
         return ALL_COMBOS
-    solvers = tuple(s.strip() for s in text.split(","))
-    for ident in solvers:
-        parse_combo(ident)
-    return solvers
+    return tuple(s.strip() for s in text.split(","))
+
+
+_PLAN_PARSERS = {"sizes": _parse_sizes, "rhos": _parse_rhos, "solvers": _parse_solvers}
+
+
+def _plan_from_args(plan_type, args):
+    """A plan from the options the user gave. Each plan field is the dest of
+    one option; the plan dataclass holds every default and the only check."""
+    given = {}
+    for field in dataclasses.fields(plan_type):
+        value = getattr(args, field.name)
+        if value is not None:
+            given[field.name] = _PLAN_PARSERS.get(field.name, lambda v: v)(value)
+    return plan_type(**given)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -114,29 +126,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _bench_plan(args) -> harness.ExperimentPlan:
+def _cmd_bench(args) -> int:
     if args.plan:
         plan = harness.load_plan(args.plan)
         if args.seed is not None:
-            plan = harness.ExperimentPlan(
-                sizes=plan.sizes,
-                rhos=plan.rhos,
-                instances_per_config=plan.instances_per_config,
-                solvers=plan.solvers,
-                seed=args.seed,
-            )
-        return plan
-    return harness.ExperimentPlan(
-        sizes=_parse_sizes(args.sizes),
-        rhos=_parse_rhos(args.rhos),
-        instances_per_config=args.instances,
-        solvers=_parse_solvers(args.solvers),
-        seed=args.seed if args.seed is not None else 0,
-    )
-
-
-def _cmd_bench(args) -> int:
-    plan = _bench_plan(args)
+            plan = dataclasses.replace(plan, seed=args.seed)
+    else:
+        plan = _plan_from_args(harness.ExperimentPlan, args)
     out = _out_dir(args.out)
     records, summary, global_best = harness.run_bench(plan, jobs=args.jobs)
     results_path = out / "results.csv"
@@ -150,14 +146,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    plan = harness.GridPlan(
-        sizes=_parse_sizes(args.sizes),
-        rhos=_parse_rhos(args.rhos),
-        instances_per_cell=args.instances_per_cell,
-        solver_a=args.solver_a,
-        solver_b=args.solver_b,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    plan = _plan_from_args(harness.GridPlan, args)
     out = _out_dir(args.out)
     records, cells, heatmap = harness.run_grid(plan, jobs=args.jobs)
     results_path = out / "grid_results.csv"
@@ -244,22 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark solvers over a plan")
     p.add_argument("--plan", default=None, help="plan JSON file")
-    p.add_argument("--sizes", default="15x10,10x10,12x12,14x14,20x5,5x10,15x15,30x10")
-    p.add_argument("--rhos", default="0.2,0.4,0.6,0.8,1.0,1.2")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--solvers", default="all")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--sizes")
+    p.add_argument("--rhos")
+    p.add_argument("--instances", type=int, dest="instances_per_config", metavar="INSTANCES")
+    p.add_argument("--solvers")
+    p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("grid", help="duration-grid experiment over two solvers")
-    p.add_argument("--sizes", default="15x10,10x10,12x12,14x14,20x5,5x10,15x15,30x10")
-    p.add_argument("--rhos", default="0.2,0.4,0.6,0.8,1.0,1.2")
-    p.add_argument("--instances-per-cell", type=int, default=20)
-    p.add_argument("--solver-a", default="SPT+SCTA")
-    p.add_argument("--solver-b", default="MOR+SCTA")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--sizes")
+    p.add_argument("--rhos")
+    p.add_argument("--instances-per-cell", type=int)
+    p.add_argument("--solver-a")
+    p.add_argument("--solver-b")
+    p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_grid)

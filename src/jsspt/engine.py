@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ActionError, DocumentError, StateError
-from .instances import Instance, LOAD
+from .instances import LOAD, Instance, _document_int, _document_table
 
 
 class JointAction(NamedTuple):
@@ -88,27 +88,11 @@ class ScheduleState:
         """Jobs that still have an unscheduled operation, ascending."""
         return list(self.frontier)
 
-    def compatible_agvs(self, job: int) -> list[int]:
-        """All AGVs can carry any operation (homogeneous fleet)."""
-        if job not in self.valid_operations():
-            raise ActionError(f"job {job} has no unscheduled operation")
-        return list(range(self.instance.k))
-
     def predecessor_end(self, job: int) -> int:
         """Completion time of the job's most recently scheduled operation
         (0 before the first one)."""
         ent = self.entries[job]
         return ent[-1].end if ent else 0
-
-    def machine_sequence(self, machine: int) -> list[tuple[int, int, OpSchedule]]:
-        """Scheduled (job, op, times) on one machine, in processing order."""
-        rows = []
-        for j, ent in enumerate(self.entries):
-            for idx, sched in enumerate(ent):
-                if self.instance.op_machine(j, idx + 1) == machine:
-                    rows.append((j, idx + 1, sched))
-        rows.sort(key=lambda r: (r[2].start, r[0]))
-        return rows
 
     # -- transition --------------------------------------------------------
 
@@ -175,13 +159,7 @@ def reset(instance: Instance) -> ScheduleState:
 def lower_bound(instance: Instance) -> int:
     """Contention-free critical path: for each job, all processing plus the
     full transport chain load -> M_(1) -> ... -> unload; maximum over jobs."""
-    best = 0
-    for j in range(instance.n):
-        total = sum(instance.proc_times[j])
-        for i in range(1, instance.m + 2):
-            total += instance.travel(instance.op_source(j, i), instance.op_machine(j, i))
-        best = max(best, total)
-    return best
+    return max(row[0] for row in instance.path_suffix)
 
 
 def terminal_reward(state: ScheduleState, scale: float = 5.0) -> float:
@@ -242,9 +220,9 @@ def result_from_document(doc: dict) -> ScheduleResult:
         return ScheduleResult(
             instance_id=str(doc["instance"]),
             solver_id=str(doc["solver"]),
-            makespan=int(doc["makespan"]),
-            rows=tuple(OpRow(*(int(x) for x in r)) for r in doc["rows"]),
-            decisions=tuple((int(a), int(b)) for a, b in doc["decisions"]),
+            makespan=_document_int(doc["makespan"], "makespan"),
+            rows=tuple(OpRow(*r) for r in _document_table(doc["rows"], "rows")),
+            decisions=tuple((a, b) for a, b in _document_table(doc["decisions"], "decisions")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"schedule document: malformed ({exc})") from exc

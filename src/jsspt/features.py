@@ -69,27 +69,9 @@ class DisjunctiveGraph:
     def op_vertex(self, job: int, op: int) -> int:
         return job * (self.m + 1) + op - 1
 
-    def machine_vertex(self, machine: int) -> int:
-        return self.n * (self.m + 1) + machine
-
     @property
     def vertex_count(self) -> int:
         return self.n * (self.m + 1) + self.m + 2
-
-    def vertex_table(self) -> list[tuple[int, int, int, float]]:
-        """Unified per-vertex features (vertex id, scheduled flag, machine-type
-        flag, type scalar): the normalized completion bound for operation
-        vertices, the scheduled-share ratio for machine vertices."""
-        rows = [
-            (v, self.op_scheduled[v], 0, self.op_bound[v])
-            for v in range(self.n * (self.m + 1))
-        ]
-        base = self.n * (self.m + 1)
-        rows.extend(
-            (base + t, self.machine_scheduled[t], 1, self.machine_ratio[t])
-            for t in range(self.m + 2)
-        )
-        return rows
 
 
 def build_graph(state: ScheduleState) -> DisjunctiveGraph:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import ExternalPolicyClient, run_episode
-from .errors import ConfigurationError, MetricError
+from .errors import ActionError, ConfigurationError, MetricError
 from .instances import (
     GRID_BINS,
     GenerationConfig,
@@ -29,7 +29,7 @@ from .instances import (
     generate_grid_cell_instances,
     generate_instance,
 )
-from .metrics import ResultRecord, bottleneck_features, make_record, rpi
+from .metrics import ResultRecord, bottleneck_features, make_record, rpi, win
 from .regression import RegressionReport, aggregate_ci, ols_fit, z_normalize
 from .rules import ALL_COMBOS, parse_combo, solve
 
@@ -57,19 +57,43 @@ def fleet_size(rho_value: float, n: int) -> int:
     return max(1, int(math.floor(rho_value * n + 0.5)))
 
 
-def _check_combo_id(ident: str) -> None:
-    try:
-        parse_combo(ident)
-    except Exception as exc:
-        raise ConfigurationError(f"unknown solver in plan: {ident!r}") from exc
-
-
 def agv_ladder(n: int, rhos=RHO_LADDER) -> tuple[int, ...]:
     return tuple(fleet_size(r, n) for r in rhos)
 
 
+class _Axes:
+    """The sizes x scarcity axes both experiment plans sweep, and the one
+    check of a plan's axes, instance count and solvers."""
+
+    def _check(self, count_field: str, solvers) -> None:
+        if not self.sizes:
+            raise ConfigurationError("plan needs at least one size")
+        for n, m in self.sizes:
+            if n < 1 or m < 1:
+                raise ConfigurationError(f"invalid size {n}x{m}")
+        if not self.rhos or not all(0 < r < math.inf for r in self.rhos):
+            raise ConfigurationError("scarcity values must be positive and finite")
+        if getattr(self, count_field) < 1:
+            raise ConfigurationError(f"{count_field} must be >= 1")
+        if not solvers:
+            raise ConfigurationError("plan needs at least one solver")
+        for ident in solvers:
+            try:
+                parse_combo(ident)
+            except (ActionError, AttributeError) as exc:  # AttributeError: not a str
+                raise ConfigurationError(f"unknown solver in plan: {ident!r}") from exc
+
+    def configs(self) -> list[tuple[int, int, int, float]]:
+        """(n, m, k, nominal rho) per configuration, size-major."""
+        return [
+            (n, m, fleet_size(r, n), r)
+            for n, m in self.sizes
+            for r in self.rhos
+        ]
+
+
 @dataclass(frozen=True)
-class ExperimentPlan:
+class ExperimentPlan(_Axes):
     """A benchmark sweep: sizes x scarcity ladder x instances x solvers."""
 
     sizes: tuple[tuple[int, int], ...] = DEFAULT_SIZES
@@ -79,27 +103,7 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sizes:
-            raise ConfigurationError("plan needs at least one size")
-        for n, m in self.sizes:
-            if n < 1 or m < 1:
-                raise ConfigurationError(f"invalid size {n}x{m}")
-        if not self.rhos or any(r <= 0 for r in self.rhos):
-            raise ConfigurationError("scarcity values must be positive")
-        if self.instances_per_config < 1:
-            raise ConfigurationError("instances_per_config must be >= 1")
-        if not self.solvers:
-            raise ConfigurationError("plan needs at least one solver")
-        for ident in self.solvers:
-            _check_combo_id(ident)
-
-    def configs(self) -> list[tuple[int, int, int, float]]:
-        """(n, m, k, nominal rho) per configuration, size-major."""
-        return [
-            (n, m, fleet_size(r, n), r)
-            for n, m in self.sizes
-            for r in self.rhos
-        ]
+        self._check("instances_per_config", self.solvers)
 
 
 def plan_to_document(plan: ExperimentPlan) -> dict:
@@ -267,7 +271,7 @@ def summarize_results(records: list[ResultRecord]):
             if r.instance_id in global_per_instance
         ]
         wins = [
-            1 if r.makespan < global_per_instance[r.instance_id] else 0
+            win(r.makespan, global_per_instance[r.instance_id])
             for r in mine
             if r.instance_id in global_per_instance
         ]
@@ -374,29 +378,27 @@ def records_from_csv(text: str) -> list[ResultRecord]:
     return records
 
 
-def write_records(records: list[ResultRecord], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(records_to_csv(records), encoding="utf-8")
-    return path
-
-
 def read_records(path: str | Path) -> list[ResultRecord]:
     return records_from_csv(Path(path).read_text(encoding="utf-8"))
 
 
-def summary_to_csv(rows: list[dict]) -> str:
+def _table_to_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+        writer.writerow([_fmt(row[c]) for c in columns])
     return buf.getvalue()
+
+
+def summary_to_csv(rows: list[dict]) -> str:
+    return _table_to_csv(SUMMARY_COLUMNS, rows)
 
 
 # -- grid experiment ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class GridPlan:
+class GridPlan(_Axes):
     """The duration-grid experiment: every decade-bin combination, each base
     configuration, `instances_per_cell` instances, two solvers to compare."""
 
@@ -408,19 +410,7 @@ class GridPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sizes or not self.rhos:
-            raise ConfigurationError("grid plan needs sizes and scarcity values")
-        if self.instances_per_cell < 1:
-            raise ConfigurationError("instances_per_cell must be >= 1")
-        _check_combo_id(self.solver_a)
-        _check_combo_id(self.solver_b)
-
-    def base_configs(self) -> list[tuple[int, int, int, float]]:
-        return [
-            (n, m, fleet_size(r, n), r)
-            for n, m in self.sizes
-            for r in self.rhos
-        ]
+        self._check("instances_per_cell", (self.solver_a, self.solver_b))
 
 
 def generate_grid_instances(plan: GridPlan) -> tuple[list[Instance], list[str]]:
@@ -431,7 +421,7 @@ def generate_grid_instances(plan: GridPlan) -> tuple[list[Instance], list[str]]:
     for proc_bin in GRID_BINS:
         for transport_bin in GRID_BINS:
             cell_label = f"p{proc_bin[0]}_t{transport_bin[0]}"
-            for n, m, k, _ in plan.base_configs():
+            for n, m, k, _ in plan.configs():
                 child = int(seed_rng.integers(0, 2**31 - 1))
                 cell = GridCellConfig(
                     proc_bin=proc_bin,
@@ -518,12 +508,7 @@ def grid_cell_table(records, solver_a: str, solver_b: str) -> list[dict]:
 
 
 def grid_cells_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GRID_CELL_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in GRID_CELL_COLUMNS])
-    return buf.getvalue()
+    return _table_to_csv(GRID_CELL_COLUMNS, rows)
 
 
 def nearest_rho(value: float, axis) -> float:

@@ -66,26 +66,18 @@ class Instance:
     # -- operation/machine index arithmetic ------------------------------
 
     @property
-    def ops_per_job(self) -> int:
-        return self.m + 1
-
-    @property
     def total_ops(self) -> int:
         return self.n * (self.m + 1)
 
     def op_machine(self, job: int, op: int) -> int:
         """Transport index of the machine processing (job, op); op is 1-based,
         op == m+1 maps to the unload machine."""
-        if op == self.m + 1:
-            return UNLOAD
-        return machine_index(self.routings[job][op - 1])
+        return self.op_machines[job][op - 1]
 
     def op_source(self, job: int, op: int) -> int:
         """Transport index of the machine the item is picked up from before
         (job, op); the load machine for op == 1."""
-        if op == 1:
-            return LOAD
-        return machine_index(self.routings[job][op - 2])
+        return self.op_machines[job][op - 2] if op > 1 else LOAD
 
     def travel(self, a: int, b: int) -> int:
         return self.transport[a][b]
@@ -325,13 +317,13 @@ def instance_from_document(doc: dict) -> Instance:
     try:
         inst = Instance(
             id=str(doc["id"]),
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            k=int(doc["k"]),
-            routings=tuple(tuple(int(x) for x in row) for row in doc["routings"]),
-            proc_times=tuple(tuple(int(x) for x in row) for row in doc["proc_times"]),
-            transport=tuple(tuple(int(x) for x in row) for row in doc["transport"]),
-            seed=int(doc["seed"]),
+            n=_document_int(doc["n"], "n"),
+            m=_document_int(doc["m"], "m"),
+            k=_document_int(doc["k"], "k"),
+            routings=_document_table(doc["routings"], "routings"),
+            proc_times=_document_table(doc["proc_times"], "proc_times"),
+            transport=_document_table(doc["transport"], "transport"),
+            seed=_document_int(doc["seed"], "seed"),
         )
     except DocumentError:
         raise
@@ -363,6 +355,27 @@ def load_instance(path: str | Path) -> Instance:
 
 
 # -- invariant checks ------------------------------------------------------
+
+def _document_int(value, field: str, *index: int) -> int:
+    """An integer field of a document, or entry `index` of one. Bools,
+    fractional numbers and strings are rejected rather than truncated or
+    parsed."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    name = field + "".join(f"[{i}]" for i in index)
+    raise DocumentError(f"{name}: must be an integer, got {value!r}")
+
+
+def _document_table(rows, field: str) -> tuple[tuple[int, ...], ...]:
+    # Plain ints (type(True) is bool, not int) skip the call: a 15x10
+    # instance document holds about 460 of them.
+    return tuple(
+        tuple(x if type(x) is int else _document_int(x, field, a, b) for b, x in enumerate(row))
+        for a, row in enumerate(rows)
+    )
+
 
 def _check_time_max(inst: Instance) -> None:
     """Documents stay inside the sampling universe, the domain the metrics

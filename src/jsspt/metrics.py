@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .engine import ScheduleResult
 from .errors import MetricError
@@ -27,13 +27,6 @@ def rpi(makespan: float, baseline: float) -> float:
 def win(makespan: float, baseline: float) -> int:
     """1 iff strictly better than the baseline; ties count as 0."""
     return 1 if makespan < baseline else 0
-
-
-def win_rate(pairs: Iterable[tuple[float, float]]) -> float:
-    pairs = list(pairs)
-    if not pairs:
-        raise MetricError("win rate of an empty series is undefined")
-    return sum(win(a, b) for a, b in pairs) / len(pairs)
 
 
 def rho(k: int, n: int) -> float:

@@ -9,7 +9,6 @@ RANDOM rules consume the seeded stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -130,22 +129,6 @@ def parse_combo(identifier: str) -> tuple[OperationRule, AgvRule]:
         return OperationRule(op_part), AgvRule(agv_part)
     except ValueError as exc:
         raise ActionError(f"unknown solver identifier {identifier!r}") from exc
-
-
-@dataclass(frozen=True)
-class ComboSolver:
-    """One operation rule paired with one AGV rule; deterministic under seed."""
-
-    op_rule: OperationRule
-    agv_rule: AgvRule
-    seed: int | tuple[int, ...] = 0
-
-    @property
-    def identifier(self) -> str:
-        return combo_id(self.op_rule, self.agv_rule)
-
-    def solve(self, instance: Instance) -> ScheduleResult:
-        return solve(instance, self.op_rule, self.agv_rule, self.seed)
 
 
 def solve(instance: Instance, op_rule, agv_rule, seed=0) -> ScheduleResult:

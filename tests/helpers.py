@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from jsspt.engine import JointAction, ScheduleResult, build_result, reset
+from jsspt.engine import JointAction, ScheduleResult, reset
 from jsspt.instances import GenerationConfig, Instance, generate_instance
+from jsspt.rules import solve
 
 
 def make_instance(
@@ -57,16 +58,9 @@ def random_small_instance(rng: np.random.Generator) -> Instance:
 
 
 def random_episode(instance: Instance, rng: np.random.Generator) -> ScheduleResult:
-    """Drive the engine with uniformly random valid actions to completion."""
-    state = reset(instance)
-    decisions = []
-    while not state.is_terminal():
-        jobs = state.valid_operations()
-        job = jobs[int(rng.integers(len(jobs)))]
-        agv = int(rng.integers(instance.k))
-        state = state.apply(JointAction(job, agv))
-        decisions.append((job, agv))
-    return build_result(state, "random-walk", decisions)
+    """Drive the engine with uniformly random valid actions to completion:
+    RANDOM+RANDOM draws a job from the frontier, then a vehicle, from `rng`."""
+    return solve(instance, "RANDOM", "RANDOM", seed=rng)
 
 
 def all_decision_sequences(instance: Instance):

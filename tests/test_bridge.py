@@ -11,12 +11,10 @@ from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
     ExternalPolicyClient,
-    PolicyEndpoint,
     RulePolicy,
     _round6_text,
     encode_message,
     hello_message,
-    make_policy,
     parse_decision,
     parse_message,
     run_episode,
@@ -286,13 +284,9 @@ def test_external_rule_server_transparency(tmp_path):
 def test_external_endpoint_factory(tmp_path):
     inst = generate_instance(GenerationConfig(n=2, m=2, k=1, seed=4))
     save_instance(inst, tmp_path)
-    endpoint = PolicyEndpoint(
-        kind="external",
-        role="joint-policy",
-        command=" ".join(rule_server_cmd(tmp_path, "LWR", "SCPT")),
-        timeout=20,
+    client = ExternalPolicyClient(
+        " ".join(rule_server_cmd(tmp_path, "LWR", "SCPT")), role="joint-policy", timeout=20
     )
-    client = make_policy(endpoint)
     with client:
         trace = run_episode(inst, client, client, solver_id="LWR+SCPT")
     assert trace.makespan == solve(inst, "LWR", "SCPT").makespan

@@ -118,6 +118,50 @@ def test_grid_cli(tmp_path, capsys):
     assert len(heatmap) == 22
 
 
+def test_grid_rejects_nonpositive_scarcity(tmp_path, capsys):
+    code = run_cli(
+        "grid", "--sizes", "4x3", "--rhos=-0.5,0.4", "--instances-per-cell", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "jsspt: configuration error: scarcity values must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "heatmap.csv").exists()
+
+
+def test_grid_rejects_zero_size(tmp_path, capsys):
+    code = run_cli("grid", "--sizes", "0x5", "--instances-per-cell", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert "jsspt: configuration error: invalid size 0x5" in capsys.readouterr().err
+
+
+def test_bench_rejects_unknown_solver_on_every_path(tmp_path, capsys):
+    code = run_cli("bench", "--sizes", "3x2", "--solvers", "SPT+BOGUS", "--out", str(tmp_path))
+    assert code == 2
+    assert "jsspt: configuration error: unknown solver in plan: 'SPT+BOGUS'" in capsys.readouterr().err
+    code = run_cli("bench", "--sizes", "3x2", "--solvers", "", "--out", str(tmp_path))
+    assert code == 2
+    assert "jsspt: configuration error:" in capsys.readouterr().err
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"sizes": [[3, 2]], "solvers": ["SPT+BOGUS"]}))
+    code = run_cli("bench", "--plan", str(plan_path), "--out", str(tmp_path))
+    assert code == 2
+    assert "unknown solver in plan: 'SPT+BOGUS'" in capsys.readouterr().err
+    code = run_cli("grid", "--solver-a", "SPT+BOGUS", "--out", str(tmp_path))
+    assert code == 2
+    assert "unknown solver in plan: 'SPT+BOGUS'" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_solve_rejects_non_integer_fields(tmp_path, capsys):
+    doc = json.loads((save_instance(micro_instance(), tmp_path)).read_text())
+    doc["k"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("solve", "--instance", str(path))
+    assert code == 3
+    assert "jsspt: document error: k: must be an integer, got True" in capsys.readouterr().err
+
+
 def test_regress_cli(tmp_path, capsys):
     code = run_cli(
         "grid", "--sizes", "3x2", "--rhos", "0.4,0.8", "--instances-per-cell", "1",

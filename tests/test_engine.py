@@ -8,10 +8,12 @@ from jsspt.engine import (
     build_result,
     lower_bound,
     reset,
+    result_from_document,
+    result_to_document,
     terminal_reward,
     validate_schedule,
 )
-from jsspt.errors import ActionError, StateError
+from jsspt.errors import ActionError, DocumentError, StateError
 from jsspt.instances import LOAD
 
 
@@ -50,14 +52,6 @@ def test_valid_operations_counts():
     while not state.is_terminal():
         state = state.apply(JointAction(state.valid_operations()[0], 0))
     assert state.valid_operations() == []
-
-
-def test_compatible_agvs():
-    inst = make_instance([[0]], [[2]], zero_transport(1), k=3)
-    state = reset(inst)
-    assert state.compatible_agvs(0) == [0, 1, 2]
-    with pytest.raises(ActionError):
-        state.compatible_agvs(1)
 
 
 def test_micro_instance_worked_schedule(i1):
@@ -236,11 +230,47 @@ def test_monotone_clocks():
         for series in agv_frees.values():
             assert all(a <= b for a, b in zip(series, series[1:]))
         for machine in range(2, inst.m + 2):
-            seq = state.machine_sequence(machine)
+            seq = sorted(
+                (entry.start, j, entry)
+                for j, (machines, ent) in enumerate(zip(inst.op_machines, state.entries))
+                for t, entry in zip(machines, ent)
+                if t == machine
+            )
             ends = [entry.end for _, _, entry in seq]
             assert ends == sorted(ends)
             for (_, _, a), (_, _, b) in zip(seq, seq[1:]):
                 assert a.end <= b.start
+
+
+def _schedule_document(i1):
+    state = run_sequence(i1, [(0, 0), (0, 0)])
+    return result_to_document(build_result(state, "SPT+SCTA", [(0, 0), (0, 0)]))
+
+
+def test_schedule_document_round_trip(i1):
+    doc = _schedule_document(i1)
+    assert result_to_document(result_from_document(doc)) == doc
+
+
+def test_schedule_document_rejects_fractional_integers(i1):
+    doc = _schedule_document(i1)
+    doc["makespan"] = 12.9
+    with pytest.raises(DocumentError, match=r"^makespan: must be an integer, got 12\.9$"):
+        result_from_document(doc)
+
+
+def test_schedule_document_rejects_bool_integers(i1):
+    doc = _schedule_document(i1)
+    doc["makespan"] = True
+    with pytest.raises(DocumentError, match=r"^makespan: must be an integer, got True$"):
+        result_from_document(doc)
+
+
+def test_schedule_document_rejects_string_integers(i1):
+    doc = _schedule_document(i1)
+    doc["rows"][1][4] = "7"
+    with pytest.raises(DocumentError, match=r"^rows\[1\]\[4\]: must be an integer, got '7'$"):
+        result_from_document(doc)
 
 
 def test_identical_action_sequences_identical_schedules():

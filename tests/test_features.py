@@ -115,14 +115,6 @@ def test_graph_shape(i1):
     assert graph.op_bound == (0.0, 0.0)  # degenerate normalization
 
 
-def test_vertex_table_layout(i1):
-    table = build_graph(reset(i1)).vertex_table()
-    assert len(table) == 5
-    assert [row[2] for row in table] == [0, 0, 1, 1, 1]  # machine-type flag
-    assert [row[0] for row in table] == list(range(5))
-    assert all(row[1] in (0, 1) for row in table)
-
-
 def test_graph_normalization_and_flags():
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [2, 2]], zero_transport(2), k=1)
     graph = build_graph(reset(inst))

@@ -95,6 +95,17 @@ def test_plan_validation():
         plan_from_document({"sizes": "nope"})
 
 
+def test_grid_plan_validation():
+    with pytest.raises(ConfigurationError, match="invalid size 0x5"):
+        GridPlan(sizes=((0, 5),))
+    for rhos in ((-0.5, 0.4), (float("nan"),), (float("inf"),)):
+        with pytest.raises(ConfigurationError, match="scarcity values must be positive"):
+            GridPlan(rhos=rhos)
+    with pytest.raises(ConfigurationError, match="unknown solver"):
+        GridPlan(solver_b="SPT+BOGUS")
+    assert GridPlan(sizes=((3, 2),), rhos=(0.4,)).configs() == [(3, 2, 1, 0.4)]
+
+
 def test_bench_row_counts_and_cardinality():
     plan = small_plan()
     records, summary, global_best = run_bench(plan)

@@ -211,6 +211,38 @@ def test_load_rejects_times_above_time_max():
         instance_from_document(doc)
 
 
+def _small_document():
+    return instance_to_document(generate_instance(GenerationConfig(n=2, m=2, k=1, seed=1)))
+
+
+def test_load_rejects_bool_integers():
+    doc = _small_document()
+    doc["k"] = True
+    with pytest.raises(DocumentError, match=r"^k: must be an integer, got True$"):
+        instance_from_document(doc)
+
+
+def test_load_rejects_fractional_integers():
+    doc = _small_document()
+    doc["routings"][0] = [0.9, 1]
+    with pytest.raises(DocumentError, match=r"^routings\[0\]\[0\]: must be an integer, got 0\.9$"):
+        instance_from_document(doc)
+    doc = _small_document()
+    doc["transport"][0][1] = 2.7
+    with pytest.raises(DocumentError, match=r"^transport\[0\]\[1\]: must be an integer, got 2\.7$"):
+        instance_from_document(doc)
+    doc = _small_document()
+    doc["transport"][0][1] = 3.0  # integral floats are exact, so they load
+    assert instance_from_document(doc).transport[0][1] == 3
+
+
+def test_load_rejects_string_integers():
+    doc = _small_document()
+    doc["proc_times"][0][0] = "5"
+    with pytest.raises(DocumentError, match=r"^proc_times\[0\]\[0\]: must be an integer, got '5'$"):
+        instance_from_document(doc)
+
+
 def test_zero_transport_instance_round_trips(tmp_path):
     inst = make_instance([[0, 1], [1, 0]], [[3, 100], [1, 2]], zero_transport(2), k=1)
     assert load_instance(save_instance(inst, tmp_path)) == inst

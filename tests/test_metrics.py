@@ -12,7 +12,6 @@ from jsspt.metrics import (
     rpi,
     temporal_dominance,
     win,
-    win_rate,
 )
 from jsspt.rules import solve
 
@@ -43,13 +42,6 @@ def test_win_is_strict():
     assert win(99, 100) == 1
     assert win(100, 100) == 0
     assert win(101, 100) == 0
-
-
-def test_win_rate():
-    pairs = [(1, 2), (2, 1), (1, 2), (1, 2)]
-    assert win_rate(pairs) == pytest.approx(0.75)
-    with pytest.raises(MetricError):
-        win_rate([])
 
 
 def test_rho_values():

@@ -13,7 +13,6 @@ from jsspt.instances import LOAD, GenerationConfig, generate_instance
 from jsspt.rules import (
     ALL_COMBOS,
     AgvRule,
-    ComboSolver,
     OperationRule,
     combo_id,
     parse_combo,
@@ -171,15 +170,6 @@ def test_random_combo_always_valid():
         result = solve(inst, "RANDOM", "RANDOM", seed=seed)
         assert validate_schedule(result, inst) == []
         assert result.makespan >= bound
-
-
-def test_combo_solver_wrapper():
-    inst = generate_instance(GenerationConfig(n=3, m=3, k=2, seed=2))
-    solver = ComboSolver(OperationRule.MWR, AgvRule.SCTA, seed=1)
-    assert solver.identifier == "MWR+SCTA"
-    result = solver.solve(inst)
-    assert result.solver_id == "MWR+SCTA"
-    assert validate_schedule(result, inst) == []
 
 
 def test_best_combo_bounds_all_makespans():
