@@ -14,7 +14,6 @@ from .engine import (
     ScheduleState,
     build_result,
     lower_bound,
-    reset,
     terminal_reward,
     validate_schedule,
 )
@@ -72,6 +71,7 @@ from .rules import (
     OperationRule,
     combo_id,
     parse_combo,
+    play,
     select_agv,
     select_operation,
     solve,

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import JointAction, ScheduleResult, ScheduleState, build_result, reset, terminal_reward
+from .engine import ScheduleResult, ScheduleState, build_result, terminal_reward
 from .errors import ProtocolError, TransportError
 from .features import agv_features, build_graph
 from .instances import Instance
@@ -410,15 +410,13 @@ def run_episode(
     for policy in policies:
         policy.begin_episode(instance)
 
-    state = reset(instance)
+    state = ScheduleState(instance)
     records: list[StepRecord] = []
-    decisions: list[tuple[int, int]] = []
     while not state.is_terminal():
-        mask = state.valid_operations()
         op_line = serialize_observation(state, OPERATION_PHASE)
         job = op_policy.choose_operation(state, op_line)
-        if job not in mask:
-            raise ProtocolError(f"operation decider chose masked job {job} (mask {mask})")
+        if job not in state.frontier:
+            raise ProtocolError(f"operation decider chose masked job {job} (mask {state.frontier})")
         agv_line = serialize_observation(state, AGV_PHASE, selected_op=job)
         agv = agv_policy.choose_agv(state, job, agv_line)
         if not 0 <= agv < instance.k:
@@ -426,16 +424,15 @@ def run_episode(
         digest = hashlib.sha256(
             (op_line + "\n" + agv_line).encode("utf-8")
         ).hexdigest()[:16]
-        state = state.apply(JointAction(job, agv))
+        state.advance(job, agv)
         records.append(StepRecord(digest, job, agv))
-        decisions.append((job, agv))
 
     makespan = state.makespan()
     reward = terminal_reward(state, reward_scale)
     final = terminal_message(state.steps, makespan, reward)
     for policy in policies:
         policy.end_episode(final)
-    result = build_result(state, solver_id, decisions)
+    result = build_result(state, solver_id, [(r.job, r.agv) for r in records])
     return EpisodeTrace(
         instance_id=instance.id,
         steps=tuple(records),

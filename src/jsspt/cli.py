@@ -52,6 +52,17 @@ def _out_dir(value: str | None) -> Path:
     return path
 
 
+def _write_table(path: Path, text: str) -> None:
+    """Write to `<path>.tmp`, then rename: a failed write keeps the old table."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
     try:
         sizes = tuple(
@@ -137,8 +148,8 @@ def _cmd_bench(args) -> int:
     records, summary, global_best = harness.run_bench(plan, jobs=args.jobs)
     results_path = out / "results.csv"
     summary_path = out / "summary.csv"
-    results_path.write_text(harness.records_to_csv(records), encoding="utf-8")
-    summary_path.write_text(harness.summary_to_csv(summary), encoding="utf-8")
+    _write_table(results_path, harness.records_to_csv(records))
+    _write_table(summary_path, harness.summary_to_csv(summary))
     print(f"{len(records)} rows -> {results_path}")
     print(f"summary -> {summary_path}")
     print(f"global best combo: {global_best}")
@@ -152,9 +163,9 @@ def _cmd_grid(args) -> int:
     results_path = out / "grid_results.csv"
     cells_path = out / "grid_cells.csv"
     heatmap_path = out / "heatmap.csv"
-    results_path.write_text(harness.records_to_csv(records), encoding="utf-8")
-    cells_path.write_text(harness.grid_cells_to_csv(cells), encoding="utf-8")
-    heatmap_path.write_text(harness.heatmap_to_csv(heatmap), encoding="utf-8")
+    _write_table(results_path, harness.records_to_csv(records))
+    _write_table(cells_path, harness.grid_cells_to_csv(cells))
+    _write_table(heatmap_path, harness.heatmap_to_csv(heatmap))
     print(f"{len(records)} rows -> {results_path}")
     print(f"cells -> {cells_path}")
     print(f"heatmap -> {heatmap_path}")
@@ -166,7 +177,7 @@ def _cmd_regress(args) -> int:
     reports = harness.run_regression_suite(records, args.solver, args.baseline)
     text = harness.format_regression_suite(reports)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_table(Path(args.out), text)
         print(f"report -> {args.out}")
     else:
         print(text, end="")
@@ -188,7 +199,7 @@ def _cmd_eval_external(args) -> int:
         instances, args.cmd, label=args.label, timeout=args.timeout
     )
     out_path = Path(args.out) if args.out else _out_dir(None) / "external_results.csv"
-    out_path.write_text(harness.records_to_csv(records), encoding="utf-8")
+    _write_table(out_path, harness.records_to_csv(records))
     print(f"{len(records)} rows -> {out_path}")
     return 0
 

@@ -48,11 +48,12 @@ class OpRow(NamedTuple):
 
 
 class ScheduleState:
-    """Mutable-looking but functionally updated construction state.
+    """Construction state, updated functionally or in place.
 
-    apply() returns a fresh state sharing immutable structure with its parent,
-    which keeps episode replay, rule evaluation on snapshots, and exhaustive
-    search all safe without copying the whole schedule.
+    apply() returns a fresh state and leaves its parent untouched, which keeps
+    episode replay, rule evaluation on snapshots, and exhaustive search safe.
+    advance() makes the same transition in place, without the copies, for
+    loops that never revisit an earlier state.
     """
 
     __slots__ = (
@@ -98,10 +99,24 @@ class ScheduleState:
 
     def apply(self, action: JointAction) -> "ScheduleState":
         """Schedule the job's next operation with the chosen AGV; returns the
-        successor state. Masked or out-of-range actions are rejected without
-        touching the current state."""
+        successor state and leaves this one untouched."""
+        new = ScheduleState.__new__(ScheduleState)
+        new.instance = self.instance
+        new.next_op = list(self.next_op)
+        new.frontier = self.frontier
+        new.entries = [list(ent) for ent in self.entries]
+        new.machine_free = list(self.machine_free)
+        new.machine_ops = list(self.machine_ops)
+        new.agv_location = list(self.agv_location)
+        new.agv_free = list(self.agv_free)
+        new.steps = self.steps
+        new.advance(*action)
+        return new
+
+    def advance(self, job: int, agv: int) -> None:
+        """apply() in place: the same transition, without the copies. Masked
+        or out-of-range actions are rejected without touching the state."""
         inst = self.instance
-        job, agv = action
         if not 0 <= job < inst.n:
             raise ActionError(f"job index {job} out of range")
         if not 0 <= agv < inst.k:
@@ -122,26 +137,17 @@ class ScheduleState:
             end = start + inst.proc_times[job][op - 1]
         else:
             start = end = t_end
-        entry = OpSchedule(t_start, t_end, start, end, agv)
+            # Replaced, not mutated: apply() shares the list with the parent.
+            self.frontier = [j for j in self.frontier if j != job]
 
-        new = ScheduleState.__new__(ScheduleState)
-        new.instance = inst
-        new.next_op = list(self.next_op)
-        new.next_op[job] = op + 1
-        new.frontier = self.frontier if op <= inst.m else [j for j in self.frontier if j != job]
-        new.entries = list(self.entries)
-        new.entries[job] = self.entries[job] + [entry]
-        new.machine_free = list(self.machine_free)
-        if end > new.machine_free[target]:
-            new.machine_free[target] = end
-        new.machine_ops = list(self.machine_ops)
-        new.machine_ops[target] += 1
-        new.agv_location = list(self.agv_location)
-        new.agv_location[agv] = target
-        new.agv_free = list(self.agv_free)
-        new.agv_free[agv] = t_end
-        new.steps = self.steps + 1
-        return new
+        self.next_op[job] = op + 1
+        self.entries[job].append(OpSchedule(t_start, t_end, start, end, agv))
+        if end > self.machine_free[target]:
+            self.machine_free[target] = end
+        self.machine_ops[target] += 1
+        self.agv_location[agv] = target
+        self.agv_free[agv] = t_end
+        self.steps += 1
 
     def makespan(self) -> int:
         if not self.is_terminal():
@@ -149,11 +155,6 @@ class ScheduleState:
                 f"makespan undefined: {self.steps}/{self.instance.total_ops} operations scheduled"
             )
         return max(ent[-1].end for ent in self.entries)
-
-
-def reset(instance: Instance) -> ScheduleState:
-    """Fresh state: nothing scheduled, every AGV idle at the load machine."""
-    return ScheduleState(instance)
 
 
 def lower_bound(instance: Instance) -> int:

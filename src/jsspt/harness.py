@@ -20,18 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import ExternalPolicyClient, run_episode
-from .errors import ActionError, ConfigurationError, MetricError
+from .errors import ActionError, ConfigurationError, DocumentError, MetricError
 from .instances import (
     GRID_BINS,
     GenerationConfig,
     GridCellConfig,
     Instance,
+    _document_int,
+    _document_table,
     generate_grid_cell_instances,
     generate_instance,
 )
 from .metrics import ResultRecord, bottleneck_features, make_record, rpi, win
 from .regression import RegressionReport, aggregate_ci, ols_fit, z_normalize
-from .rules import ALL_COMBOS, parse_combo, solve
+from .rules import ALL_COMBOS, parse_combo, play
+from .rules import solve  # noqa: F401  (unused; the traced benchmark run wraps harness.solve)
 
 #: Resource-scarcity ladder used throughout the experiments.
 RHO_LADDER: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
@@ -116,24 +119,40 @@ def plan_to_document(plan: ExperimentPlan) -> dict:
     }
 
 
+def _plan_entries(values, kind, what: str, field: str) -> tuple:
+    """The entries of a plan list, each of type `kind` and none a bool."""
+    for i, value in enumerate(values):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DocumentError(f"{field}[{i}]: must be {what}, got {value!r}")
+    return tuple(values)
+
+
 def plan_from_document(doc: dict) -> ExperimentPlan:
+    """A plan from its document; fields left out keep the plan's defaults.
+    Values the plan cannot hold exactly are rejected, naming the field."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"bad plan document: expected an object, got {type(doc).__name__}")
     try:
-        solvers = doc.get("solvers", "all")
-        if solvers == "all":
-            solvers = ALL_COMBOS
-        return ExperimentPlan(
-            sizes=tuple((int(n), int(m)) for n, m in doc["sizes"]),
-            rhos=tuple(float(r) for r in doc.get("rhos", RHO_LADDER)),
-            instances_per_config=int(doc.get("instances_per_config", 100)),
-            solvers=tuple(str(s) for s in solvers),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        given = {"sizes": tuple((n, m) for n, m in _document_table(doc["sizes"], "sizes"))}
+        if "rhos" in doc:
+            rhos = _plan_entries(doc["rhos"], (int, float), "a number", "rhos")
+            given["rhos"] = tuple(map(float, rhos))
+        if doc.get("solvers", "all") != "all":
+            given["solvers"] = _plan_entries(doc["solvers"], str, "a string", "solvers")
+        for field in ("instances_per_config", "seed"):
+            if field in doc:
+                given[field] = _document_int(doc[field], field)
+    except (DocumentError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad plan document: {exc}") from exc
+    return ExperimentPlan(**given)
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    return plan_from_document(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"bad plan document: not valid JSON ({exc})") from exc
+    return plan_from_document(doc)
 
 
 def generate_bench_instances(plan: ExperimentPlan) -> list[Instance]:
@@ -159,8 +178,8 @@ def _solve_one_instance(args) -> list[ResultRecord]:
     records = []
     for ident in solver_ids:
         op_rule, agv_rule = parse_combo(ident)
-        result = solve(instance, op_rule, agv_rule, seed=_solver_seed(instance, ident))
-        records.append(make_record(instance, result, cell_id))
+        state, _ = play(instance, op_rule, agv_rule, seed=_solver_seed(instance, ident))
+        records.append(make_record(instance, ident, state.makespan(), cell_id))
     return records
 
 
@@ -618,5 +637,5 @@ def run_external_eval(
             trace = run_episode(
                 instance, client, client, reward_scale=reward_scale, solver_id=label
             )
-            records.append(make_record(instance, trace.result))
+            records.append(make_record(instance, label, trace.makespan))
     return records

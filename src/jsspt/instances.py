@@ -156,14 +156,14 @@ class Instance:
 
     # -- realized duration averages ---------------------------------------
 
-    @property
+    @cached_property
     def mean_proc_time(self) -> float:
         """Average over all true processing operations (the zero-time unload
         releases are excluded)."""
         total = sum(sum(row[: self.m]) for row in self.proc_times)
         return total / (self.n * self.m)
 
-    @property
+    @cached_property
     def mean_transport_time(self) -> float:
         """Average over the full off-diagonal transport matrix."""
         size = self.m + 2

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .engine import ScheduleResult
 from .errors import MetricError
 from .instances import Instance, TIME_MAX, TIME_MIN
 
@@ -118,7 +117,7 @@ class ResultRecord:
 
 
 def make_record(
-    instance: Instance, result: ScheduleResult, cell_id: str = ""
+    instance: Instance, solver_id: str, makespan: int, cell_id: str = ""
 ) -> ResultRecord:
     """Derive the coupling factors for a finished run and pack a record."""
     p_raw = instance.mean_proc_time
@@ -127,8 +126,8 @@ def make_record(
     tau = temporal_dominance(p_raw, t_raw).index
     return ResultRecord(
         instance_id=instance.id,
-        solver_id=result.solver_id,
-        makespan=result.makespan,
+        solver_id=solver_id,
+        makespan=makespan,
         n=instance.n,
         m=instance.m,
         k=instance.k,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import JointAction, ScheduleState, reset
+from .engine import JointAction, ScheduleState
 from .errors import OracleLimitError
 from .instances import Instance
 
@@ -54,7 +54,7 @@ def brute_force_oracle(instance: Instance, limit: int = 8) -> OracleResult:
                 bound = t
         return bound
 
-    stack: list[tuple[ScheduleState, tuple[tuple[int, int], ...]]] = [(reset(instance), ())]
+    stack: list[tuple[ScheduleState, tuple[tuple[int, int], ...]]] = [(ScheduleState(instance), ())]
     # Depth-first with an explicit stack; children are pushed in reverse so the
     # lexicographically smallest decision sequence is explored first.
     while stack:

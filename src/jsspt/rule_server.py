@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import PROTOCOL_VERSION, encode_message, parse_message
-from .engine import JointAction, reset
+from .engine import ScheduleState
 from .errors import ProtocolError
 from .instances import load_instance
 from .rules import AgvRule, OperationRule, select_agv, select_operation
@@ -54,7 +54,7 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
         kind = msg["type"]
         if kind == "hello":
             instance = load_instance(instances_dir / f"{_field(msg, 'instance')}.json")
-            state = reset(instance)
+            state = ScheduleState(instance)
             rng = np.random.default_rng(seed)
             reply({"type": "ready", "version": PROTOCOL_VERSION})
         elif kind == "observation":
@@ -69,7 +69,7 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
                 job = _field(msg, "selected_job")
                 agv = select_agv(agv_rule, state, job, rng)
                 reply({"type": "decision", "step": step, "choice": agv})
-                state = state.apply(JointAction(job, agv))
+                state.advance(job, agv)
             else:
                 raise ProtocolError(f"unknown observation phase {phase!r}")
         elif kind == "terminal":

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import JointAction, ScheduleResult, build_result, reset
+from .engine import ScheduleResult, ScheduleState, build_result
 from .errors import ActionError, StateError
 from .features import _candidate_op
 # Unused here; kept importable because the benchmark's traced run
@@ -45,7 +45,7 @@ class AgvRule(str, Enum):
 
 def select_operation(rule, state, rng: np.random.Generator | None = None) -> int:
     """Pick a job from the valid frontier according to `rule`."""
-    rule = OperationRule(rule)
+    rule = rule if type(rule) is OperationRule else OperationRule(rule)
     candidates = state.frontier
     if not candidates:
         raise StateError("no unscheduled operations left")
@@ -92,7 +92,7 @@ def select_operation(rule, state, rng: np.random.Generator | None = None) -> int
 
 def select_agv(rule, state, job: int, rng: np.random.Generator | None = None) -> int:
     """Pick a vehicle for the chosen job's next operation according to `rule`."""
-    rule = AgvRule(rule)
+    rule = rule if type(rule) is AgvRule else AgvRule(rule)
     op = _candidate_op(state, job)
     if rule is AgvRule.RANDOM:
         if rng is None:
@@ -131,18 +131,25 @@ def parse_combo(identifier: str) -> tuple[OperationRule, AgvRule]:
         raise ActionError(f"unknown solver identifier {identifier!r}") from exc
 
 
-def solve(instance: Instance, op_rule, agv_rule, seed=0) -> ScheduleResult:
-    """Run one full construction episode with the rule pair."""
+def play(instance: Instance, op_rule, agv_rule, seed=0) -> tuple[ScheduleState, list]:
+    """Run one full construction episode with the rule pair, stepping one
+    state in place; returns the terminal state and the decisions."""
     op_rule = OperationRule(op_rule)
     agv_rule = AgvRule(agv_rule)
     rng = np.random.default_rng(seed)
-    state = reset(instance)
+    state = ScheduleState(instance)
     decisions: list[tuple[int, int]] = []
     for _ in range(instance.total_ops):
         job = select_operation(op_rule, state, rng)
         agv = select_agv(agv_rule, state, job, rng)
-        state = state.apply(JointAction(job, agv))
+        state.advance(job, agv)
         decisions.append((job, agv))
+    return state, decisions
+
+
+def solve(instance: Instance, op_rule, agv_rule, seed=0) -> ScheduleResult:
+    """Run one full construction episode with the rule pair."""
+    state, decisions = play(instance, op_rule, agv_rule, seed)
     return build_result(state, combo_id(op_rule, agv_rule), decisions)
 
 

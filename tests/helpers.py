@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from jsspt.engine import JointAction, ScheduleResult, reset
+from jsspt.engine import JointAction, ScheduleResult, ScheduleState
 from jsspt.instances import GenerationConfig, Instance, generate_instance
 from jsspt.rules import solve
 
@@ -76,4 +76,4 @@ def all_decision_sequences(instance: Instance):
             for agv in range(instance.k):
                 yield from expand(state.apply(JointAction(job, agv)), trail + ((job, agv),))
 
-    yield from expand(reset(instance), ())
+    yield from expand(ScheduleState(instance), ())

@@ -15,8 +15,8 @@ from jsspt.bridge import ExternalPolicyClient, run_episode
 from jsspt.cli import main as cli_main
 from jsspt.engine import (
     JointAction,
+    ScheduleState,
     lower_bound,
-    reset,
     terminal_reward,
     validate_schedule,
 )
@@ -49,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
         oracle = brute_force_oracle(instance)
         sweep = solve_all_combos(instance, seed=checked)
         assert all(r.makespan >= oracle.makespan for r in sweep.results)
-        state = reset(instance)
+        state = ScheduleState(instance)
         for job, agv in oracle.decisions:
             state = state.apply(JointAction(job, agv))
         assert state.makespan() == oracle.makespan  # tolerance 0
@@ -74,7 +74,7 @@ def test_criterion_2_schedule_validity():
 
 def test_criterion_3_worked_micro_instance():
     instance = micro_instance()
-    state = reset(instance)
+    state = ScheduleState(instance)
     state = state.apply(JointAction(0, 0))
     state = state.apply(JointAction(0, 0))
     first, second = state.entries[0]
@@ -150,7 +150,8 @@ def test_criterion_6_protocol_transparency(tmp_path):
 
     builtin_records = []
     for instance in instances:
-        builtin_records.append(make_record(instance, solve(instance, "SPT", "SCTA")))
+        result = solve(instance, "SPT", "SCTA")
+        builtin_records.append(make_record(instance, result.solver_id, result.makespan))
 
     command = [
         sys.executable, "-m", "jsspt.rule_server",
@@ -160,7 +161,9 @@ def test_criterion_6_protocol_transparency(tmp_path):
     with ExternalPolicyClient(command, timeout=30) as client:
         for instance in instances:
             trace = run_episode(instance, client, client, solver_id="SPT+SCTA")
-            external_records.append(make_record(instance, trace.result))
+            external_records.append(
+                make_record(instance, trace.result.solver_id, trace.makespan)
+            )
 
     from jsspt.harness import records_to_csv
 

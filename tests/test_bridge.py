@@ -20,7 +20,7 @@ from jsspt.bridge import (
     run_episode,
     serialize_observation,
 )
-from jsspt.engine import JointAction, reset
+from jsspt.engine import JointAction, ScheduleState
 from jsspt.errors import ProtocolError, TransportError
 from jsspt.features import build_graph
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
@@ -28,7 +28,7 @@ from jsspt.rules import solve
 
 
 def test_operation_observation_contents(i1):
-    line = serialize_observation(reset(i1), OPERATION_PHASE)
+    line = serialize_observation(ScheduleState(i1), OPERATION_PHASE)
     msg = json.loads(line)
     assert msg["phase"] == "operation"
     assert msg["step"] == 0
@@ -41,7 +41,7 @@ def test_operation_observation_contents(i1):
 
 def test_agv_observation_contents():
     inst = generate_instance(GenerationConfig(n=2, m=2, k=3, seed=5))
-    line = serialize_observation(reset(inst), AGV_PHASE, selected_op=1)
+    line = serialize_observation(ScheduleState(inst), AGV_PHASE, selected_op=1)
     msg = json.loads(line)
     assert msg["phase"] == "agv"
     assert msg["selected_job"] == 1
@@ -51,7 +51,7 @@ def test_agv_observation_contents():
 
 
 def test_observation_round_trip(i1):
-    line = serialize_observation(reset(i1), OPERATION_PHASE)
+    line = serialize_observation(ScheduleState(i1), OPERATION_PHASE)
     assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
 
@@ -122,7 +122,7 @@ def test_operation_lines_match_reference_encoder():
     rng = np.random.default_rng(23)
     for _ in range(40):
         inst = random_small_instance(rng)
-        state = reset(inst)
+        state = ScheduleState(inst)
         while not state.is_terminal():
             line = serialize_observation(state, OPERATION_PHASE)
             assert line == _reference_operation_line(state)
@@ -143,7 +143,7 @@ def test_round6_text_is_repr_of_rounded_float():
 
 
 def test_serialize_phase_guards(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     with pytest.raises(ProtocolError):
         serialize_observation(state, AGV_PHASE)
     with pytest.raises(ProtocolError):

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from helpers import micro_instance
 from jsspt.cli import main
@@ -261,3 +264,56 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "2x2x1-seed0.json").exists()
+
+
+PLAN_FIELDS = {"sizes": [[2, 2]], "rhos": [0.5], "instances_per_config": 1,
+               "solvers": ["SPT+SCTA"], "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("sizes", [[True, 2]], "sizes[0][0]: must be an integer, got True"),
+        ("sizes", [[1, 2.9]], "sizes[0][1]: must be an integer, got 2.9"),
+        ("rhos", ["0.5"], "rhos[0]: must be a number, got '0.5'"),
+        ("rhos", [True], "rhos[0]: must be a number, got True"),
+        ("instances_per_config", 1.7, "instances_per_config: must be an integer, got 1.7"),
+        ("solvers", [7], "solvers[0]: must be a string, got 7"),
+        ("seed", "3", "seed: must be an integer, got '3'"),
+    ],
+)
+def test_bench_plan_rejects_inexact_values(tmp_path, capsys, field, value, named):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({**PLAN_FIELDS, field: value}))
+    code = run_cli("bench", "--plan", str(plan_path), "--out", str(tmp_path))
+    assert code == 2
+    assert f"jsspt: configuration error: bad plan document: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text, named", [("{bad", "not valid JSON"), ("[1]", "expected an object")])
+def test_bench_plan_rejects_non_object_documents(tmp_path, capsys, text, named):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(text)
+    code = run_cli("bench", "--plan", str(plan_path), "--out", str(tmp_path))
+    assert code == 2
+    assert f"jsspt: configuration error: bad plan document: {named}" in capsys.readouterr().err
+
+
+def test_interrupted_table_write_keeps_the_old_table(tmp_path, capsys, monkeypatch):
+    args = ("bench", "--sizes", "3x2", "--rhos", "0.5", "--instances", "1",
+            "--solvers", "SPT+SCTA", "--out", str(tmp_path))
+    assert run_cli(*args, "--seed", "1") == 0
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(old) == ["results.csv", "summary.csv"]
+
+    real_write = Path.write_text
+
+    def torn_write(self, data, *a, **kw):
+        real_write(self, data[: len(data) // 2], *a, **kw)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    assert run_cli(*args, "--seed", "2") == 3
+    assert "jsspt: io error: no space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old

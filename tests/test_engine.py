@@ -5,9 +5,9 @@ from helpers import make_instance, random_episode, random_small_instance, zero_t
 from jsspt.engine import (
     JointAction,
     ScheduleResult,
+    ScheduleState,
     build_result,
     lower_bound,
-    reset,
     result_from_document,
     result_to_document,
     terminal_reward,
@@ -18,14 +18,14 @@ from jsspt.instances import LOAD
 
 
 def run_sequence(instance, decisions):
-    state = reset(instance)
+    state = ScheduleState(instance)
     for job, agv in decisions:
         state = state.apply(JointAction(job, agv))
     return state
 
 
 def test_reset_state(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     assert state.steps == 0
     assert state.agv_location == [LOAD]
     assert state.agv_free == [0]
@@ -35,7 +35,7 @@ def test_reset_state(i1):
 
 
 def test_reset_is_deterministic(i1):
-    a, b = reset(i1), reset(i1)
+    a, b = ScheduleState(i1), ScheduleState(i1)
     assert a.next_op == b.next_op
     assert a.agv_location == b.agv_location
     assert a.machine_free == b.machine_free
@@ -45,7 +45,7 @@ def test_valid_operations_counts():
     inst = make_instance(
         [[0, 1], [1, 0]], [[3, 4], [2, 2]], zero_transport(2), k=1
     )
-    state = reset(inst)
+    state = ScheduleState(inst)
     assert state.valid_operations() == [0, 1]
     state = state.apply(JointAction(0, 0))
     assert state.valid_operations() == [0, 1]  # job 0 still has ops left
@@ -55,7 +55,7 @@ def test_valid_operations_counts():
 
 
 def test_micro_instance_worked_schedule(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     state = state.apply(JointAction(0, 0))
     first = state.entries[0][0]
     assert (first.transport_start, first.transport_end, first.start, first.end) == (0, 2, 2, 7)
@@ -69,7 +69,7 @@ def test_micro_instance_worked_schedule(i1):
 
 
 def test_apply_rejects_invalid_actions(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     before = list(state.next_op)
     with pytest.raises(ActionError):
         state.apply(JointAction(1, 0))
@@ -82,7 +82,7 @@ def test_apply_rejects_invalid_actions(i1):
 
 
 def test_apply_is_functional(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     successor = state.apply(JointAction(0, 0))
     assert state.steps == 0
     assert successor.steps == 1
@@ -90,7 +90,7 @@ def test_apply_is_functional(i1):
 
 
 def test_makespan_requires_terminal(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     with pytest.raises(StateError):
         state.makespan()
 
@@ -115,7 +115,7 @@ def test_lower_bound(i1):
 
 
 def test_terminal_reward(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     assert terminal_reward(state) == 0.0
     state = run_sequence(i1, [(0, 0), (0, 0)])
     assert terminal_reward(state, 5.0) == pytest.approx(-0.2, abs=1e-12)
@@ -217,7 +217,7 @@ def test_monotone_clocks():
     rng = np.random.default_rng(7)
     for _ in range(50):
         inst = random_small_instance(rng)
-        state = reset(inst)
+        state = ScheduleState(inst)
         agv_frees = {u: [0] for u in range(inst.k)}
         while not state.is_terminal():
             jobs = state.valid_operations()

@@ -2,30 +2,30 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, random_small_instance, zero_transport
-from jsspt.engine import JointAction, reset
+from jsspt.engine import JointAction, ScheduleState
 from jsspt.errors import ActionError, StateError
 from jsspt.features import agv_features, build_graph, machine_ratio, op_lower_bound
 from jsspt.instances import LOAD
 
 
 def test_op_lower_bound_at_reset(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     assert op_lower_bound(state, 0, 1) == 5
     assert op_lower_bound(state, 0, 2) == 5  # release adds no processing time
 
 
 def test_op_lower_bound_after_step(i1):
-    state = reset(i1).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(JointAction(0, 0))
     assert op_lower_bound(state, 0, 2) == 7  # completion 7 plus zero-time release
 
 
 def test_op_lower_bound_of_scheduled_op_is_its_completion(i1):
-    state = reset(i1).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(JointAction(0, 0))
     assert op_lower_bound(state, 0, 1) == state.entries[0][0].end == 7
 
 
 def test_op_lower_bound_bad_indices(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     with pytest.raises(StateError):
         op_lower_bound(state, 0, 3)
     with pytest.raises(StateError):
@@ -36,7 +36,7 @@ def test_op_lower_bound_telescopes_to_completions():
     rng = np.random.default_rng(5)
     for _ in range(20):
         inst = random_small_instance(rng)
-        state = reset(inst)
+        state = ScheduleState(inst)
         while not state.is_terminal():
             jobs = state.valid_operations()
             job = jobs[int(rng.integers(len(jobs)))]
@@ -60,7 +60,7 @@ def test_bounds_and_edges_match_direct_construction():
         inst = random_small_instance(rng)
         n, m = inst.n, inst.m
         ops = [(j, i) for j in range(n) for i in range(1, m + 2)]
-        state = reset(inst)
+        state = ScheduleState(inst)
         graph = build_graph(state)
         vertex = {op: v for v, op in enumerate(ops)}
         assert graph.precedence_edges == tuple(
@@ -89,7 +89,7 @@ def test_bounds_and_edges_match_direct_construction():
 
 
 def test_machine_ratio(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     for machine in range(3):
         assert machine_ratio(state, machine) == 0.0
     stepped = state.apply(JointAction(0, 0))
@@ -98,14 +98,14 @@ def test_machine_ratio(i1):
 
 def test_machine_ratio_fraction():
     inst = make_instance([[0]] * 10, [[3]] * 10, zero_transport(1), k=1)
-    state = reset(inst)
+    state = ScheduleState(inst)
     for j in range(4):
         state = state.apply(JointAction(j, 0))
     assert machine_ratio(state, 2) == pytest.approx(0.4)
 
 
 def test_graph_shape(i1):
-    graph = build_graph(reset(i1))
+    graph = build_graph(ScheduleState(i1))
     assert graph.vertex_count == 2 + 3
     assert len(graph.op_scheduled) == 2
     assert len(graph.machine_ratio) == 3
@@ -117,7 +117,7 @@ def test_graph_shape(i1):
 
 def test_graph_normalization_and_flags():
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [2, 2]], zero_transport(2), k=1)
-    graph = build_graph(reset(inst))
+    graph = build_graph(ScheduleState(inst))
     assert all(s == 0 for s in graph.op_scheduled)
     assert all(0.0 <= b <= 1.0 for b in graph.op_bound)
     assert max(graph.op_bound) == 1.0 and min(graph.op_bound) == 0.0
@@ -126,7 +126,7 @@ def test_graph_normalization_and_flags():
 
 def test_graph_edges_fixed_across_episode():
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [2, 2]], zero_transport(2), k=2)
-    state = reset(inst)
+    state = ScheduleState(inst)
     initial = build_graph(state)
     assert len(initial.precedence_edges) == inst.n * inst.m  # job-chain arcs
     state = state.apply(JointAction(0, 0)).apply(JointAction(1, 1))
@@ -138,7 +138,7 @@ def test_graph_edges_fixed_across_episode():
 
 def test_fully_scheduled_bookkeeping():
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [2, 2]], zero_transport(2), k=1)
-    state = reset(inst)
+    state = ScheduleState(inst)
     while not state.is_terminal():
         state = state.apply(JointAction(state.valid_operations()[0], 0))
     graph = build_graph(state)
@@ -147,7 +147,7 @@ def test_fully_scheduled_bookkeeping():
 
 
 def test_agv_features_micro_reset(i1):
-    vecs = agv_features(reset(i1), 0)
+    vecs = agv_features(ScheduleState(i1), 0)
     assert len(vecs) == 1
     f = vecs[0]
     assert (f.pickup_ready, f.machine_ready, f.agv_ready, f.empty_travel, f.arrival, f.task_finish) == (0, 0, 0, 0, 0, 2)
@@ -160,7 +160,7 @@ def test_agv_feature_identities_random():
     rng = np.random.default_rng(11)
     for _ in range(20):
         inst = random_small_instance(rng)
-        state = reset(inst)
+        state = ScheduleState(inst)
         for _ in range(min(5, inst.total_ops)):
             jobs = state.valid_operations()
             job = jobs[int(rng.integers(len(jobs)))]
@@ -179,7 +179,7 @@ def test_agv_feature_identities_random():
 
 def test_minmax_scaling_endpoints():
     inst = make_instance([[0]], [[4]], zero_transport(1), k=2)
-    state = reset(inst)
+    state = ScheduleState(inst)
     state.agv_free = [2, 6]
     vecs = agv_features(state, 0)
     assert [f.agv_ready_scaled for f in vecs] == [0.0, 1.0]
@@ -187,7 +187,7 @@ def test_minmax_scaling_endpoints():
 
 def test_identical_raw_values_scale_to_zero():
     inst = make_instance([[0]], [[4]], zero_transport(1), k=3)
-    vecs = agv_features(reset(inst), 0)
+    vecs = agv_features(ScheduleState(inst), 0)
     assert all(f.agv_ready_scaled == 0.0 for f in vecs)
     assert all(f.arrival_scaled == 0.0 for f in vecs)
 
@@ -198,7 +198,7 @@ def test_scaling_preserves_argmin():
         inst = random_small_instance(rng)
         if inst.k < 2:
             continue
-        state = reset(inst)
+        state = ScheduleState(inst)
         steps = int(rng.integers(0, min(6, inst.total_ops)))
         for _ in range(steps):
             jobs = state.valid_operations()
@@ -218,7 +218,7 @@ def test_pickup_ready_scaled_against_frontier():
     transport[LOAD][2] = 1
     transport[LOAD][3] = 1
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [1, 2]], transport, k=2)
-    state = reset(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
+    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
     assert state.entries[0][0].end == 4
     assert state.entries[1][0].end == 2
     assert agv_features(state, 0)[0].pickup_ready_scaled == 1.0
@@ -232,7 +232,7 @@ def test_machine_ready_scaled_against_frontier_targets():
     transport[LOAD][2] = 1
     transport[LOAD][3] = 1
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [1, 2]], transport, k=2)
-    state = reset(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
+    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
     assert state.machine_free[3] == 2  # M2, job 1's first stop
     assert state.machine_free[2] == 4  # M1, job 0's first stop
     assert agv_features(state, 0)[0].machine_ready_scaled == 0.0  # job 0 -> M2
@@ -240,6 +240,6 @@ def test_machine_ready_scaled_against_frontier_targets():
 
 
 def test_agv_features_rejects_finished_job(i1):
-    state = reset(i1).apply(JointAction(0, 0)).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(JointAction(0, 0)).apply(JointAction(0, 0))
     with pytest.raises(ActionError):
         agv_features(state, 0)

@@ -31,7 +31,10 @@ from jsspt.harness import (
     summary_to_csv,
     tau_bin,
 )
-from jsspt.metrics import ResultRecord, temporal_dominance
+from jsspt import engine, harness, rules
+from jsspt.instances import GenerationConfig, generate_instance
+from jsspt.metrics import ResultRecord, make_record, temporal_dominance
+from jsspt.rules import ALL_COMBOS, parse_combo, solve
 
 # Expected AGV ladders per size: one fleet size per scarcity value.
 LADDERS = {
@@ -137,6 +140,29 @@ def test_parallel_fanout_matches_serial():
     serial = solve_instances(instances, plan.solvers, jobs=1)
     parallel = solve_instances(instances, plan.solvers, jobs=2)
     assert records_to_csv(serial) == records_to_csv(parallel)
+
+
+def test_solve_instances_builds_no_schedule(monkeypatch):
+    """The harness reads makespans from the played states: it never builds a
+    schedule result, and its records equal those made from solve()."""
+    instances = [
+        generate_instance(GenerationConfig(n=n, m=m, k=k, seed=seed))
+        for n, m, k, seed in ((4, 3, 2, 11), (5, 2, 1, 12), (3, 4, 3, 13))
+    ]
+    cells = ["p1_t1", "p1_t11", ""]
+    want = []
+    for instance, cell in zip(instances, cells):
+        for ident in ALL_COMBOS:
+            seed = harness._solver_seed(instance, ident)
+            result = solve(instance, *parse_combo(ident), seed=seed)
+            want.append(make_record(instance, result.solver_id, result.makespan, cell))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_result called on the harness path")
+
+    monkeypatch.setattr(engine, "build_result", refuse)
+    monkeypatch.setattr(rules, "build_result", refuse)
+    assert solve_instances(instances, ALL_COMBOS, cell_ids=cells) == want
 
 
 def test_summary_semantics():

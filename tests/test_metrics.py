@@ -120,7 +120,8 @@ def test_bottleneck_sign_structure():
 
 def test_make_record_consistency():
     inst = generate_instance(GenerationConfig(n=5, m=4, k=3, seed=17))
-    record = make_record(inst, solve(inst, "SPT", "SCTA"))
+    result = solve(inst, "SPT", "SCTA")
+    record = make_record(inst, result.solver_id, result.makespan)
     assert record.instance_id == inst.id
     assert record.solver_id == "SPT+SCTA"
     assert record.rho == pytest.approx(3 / 5)

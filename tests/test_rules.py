@@ -7,7 +7,7 @@ import pytest
 
 from helpers import make_instance, micro_instance, random_small_instance, zero_transport
 from jsspt import harness
-from jsspt.engine import JointAction, lower_bound, reset, result_to_document, validate_schedule
+from jsspt.engine import JointAction, ScheduleState, lower_bound, result_to_document, validate_schedule
 from jsspt.errors import ActionError, StateError
 from jsspt.instances import LOAD, GenerationConfig, generate_instance
 from jsspt.rules import (
@@ -29,7 +29,7 @@ def three_job_instance():
 
 
 def test_spt_and_lpt():
-    state = reset(three_job_instance())
+    state = ScheduleState(three_job_instance())
     assert select_operation(OperationRule.SPT, state) == 1
     assert select_operation(OperationRule.LPT, state) == 2
 
@@ -42,26 +42,26 @@ def test_mwr_tie_breaks_lowest_index():
         k=1,
     )
     # Remaining work: 12, 12, 9 -> tie between jobs 0 and 1, take job 0.
-    assert select_operation(OperationRule.MWR, reset(inst)) == 0
-    assert select_operation(OperationRule.LWR, reset(inst)) == 2
+    assert select_operation(OperationRule.MWR, ScheduleState(inst)) == 0
+    assert select_operation(OperationRule.LWR, ScheduleState(inst)) == 2
 
 
 def test_smpt_uses_mean_remaining():
     # Job 0: remaining {9, 0} mean 3.0; job 1: remaining {4, 0} mean 2.0.
     inst = make_instance([[0, 1], [1, 0]], [[9, 9], [4, 4]], zero_transport(2), k=1)
-    state = reset(inst).apply(JointAction(0, 0)).apply(JointAction(1, 0))
+    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 0))
     assert select_operation(OperationRule.SMPT, state) == 1
 
 
 def test_fdd_mwr_ratio():
     # Candidates at op 1: FDD/MWR = p1 / total. Job 0: 2/10; job 1: 5/6.
     inst = make_instance([[0, 1], [1, 0]], [[2, 8], [5, 1]], zero_transport(2), k=1)
-    assert select_operation(OperationRule.FDD_MWR, reset(inst)) == 0
+    assert select_operation(OperationRule.FDD_MWR, ScheduleState(inst)) == 0
 
 
 def test_mor_and_lor():
     inst = make_instance([[0, 1], [1, 0]], [[3, 3], [3, 3]], zero_transport(2), k=1)
-    state = reset(inst).apply(JointAction(0, 0))
+    state = ScheduleState(inst).apply(JointAction(0, 0))
     # Job 0 has 2 ops left, job 1 has 3.
     assert select_operation(OperationRule.MOR, state) == 1
     assert select_operation(OperationRule.LOR, state) == 0
@@ -73,14 +73,14 @@ def test_fcfs_picks_earliest_ready():
     transport[LOAD][2] = 1
     transport[LOAD][3] = 1
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [1, 2]], transport, k=2)
-    state = reset(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
+    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
     assert state.entries[0][0].end == 4
     assert state.entries[1][0].end == 2
     assert select_operation(OperationRule.FCFS, state) == 1
 
 
 def test_random_rule_needs_rng_and_stays_in_mask():
-    state = reset(three_job_instance())
+    state = ScheduleState(three_job_instance())
     with pytest.raises(ActionError):
         select_operation(OperationRule.RANDOM, state)
     rng = np.random.default_rng(0)
@@ -90,13 +90,13 @@ def test_random_rule_needs_rng_and_stays_in_mask():
 
 
 def test_select_operation_terminal_errors(i1):
-    state = reset(i1).apply(JointAction(0, 0)).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(JointAction(0, 0)).apply(JointAction(0, 0))
     with pytest.raises(StateError):
         select_operation(OperationRule.SPT, state)
 
 
 def test_agv_rules_single_vehicle(i1):
-    state = reset(i1)
+    state = ScheduleState(i1)
     for rule in (AgvRule.SPUT, AgvRule.SCTA, AgvRule.SCPT):
         assert select_agv(rule, state, 0) == 0
     assert select_agv(AgvRule.RANDOM, state, 0, np.random.default_rng(0)) == 0
@@ -108,7 +108,7 @@ def test_sput_vs_scpt_divergence():
     transport[2][LOAD] = 5  # M1 -> load
     transport[3][LOAD] = 1  # M2 -> load
     inst = make_instance([[0, 1]], [[2, 2]], transport, k=2)
-    state = reset(inst)
+    state = ScheduleState(inst)
     state.agv_location = [2, 3]
     state.agv_free = [0, 3]
     assert select_agv(AgvRule.SPUT, state, 0) == 1  # earliest arrival
@@ -122,7 +122,7 @@ def test_scta_picks_min_task_finish():
     transport[3][LOAD] = 7   # M2 -> load
     transport[2][LOAD] = 5   # M1 -> load
     inst = make_instance([[0, 1]], [[2, 2]], transport, k=3)
-    state = reset(inst)
+    state = ScheduleState(inst)
     state.agv_location = [3, 2, LOAD]
     state.agv_free = [0, 0, 9]
     assert select_agv(AgvRule.SCTA, state, 0) == 1
@@ -130,7 +130,7 @@ def test_scta_picks_min_task_finish():
 
 def test_select_agv_invalid_job(i1):
     with pytest.raises(ActionError):
-        select_agv(AgvRule.SCTA, reset(i1), 3)
+        select_agv(AgvRule.SCTA, ScheduleState(i1), 3)
 
 
 def test_solve_micro_all_combos_force_ten():
@@ -183,7 +183,7 @@ def test_best_combo_bounds_all_makespans():
 def test_replaying_decisions_reproduces_schedule():
     inst = generate_instance(GenerationConfig(n=5, m=4, k=3, seed=8))
     result = solve(inst, "FDD/MWR", "SPUT", seed=0)
-    state = reset(inst)
+    state = ScheduleState(inst)
     for job, agv in result.decisions:
         state = state.apply(JointAction(job, agv))
     assert state.makespan() == result.makespan
@@ -197,7 +197,7 @@ def test_rule_choices_invariant_under_duration_doubling():
         [[2 * t for t in row] for row in inst.transport],
         k=inst.k,
     )
-    state_a, state_b = reset(inst), reset(doubled)
+    state_a, state_b = ScheduleState(inst), ScheduleState(doubled)
     for rule in OperationRule:
         if rule is OperationRule.RANDOM:
             continue
@@ -275,7 +275,7 @@ def tie_heavy_instance(rng, duration):
 
 def episode_states(instance, rng):
     """Every non-terminal state of one episode of uniformly random actions."""
-    state = reset(instance)
+    state = ScheduleState(instance)
     while not state.is_terminal():
         yield state
         jobs = state.valid_operations()
@@ -325,7 +325,7 @@ def test_sput_and_scta_choose_alike():
 
 
 def test_valid_operations_is_a_fresh_copy():
-    state = reset(three_job_instance())
+    state = ScheduleState(three_job_instance())
     state.valid_operations().clear()
     assert state.valid_operations() == [0, 1, 2]
 
