@@ -33,7 +33,6 @@ from .features import (
     DisjunctiveGraph,
     agv_features,
     build_graph,
-    machine_ratio,
     op_lower_bound,
 )
 from .instances import (
@@ -41,9 +40,7 @@ from .instances import (
     LOAD,
     UNLOAD,
     GenerationConfig,
-    GridCellConfig,
     Instance,
-    generate_grid_cell_instances,
     generate_instance,
     instance_from_document,
     instance_to_document,

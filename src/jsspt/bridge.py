@@ -115,13 +115,9 @@ def _operation_line(state: ScheduleState) -> str:
             )
         ]
     )
+    # The v1 machine flag is always 0.
     machines = ",".join(
-        [
-            f"[{t},{flag},{_round6_text(ratio)}]"
-            for t, (flag, ratio) in enumerate(
-                zip(graph.machine_scheduled, graph.machine_ratio)
-            )
-        ]
+        [f"[{t},0,{_round6_text(ratio)}]" for t, ratio in enumerate(graph.machine_ratio)]
     )
     mask = ",".join(map(str, state.valid_operations()))
     return (
@@ -199,6 +195,14 @@ def parse_decision(line: str, expected_step: int) -> int:
     return choice
 
 
+def _parse_ready(line: str) -> None:
+    msg = parse_message(line)
+    if msg.get("type") != "ready":
+        raise ProtocolError(f"expected ready after handshake, got {msg.get('type')!r}")
+    if msg.get("version") != PROTOCOL_VERSION:
+        raise ProtocolError(f"protocol version mismatch: {msg.get('version')!r}")
+
+
 def hello_message(instance: Instance) -> str:
     return encode_message(
         {
@@ -267,7 +271,10 @@ class ExternalPolicyClient:
     """Decider living in a child process that speaks protocol v1.
 
     One channel runs one episode at a time; episodes are executed back to back
-    over the same pipes. Replies are awaited with a per-decision timeout.
+    over the same pipes. Replies are awaited with a per-decision timeout. A
+    protocol or transport error in an exchange closes the child, so a stale
+    reply left in its pipe cannot answer a later exchange; the next send
+    starts a fresh child.
     """
 
     def __init__(self, command, role: str = ROLE_JOINT, timeout: float = DEFAULT_TIMEOUT):
@@ -328,26 +335,28 @@ class ExternalPolicyClient:
             raise TransportError("policy process closed its output")
         return line.rstrip("\n")
 
+    def _exchange(self, line: str, parse=None, *args):
+        """Send one line and, given `parse`, return `parse(reply, *args)`."""
+        try:
+            self._send(line)
+            return parse(self._recv(), *args) if parse else None
+        except (ProtocolError, TransportError):
+            self.close()
+            raise
+
     # -- decider interface ----------------------------------------------------
 
     def begin_episode(self, instance: Instance) -> None:
-        self._send(hello_message(instance))
-        msg = parse_message(self._recv())
-        if msg.get("type") != "ready":
-            raise ProtocolError(f"expected ready after handshake, got {msg.get('type')!r}")
-        if msg.get("version") != PROTOCOL_VERSION:
-            raise ProtocolError(f"protocol version mismatch: {msg.get('version')!r}")
+        self._exchange(hello_message(instance), _parse_ready)
 
     def choose_operation(self, state: ScheduleState, message: str) -> int:
-        self._send(message)
-        return parse_decision(self._recv(), state.steps)
+        return self._exchange(message, parse_decision, state.steps)
 
     def choose_agv(self, state: ScheduleState, job: int, message: str) -> int:
-        self._send(message)
-        return parse_decision(self._recv(), state.steps)
+        return self._exchange(message, parse_decision, state.steps)
 
     def end_episode(self, message: str) -> None:
-        self._send(message)
+        self._exchange(message)
 
     def close(self) -> None:
         proc, self._proc = self._proc, None

@@ -40,13 +40,6 @@ def _open_offset(entries: list, prefix: tuple[int, ...]) -> int:
     return entries[-1].end - prefix[done - 1] if done else 0
 
 
-def machine_ratio(state: ScheduleState, machine: int) -> float:
-    """Share of jobs whose operation on this machine is already scheduled."""
-    if not 0 <= machine < state.instance.m + 2:
-        raise StateError(f"machine index {machine} out of range")
-    return state.machine_ops[machine] / state.instance.n
-
-
 @dataclass(frozen=True)
 class DisjunctiveGraph:
     """Vertex-feature tables plus edge lists; shape is constant across an
@@ -54,6 +47,8 @@ class DisjunctiveGraph:
 
     Vertex ids: operation (job, op) -> job*(m+1) + op-1; machine t ->
     n*(m+1) + t with t in transport-index order (load, unload, M_1..M_m).
+    machine_ratio[t] is the share of jobs whose operation on machine t is
+    already scheduled.
     """
 
     n: int
@@ -61,17 +56,9 @@ class DisjunctiveGraph:
     op_scheduled: tuple[int, ...]
     op_bound_raw: tuple[int, ...]
     op_bound: tuple[float, ...]
-    machine_scheduled: tuple[int, ...]
     machine_ratio: tuple[float, ...]
     precedence_edges: tuple[tuple[int, int], ...]
     assignment_edges: tuple[tuple[int, int], ...]
-
-    def op_vertex(self, job: int, op: int) -> int:
-        return job * (self.m + 1) + op - 1
-
-    @property
-    def vertex_count(self) -> int:
-        return self.n * (self.m + 1) + self.m + 2
 
 
 def build_graph(state: ScheduleState) -> DisjunctiveGraph:
@@ -101,7 +88,6 @@ def build_graph(state: ScheduleState) -> DisjunctiveGraph:
         op_scheduled=tuple(scheduled),
         op_bound_raw=tuple(raw),
         op_bound=tuple(norm),
-        machine_scheduled=(0,) * (m + 2),
         machine_ratio=tuple(c / n for c in state.machine_ops),
         precedence_edges=precedence,
         assignment_edges=assignment,

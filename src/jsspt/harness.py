@@ -24,11 +24,9 @@ from .errors import ActionError, ConfigurationError, DocumentError, MetricError
 from .instances import (
     GRID_BINS,
     GenerationConfig,
-    GridCellConfig,
     Instance,
     _document_int,
     _document_table,
-    generate_grid_cell_instances,
     generate_instance,
 )
 from .metrics import ResultRecord, bottleneck_features, make_record, rpi, win
@@ -58,10 +56,6 @@ TAU_BINS: tuple[float, ...] = tuple(round(-1.0 + 0.1 * i, 1) for i in range(21))
 def fleet_size(rho_value: float, n: int) -> int:
     """AGV count for a nominal scarcity value; half-up rounding, at least 1."""
     return max(1, int(math.floor(rho_value * n + 0.5)))
-
-
-def agv_ladder(n: int, rhos=RHO_LADDER) -> tuple[int, ...]:
-    return tuple(fleet_size(r, n) for r in rhos)
 
 
 class _Axes:
@@ -432,28 +426,30 @@ class GridPlan(_Axes):
         self._check("instances_per_cell", (self.solver_a, self.solver_b))
 
 
+def _cell_label(proc_bin: tuple[int, int], transport_bin: tuple[int, int]) -> str:
+    return f"p{proc_bin[0]}_t{transport_bin[0]}"
+
+
 def generate_grid_instances(plan: GridPlan) -> tuple[list[Instance], list[str]]:
-    """Instances for every (cell, base config) pair plus their cell ids."""
+    """Instances for every (cell, base config) pair plus their cell ids. The
+    plan stream gives each pair a child seed, in cell-major order; the child
+    stream gives that pair's instance seeds."""
     seed_rng = np.random.default_rng(plan.seed)
     instances: list[Instance] = []
     cell_ids: list[str] = []
     for proc_bin in GRID_BINS:
         for transport_bin in GRID_BINS:
-            cell_label = f"p{proc_bin[0]}_t{transport_bin[0]}"
+            label = _cell_label(proc_bin, transport_bin)
             for n, m, k, _ in plan.configs():
-                child = int(seed_rng.integers(0, 2**31 - 1))
-                cell = GridCellConfig(
-                    proc_bin=proc_bin,
-                    transport_bin=transport_bin,
-                    n=n,
-                    m=m,
-                    k=k,
-                    instances_per_cell=plan.instances_per_cell,
-                    seed=child,
-                )
-                for inst in generate_grid_cell_instances(cell):
-                    instances.append(inst)
-                    cell_ids.append(cell_label)
+                child = np.random.default_rng(int(seed_rng.integers(0, 2**31 - 1)))
+                seeds = child.integers(0, 2**31 - 1, size=plan.instances_per_cell).tolist()
+                for idx, seed in enumerate(seeds):
+                    config = GenerationConfig(
+                        n=n, m=m, proc_range=proc_bin, transport_range=transport_bin, k=k, seed=seed
+                    )
+                    ident = f"{n}x{m}x{k}-seed{seed}-cell{proc_bin[0]}_{transport_bin[0]}-i{idx}"
+                    instances.append(generate_instance(config, id_override=ident))
+                    cell_ids.append(label)
     return instances, cell_ids
 
 
@@ -505,7 +501,7 @@ def grid_cell_table(records, solver_a: str, solver_b: str) -> list[dict]:
     rows = []
     for proc_bin in GRID_BINS:
         for transport_bin in GRID_BINS:
-            label = f"p{proc_bin[0]}_t{transport_bin[0]}"
+            label = _cell_label(proc_bin, transport_bin)
             cell_pairs = by_cell.get(label)
             if not cell_pairs:
                 continue
@@ -627,15 +623,12 @@ def run_external_eval(
     command,
     label: str = "external",
     timeout: float = 30.0,
-    reward_scale: float = 5.0,
 ) -> list[ResultRecord]:
     """Evaluate one external joint policy over an instance set; rows use the
     same schema as rule-combo rows, so rankings and regressions apply as-is."""
     records = []
     with ExternalPolicyClient(command, timeout=timeout) as client:
         for instance in instances:
-            trace = run_episode(
-                instance, client, client, reward_scale=reward_scale, solver_id=label
-            )
+            trace = run_episode(instance, client, client, solver_id=label)
             records.append(make_record(instance, label, trace.makespan))
     return records

@@ -207,55 +207,22 @@ class GenerationConfig:
             raise ConfigurationError(f"need k >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
-class GridCellConfig:
-    """One cell of the duration grid: a (proc_bin, transport_bin) pair with a
-    base (n, m, k) shape and an instance count."""
-
-    proc_bin: tuple[int, int]
-    transport_bin: tuple[int, int]
-    n: int
-    m: int
-    k: int
-    instances_per_cell: int = 20
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "proc_bin", tuple(self.proc_bin))
-        object.__setattr__(self, "transport_bin", tuple(self.transport_bin))
-        for name, b in (("proc_bin", self.proc_bin), ("transport_bin", self.transport_bin)):
-            if b not in GRID_BINS:
-                raise ConfigurationError(f"{name} must be one of the decade bins, got {b}")
-        if self.n < 1 or self.m < 1 or self.k < 1:
-            raise ConfigurationError(
-                f"need n, m, k >= 1, got {self.n}x{self.m}x{self.k}"
-            )
-        if self.instances_per_cell < 1:
-            raise ConfigurationError("instances_per_cell must be >= 1")
-
-
 def generate_instance(config: GenerationConfig, *, id_override: str | None = None) -> Instance:
     """Draw one instance. Deterministic under (config, seed): routings first,
-    then processing times, then the transport matrix row-major, then k."""
+    then processing times, then the off-diagonal transport entries row-major,
+    then k. Each duration table is one sized draw, which numpy's bounded
+    integer stream makes equal to one scalar draw per entry."""
     rng = np.random.default_rng(config.seed)
     n, m = config.n, config.m
-    routings = tuple(
-        tuple(int(x) for x in rng.permutation(m)) for _ in range(n)
-    )
+    routings = tuple(tuple(rng.permutation(m).tolist()) for _ in range(n))
     plo, phi = config.proc_range
     proc_times = tuple(
-        tuple(int(x) for x in rng.integers(plo, phi + 1, size=m)) + (0,)
-        for _ in range(n)
+        tuple(row) + (0,) for row in rng.integers(plo, phi + 1, size=(n, m)).tolist()
     )
     tlo, thi = config.transport_range
     size = m + 2
-    transport = tuple(
-        tuple(
-            0 if a == b else int(rng.integers(tlo, thi + 1))
-            for b in range(size)
-        )
-        for a in range(size)
-    )
+    transport = np.zeros((size, size), dtype=np.int64)
+    transport[~np.eye(size, dtype=bool)] = rng.integers(tlo, thi + 1, size=size * (size - 1))
     k = config.k if config.k is not None else int(rng.integers(3, n + 1))
     ident = id_override or f"{n}x{m}x{k}-seed{config.seed}"
     return Instance(
@@ -265,31 +232,9 @@ def generate_instance(config: GenerationConfig, *, id_override: str | None = Non
         k=k,
         routings=routings,
         proc_times=proc_times,
-        transport=transport,
+        transport=tuple(map(tuple, transport.tolist())),
         seed=config.seed,
     )
-
-
-def generate_grid_cell_instances(cell: GridCellConfig) -> list[Instance]:
-    """Instances for one grid cell; ids encode the cell and index."""
-    seed_rng = np.random.default_rng(cell.seed)
-    seeds = [int(s) for s in seed_rng.integers(0, 2**31 - 1, size=cell.instances_per_cell)]
-    out = []
-    for idx, child_seed in enumerate(seeds):
-        config = GenerationConfig(
-            n=cell.n,
-            m=cell.m,
-            proc_range=cell.proc_bin,
-            transport_range=cell.transport_bin,
-            k=cell.k,
-            seed=child_seed,
-        )
-        ident = (
-            f"{cell.n}x{cell.m}x{cell.k}-seed{child_seed}"
-            f"-cell{cell.proc_bin[0]}_{cell.transport_bin[0]}-i{idx}"
-        )
-        out.append(generate_instance(config, id_override=ident))
-    return out
 
 
 # -- serialization --------------------------------------------------------

@@ -20,7 +20,7 @@ from jsspt.engine import (
     terminal_reward,
     validate_schedule,
 )
-from jsspt.harness import agv_ladder
+from jsspt.harness import RHO_LADDER, fleet_size
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
 from jsspt.metrics import bottleneck_features, make_record, rho, temporal_dominance
 from jsspt.oracle import brute_force_oracle
@@ -98,7 +98,7 @@ def test_criterion_4_metric_identities():
         30: (6, 12, 18, 24, 30, 36),
     }
     for n, expected in ladders.items():
-        assert agv_ladder(n) == expected
+        assert tuple(fleet_size(r, n) for r in RHO_LADDER) == expected
     assert temporal_dominance(100, 1).index == 1.0
     assert temporal_dominance(1, 100).index == -1.0
     assert temporal_dominance(37, 37).index == 0.0

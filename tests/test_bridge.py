@@ -96,13 +96,13 @@ def _reference_operation_line(state):
     operations = []
     for j in range(inst.n):
         for i in range(1, inst.m + 2):
-            v = graph.op_vertex(j, i)
+            v = j * (inst.m + 1) + i - 1
             operations.append([
                 j, i, inst.op_machine(j, i), graph.op_scheduled[v],
                 graph.op_bound_raw[v], round6(graph.op_bound[v]),
             ])
     machines = [
-        [t, graph.machine_scheduled[t], round6(graph.machine_ratio[t])]
+        [t, 0, round6(graph.machine_ratio[t])]
         for t in range(inst.m + 2)
     ]
     return encode_message({
@@ -341,16 +341,39 @@ def test_unresponsive_server_times_out(tmp_path, i1):
 
 
 def test_close_reaps_child_and_closes_pipes(tmp_path, i1):
-    # The child answers nothing, so the episode times out; it exits at EOF.
+    # The child answers nothing, so the episode times out; the client closes
+    # it at the error and the child exits at EOF.
     cmd = _write_server_script(tmp_path, "    pass\n")
     client = ExternalPolicyClient(cmd, timeout=0.5)
-    with pytest.raises(TransportError, match="answer"):
-        run_episode(i1, client, client)
-    proc = client._proc
-    client.close()
+    with client:
+        proc = client._proc
+        with pytest.raises(TransportError, match="answer"):
+            run_episode(i1, client, client)
+        assert client._proc is None
     assert proc.stdin.closed and proc.stdout.closed
     assert proc.returncode == 0
-    assert client._proc is None
+
+
+def test_protocol_error_restarts_child(tmp_path, i1):
+    # Every observation is answered twice, so the surplus reply to step 0
+    # answers step 1 and the episode fails as stale. The next episode must
+    # not read what is left in the old pipe.
+    cmd = _write_server_script(
+        tmp_path,
+        "    if msg['type'] == 'hello':\n"
+        "        reply({'type': 'ready', 'version': 1})\n"
+        "    elif msg['type'] == 'observation':\n"
+        "        for _ in range(2):\n"
+        "            reply({'type': 'decision', 'step': msg['step'], 'choice': 0})\n",
+    )
+    inst = generate_instance(GenerationConfig(n=3, m=2, k=2, seed=1))
+    with ExternalPolicyClient(cmd, timeout=20) as client:
+        first = client._proc
+        with pytest.raises(ProtocolError, match="stale decision: replied to step 0, pending 1"):
+            run_episode(inst, client, client)
+        assert first.returncode == 0 and first.stdout.closed
+        client.begin_episode(inst)
+        assert client._proc is not first and client._proc.poll() is None
 
 
 def test_close_kills_stalled_child_and_closes_pipes(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from helpers import make_instance, random_small_instance, zero_transport
 from jsspt.engine import JointAction, ScheduleState
 from jsspt.errors import ActionError, StateError
-from jsspt.features import agv_features, build_graph, machine_ratio, op_lower_bound
+from jsspt.features import agv_features, build_graph, op_lower_bound
 from jsspt.instances import LOAD
 
 
@@ -79,7 +79,8 @@ def test_bounds_and_edges_match_direct_construction():
             assert list(graph.op_bound_raw) == expected
             assert graph.op_scheduled == tuple(int(i < state.next_op[j]) for j, i in ops)
             assert graph.machine_ratio == tuple(
-                machine_ratio(state, t) for t in range(m + 2)
+                sum(inst.op_machine(j, i) == t for j, i in ops if i < state.next_op[j]) / n
+                for t in range(m + 2)
             )
             if state.is_terminal():
                 break
@@ -90,10 +91,9 @@ def test_bounds_and_edges_match_direct_construction():
 
 def test_machine_ratio(i1):
     state = ScheduleState(i1)
-    for machine in range(3):
-        assert machine_ratio(state, machine) == 0.0
+    assert build_graph(state).machine_ratio == (0.0, 0.0, 0.0)
     stepped = state.apply(JointAction(0, 0))
-    assert machine_ratio(stepped, 2) == 1.0  # the single job hit M1
+    assert build_graph(stepped).machine_ratio[2] == 1.0  # the single job hit M1
 
 
 def test_machine_ratio_fraction():
@@ -101,12 +101,12 @@ def test_machine_ratio_fraction():
     state = ScheduleState(inst)
     for j in range(4):
         state = state.apply(JointAction(j, 0))
-    assert machine_ratio(state, 2) == pytest.approx(0.4)
+    assert build_graph(state).machine_ratio[2] == pytest.approx(0.4)
 
 
 def test_graph_shape(i1):
     graph = build_graph(ScheduleState(i1))
-    assert graph.vertex_count == 2 + 3
+    assert len(graph.op_scheduled) + len(graph.machine_ratio) == 2 + 3  # n*(m+1) + m+2 vertices
     assert len(graph.op_scheduled) == 2
     assert len(graph.machine_ratio) == 3
     assert len(graph.precedence_edges) == 1  # n*m chain arcs
@@ -121,7 +121,7 @@ def test_graph_normalization_and_flags():
     assert all(s == 0 for s in graph.op_scheduled)
     assert all(0.0 <= b <= 1.0 for b in graph.op_bound)
     assert max(graph.op_bound) == 1.0 and min(graph.op_bound) == 0.0
-    assert graph.machine_scheduled == (0, 0, 0, 0)
+    assert graph.machine_ratio == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_graph_edges_fixed_across_episode():

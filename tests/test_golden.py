@@ -31,7 +31,7 @@ GOLDEN_GEN_SAMPLED_K = "a46e36fbf7b964b99ac0b1aa2cda3ac2276554d77fda9a4ca12475bb
 GOLDEN_GEN_CUSTOM_RANGES = "88aadc8b128bf18cb18cfda105157be54a77060986a454df9fe92a0b0f1e4a81"
 
 
-def test_golden_grid_and_regress_digests(tmp_path, capsys):
+def test_golden_grid_and_regress_digests(tmp_path):
     assert main(["grid", "--sizes", "4x3,3x2", "--rhos", "0.4,1.0", "--instances-per-cell", "1",
                  "--seed", "11", "--out", str(tmp_path)]) == 0
     assert main(["regress", "--results", str(tmp_path / "grid_results.csv"), "--solver", "SPT+SCTA",
@@ -40,13 +40,13 @@ def test_golden_grid_and_regress_digests(tmp_path, capsys):
     assert {name: _digest(tmp_path / name) for name in GOLDEN_GRID} == GOLDEN_GRID
 
 
-def test_golden_bench_summary_digest(tmp_path, capsys):
+def test_golden_bench_summary_digest(tmp_path):
     assert main(["bench", "--sizes", "4x3,3x2", "--rhos", "0.4,1.0", "--instances", "2",
                  "--seed", "9", "--out", str(tmp_path)]) == 0
     assert _digest(tmp_path / "summary.csv") == GOLDEN_BENCH_SUMMARY
 
 
-def test_golden_gen_digests(tmp_path, capsys):
+def test_golden_gen_digests(tmp_path):
     sampled, custom = tmp_path / "sampled", tmp_path / "custom"
     assert main(["gen", "--n", "6", "--m", "4", "--count", "3", "--seed", "21",
                  "--out", str(sampled)]) == 0

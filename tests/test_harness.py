@@ -10,10 +10,10 @@ from jsspt.harness import (
     TAU_BINS,
     ExperimentPlan,
     GridPlan,
-    agv_ladder,
     fleet_size,
     format_regression_suite,
     generate_bench_instances,
+    generate_grid_instances,
     grid_cells_to_csv,
     heatmap_to_csv,
     load_plan,
@@ -32,7 +32,7 @@ from jsspt.harness import (
     tau_bin,
 )
 from jsspt import engine, harness, rules
-from jsspt.instances import GenerationConfig, generate_instance
+from jsspt.instances import GRID_BINS, GenerationConfig, generate_instance
 from jsspt.metrics import ResultRecord, make_record, temporal_dominance
 from jsspt.rules import ALL_COMBOS, parse_combo, solve
 
@@ -63,7 +63,8 @@ def small_plan(**overrides):
 
 def test_agv_ladders_expected_values():
     for (n, m), expected in LADDERS.items():
-        assert agv_ladder(n) == expected, f"ladder mismatch for {n}x{m}"
+        ladder = tuple(fleet_size(r, n) for r in RHO_LADDER)
+        assert ladder == expected, f"ladder mismatch for {n}x{m}"
 
 
 def test_fleet_size_rounding():
@@ -238,17 +239,15 @@ def test_grid_row_counts_and_cells():
 
 def test_grid_symmetric_cells_have_small_mean_tau():
     # Symmetric duration bins balance processing and transport on average.
-    from jsspt.instances import GRID_BINS, GridCellConfig, generate_grid_cell_instances
-
-    for duration_bin in GRID_BINS:
-        cell = GridCellConfig(
-            proc_bin=duration_bin, transport_bin=duration_bin,
-            n=5, m=8, k=2, instances_per_cell=10, seed=11,
-        )
+    plan = GridPlan(sizes=((5, 8),), rhos=(0.4,), instances_per_cell=10, seed=11)
+    instances, labels = generate_grid_instances(plan)
+    for lo, _ in GRID_BINS:
         taus = [
             temporal_dominance(i.mean_proc_time, i.mean_transport_time).index
-            for i in generate_grid_cell_instances(cell)
+            for i, label in zip(instances, labels)
+            if label == f"p{lo}_t{lo}"
         ]
+        assert len(taus) == 10
         assert abs(np.mean(taus)) < 0.05
 
 

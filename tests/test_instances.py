@@ -5,11 +5,10 @@ import pytest
 
 from helpers import make_instance, zero_transport
 from jsspt.errors import ConfigurationError, DocumentError
+from jsspt.harness import DEFAULT_SIZES, GridPlan, generate_grid_instances
 from jsspt.instances import (
     GRID_BINS,
     GenerationConfig,
-    GridCellConfig,
-    generate_grid_cell_instances,
     generate_instance,
     instance_from_document,
     instance_to_document,
@@ -108,50 +107,87 @@ def test_grid_bins_partition_the_time_range():
 
 
 def test_grid_cell_generation():
-    cell = GridCellConfig(
-        proc_bin=(1, 10), transport_bin=(91, 100), n=15, m=10, k=3,
-        instances_per_cell=20, seed=42,
-    )
-    instances = generate_grid_cell_instances(cell)
-    assert len(instances) == 20
-    for idx, inst in enumerate(instances):
-        assert all(1 <= p <= 10 for row in inst.proc_times for p in row[:-1])
+    plan = GridPlan(sizes=((15, 10),), rhos=(0.2,), instances_per_cell=2, seed=42)
+    instances, labels = generate_grid_instances(plan)
+    assert len(instances) == 100 * 2
+    for idx, (inst, label) in enumerate(zip(instances, labels)):
+        proc_bin, transport_bin = GRID_BINS[idx // 20], GRID_BINS[idx // 2 % 10]
+        assert label == f"p{proc_bin[0]}_t{transport_bin[0]}"
+        assert (inst.n, inst.m, inst.k) == (15, 10, 3)
+        assert all(proc_bin[0] <= p <= proc_bin[1] for row in inst.proc_times for p in row[:-1])
         size = inst.m + 2
         for a in range(size):
             for b in range(size):
                 if a != b:
-                    assert 91 <= inst.transport[a][b] <= 100
-        assert inst.id.endswith(f"-cell1_91-i{idx}")
+                    assert transport_bin[0] <= inst.transport[a][b] <= transport_bin[1]
+        assert inst.id == (
+            f"15x10x3-seed{inst.seed}-cell{proc_bin[0]}_{transport_bin[0]}-i{idx % 2}"
+        )
 
 
 def test_grid_cell_symmetric_bins_have_close_averages():
-    cell = GridCellConfig(
-        proc_bin=(51, 60), transport_bin=(51, 60), n=8, m=6, k=2,
-        instances_per_cell=10, seed=9,
-    )
-    instances = generate_grid_cell_instances(cell)
+    instances = [
+        generate_instance(
+            GenerationConfig(n=8, m=6, proc_range=(51, 60), transport_range=(51, 60), k=2, seed=s)
+        )
+        for s in range(10)
+    ]
     p_mean = np.mean([inst.mean_proc_time for inst in instances])
     t_mean = np.mean([inst.mean_transport_time for inst in instances])
     assert abs(p_mean - t_mean) < 2.0
 
 
 def test_grid_cell_reproducible_bytes():
-    cell = GridCellConfig(
-        proc_bin=(1, 10), transport_bin=(1, 10), n=2, m=2, k=1,
-        instances_per_cell=1, seed=7,
-    )
-    first = generate_grid_cell_instances(cell)[0]
-    second = generate_grid_cell_instances(cell)[0]
-    assert json.dumps(instance_to_document(first)) == json.dumps(
-        instance_to_document(second)
-    )
+    plan = GridPlan(sizes=((2, 2),), rhos=(0.5,), instances_per_cell=1, seed=7)
+    first, second = (generate_grid_instances(plan)[0] for _ in range(2))
+    assert [json.dumps(instance_to_document(i)) for i in first] == [
+        json.dumps(instance_to_document(i)) for i in second
+    ]
 
 
-def test_grid_cell_validation():
-    with pytest.raises(ConfigurationError):
-        GridCellConfig(proc_bin=(1, 11), transport_bin=(1, 10), n=2, m=2, k=1)
-    with pytest.raises(ConfigurationError):
-        GridCellConfig(proc_bin=(1, 10), transport_bin=(5, 14), n=2, m=2, k=1)
+@pytest.mark.parametrize("lo, hi", GRID_BINS + ((1, 100),))
+def test_sized_draw_equals_scalar_draws(lo, hi):
+    # generate_instance draws each duration table in one sized call; numpy's
+    # bounded-integer stream must give the per-entry values and leave the
+    # generator where the per-entry calls would.
+    for seed, (n, m) in enumerate(DEFAULT_SIZES):
+        for size in ((n, m), (m + 2) * (m + 1)):
+            sized, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            values = sized.integers(lo, hi + 1, size=size).ravel().tolist()
+            assert values == [int(scalar.integers(lo, hi + 1)) for _ in values]
+            assert sized.integers(0, 2**31 - 1) == scalar.integers(0, 2**31 - 1)
+
+
+def _per_entry_reference(config):
+    """generate_instance as one scalar draw per duration entry."""
+    rng = np.random.default_rng(config.seed)
+    n, m = config.n, config.m
+    routings = [[int(x) for x in rng.permutation(m)] for _ in range(n)]
+    plo, phi = config.proc_range
+    proc = [[int(rng.integers(plo, phi + 1)) for _ in range(m)] + [0] for _ in range(n)]
+    tlo, thi = config.transport_range
+    transport = [
+        [0 if a == b else int(rng.integers(tlo, thi + 1)) for b in range(m + 2)]
+        for a in range(m + 2)
+    ]
+    k = config.k if config.k is not None else int(rng.integers(3, n + 1))
+    return routings, proc, transport, k
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        GenerationConfig(n=15, m=10, seed=3),
+        GenerationConfig(n=30, m=10, proc_range=(91, 100), transport_range=(1, 10), k=6, seed=8),
+        GenerationConfig(n=4, m=1, proc_range=(5, 17), transport_range=(40, 60), seed=2**31 - 2),
+    ],
+)
+def test_generate_instance_matches_per_entry_draws(config):
+    inst = generate_instance(config)
+    doc = instance_to_document(inst)
+    assert (doc["routings"], doc["proc_times"], doc["transport"], inst.k) == (
+        _per_entry_reference(config)
+    )
 
 
 def test_save_load_round_trip(tmp_path):
