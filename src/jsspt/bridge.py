@@ -29,19 +29,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue
+import os
+import select
 import shlex
 import subprocess
-import threading
 import weakref
 from dataclasses import dataclass
+from time import monotonic
 from typing import NamedTuple
 
 import numpy as np
 
 from .engine import ScheduleResult, ScheduleState, build_result, terminal_reward
 from .errors import ProtocolError, TransportError
-from .features import agv_features, build_graph
+# build_graph and agv_features build the same values as the line encoders
+# below; the benchmark's tracer (perfbench/spans.py) wraps them here.
+from .features import _candidate_op, _open_offset, agv_features, build_graph  # noqa: F401
 from .instances import Instance
 from .rules import AgvRule, OperationRule, select_agv, select_operation
 
@@ -58,11 +61,14 @@ def encode_message(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-class _OperationFragments(NamedTuple):
-    """The parts of an operation-phase line that are fixed per instance."""
+class _LineFragments(NamedTuple):
+    """The parts of the observation lines that are fixed per instance."""
 
-    op_heads: tuple[str, ...]  # "[job,op,machine," per operation, vertex order
+    done_heads: tuple[tuple[str, ...], ...]  # per job, "[job,op,machine,1," per op
+    open_heads: tuple[tuple[str, ...], ...]  # per job, "[job,op,machine,0," per op
+    ratio_texts: tuple[str, ...]  # machine ratio text for c of n jobs scheduled
     tail: str  # ',"precedence":[..],"assignment":[..]}'
+    agv_mask: str  # "0,1,..,k-1"
 
 
 # Keyed by the instance itself, so an entry lives exactly as long as its
@@ -70,7 +76,7 @@ class _OperationFragments(NamedTuple):
 _FRAGMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _operation_fragments(instance: Instance) -> _OperationFragments:
+def _line_fragments(instance: Instance) -> _LineFragments:
     frags = _FRAGMENTS.get(instance)
     if frags is None:
         precedence, assignment = instance.graph_edges
@@ -80,13 +86,16 @@ def _operation_fragments(instance: Instance) -> _OperationFragments:
                 "assignment": [list(e) for e in assignment],
             }
         )
-        frags = _FRAGMENTS[instance] = _OperationFragments(
-            op_heads=tuple(
-                f"[{j},{i},{t},"
-                for j, machines in enumerate(instance.op_machines)
-                for i, t in enumerate(machines, start=1)
-            ),
+        heads = [
+            [f"[{j},{i},{t}," for i, t in enumerate(machines, start=1)]
+            for j, machines in enumerate(instance.op_machines)
+        ]
+        frags = _FRAGMENTS[instance] = _LineFragments(
+            done_heads=tuple(tuple(h + "1," for h in row) for row in heads),
+            open_heads=tuple(tuple(h + "0," for h in row) for row in heads),
+            ratio_texts=tuple(_scaled_texts(range(instance.n + 1), 0, instance.n)),
             tail="," + edges[1:],
+            agv_mask=",".join(map(str, range(instance.k))),
         )
     return frags
 
@@ -102,28 +111,107 @@ def _round6_text(value: float) -> str:
     return text + "0" if text.endswith(".") else text
 
 
+def _scaled_texts(values, lo: int, hi: int) -> list[str]:
+    """[_round6_text((v - lo) / (hi - lo)) for v in values] for integers
+    lo <= v <= hi; all "0.0" when hi == lo, as features' min-max scaling
+    collapses.
+
+    With num = v - lo and span = hi - lo, q is num/span in millionths
+    rounded half up, and r is 0 only at an exact 7th-digit tie. For
+    span <= 10**5 a rational that is not a tie lies at least 5e-12 from one,
+    far beyond the error of the double num / span, so both round to q. Ties,
+    larger spans, 1.0 and values below 1e-4 (which repr writes with an
+    exponent) take the float path."""
+    span = hi - lo
+    if not span:
+        return ["0.0"] * len(values)
+    two_span = 2 * span
+    exact = span <= 100_000
+    texts = []
+    for v in values:
+        num = v - lo
+        q, r = divmod(num * 2_000_000 + span, two_span)
+        if r and 100 <= q < 1_000_000 and exact:
+            texts.append(("0.%06d" % q).rstrip("0"))
+        else:
+            texts.append(_round6_text(num / span))
+    return texts
+
+
+def _minmax_texts(values: list[int]) -> list[str]:
+    return _scaled_texts(values, min(values), max(values))
+
+
 def _operation_line(state: ScheduleState) -> str:
     """The operation-phase line: per-step values are formatted into the
-    per-instance fragments."""
-    graph = build_graph(state)
-    frags = _operation_fragments(state.instance)
+    per-instance fragments. Each bound is features.op_lower_bound, min-max
+    scaled over all operations."""
+    inst = state.instance
+    frags = _line_fragments(inst)
+    heads: list[str] = []
+    raw: list[int] = []
+    for entries, prefix, done_heads, open_heads in zip(
+        state.entries, inst.work_prefix, frags.done_heads, frags.open_heads
+    ):
+        done = len(entries)
+        heads += done_heads[:done]
+        heads += open_heads[done:]
+        raw += [e.end for e in entries]
+        offset = _open_offset(entries, prefix)
+        raw += [offset + p for p in prefix[done:]]
     operations = ",".join(
-        [
-            f"{head}{flag},{raw},{_round6_text(bound)}]"
-            for head, flag, raw, bound in zip(
-                frags.op_heads, graph.op_scheduled, graph.op_bound_raw, graph.op_bound
-            )
-        ]
+        [f"{head}{v},{text}]" for head, v, text in zip(heads, raw, _minmax_texts(raw))]
     )
     # The v1 machine flag is always 0.
-    machines = ",".join(
-        [f"[{t},0,{_round6_text(ratio)}]" for t, ratio in enumerate(graph.machine_ratio)]
-    )
-    mask = ",".join(map(str, state.valid_operations()))
+    ratios = frags.ratio_texts
+    machines = ",".join([f"[{t},0,{ratios[c]}]" for t, c in enumerate(state.machine_ops)])
+    mask = ",".join(map(str, state.frontier))
     return (
         f'{{"type":"observation","schema":{SCHEMA_VERSION},"step":{state.steps},'
         f'"phase":"{OPERATION_PHASE}","mask":[{mask}],'
         f'"operations":[{operations}],"machines":[{machines}]{frags.tail}'
+    )
+
+
+def _agv_line(state: ScheduleState, job: int) -> str:
+    """The AGV-phase line, with the values of features.agv_features for the
+    job's next operation."""
+    inst = state.instance
+    op = _candidate_op(state, job)
+    source = inst.op_source(job, op)
+    target = inst.op_machine(job, op)
+    entries, machine_free, op_machines, next_op = (
+        state.entries, state.machine_free, inst.op_machines, state.next_op
+    )
+    pickups = [entries[j][-1].end if entries[j] else 0 for j in state.frontier]
+    machine_peers = [machine_free[op_machines[j][next_op[j] - 1]] for j in state.frontier]
+    pickup = state.predecessor_end(job)
+    machine_ready = machine_free[target]
+    fixed = f"{pickup},{machine_ready},"
+    (pickup_text,) = _scaled_texts((pickup,), min(pickups), max(pickups))
+    (machine_text,) = _scaled_texts((machine_ready,), min(machine_peers), max(machine_peers))
+    fixed_scaled = f"{pickup_text},{machine_text},"
+
+    transport = inst.transport
+    ready = state.agv_free
+    empty = [transport[loc][source] for loc in state.agv_location]
+    arrival = [r + e for r, e in zip(ready, empty)]
+    leg = transport[source][target]
+    # task_finish is arrival plus the same loaded leg for every vehicle, so
+    # its min-max scaling has arrival's integers and prints arrival's text.
+    agvs = ",".join(
+        [
+            f"[{u},{fixed}{r},{e},{a},{a + leg},{fixed_scaled}{rt},{et},{at},{at}]"
+            for u, (r, e, a, rt, et, at) in enumerate(
+                zip(ready, empty, arrival, _minmax_texts(ready), _minmax_texts(empty),
+                    _minmax_texts(arrival))
+            )
+        ]
+    )
+    return (
+        f'{{"type":"observation","schema":{SCHEMA_VERSION},"step":{state.steps},'
+        f'"phase":"{AGV_PHASE}","selected_job":{job},'
+        f'"mask":[{_line_fragments(inst).agv_mask}],"agvs":[{agvs}]}}'
     )
 
 
@@ -138,35 +226,7 @@ def serialize_observation(
     if phase == AGV_PHASE:
         if selected_op is None:
             raise ProtocolError("agv phase needs the selected job")
-        vectors = agv_features(state, selected_op)
-        return encode_message(
-            {
-                "type": "observation",
-                "schema": SCHEMA_VERSION,
-                "step": state.steps,
-                "phase": AGV_PHASE,
-                "selected_job": selected_op,
-                "mask": list(range(state.instance.k)),
-                "agvs": [
-                    [
-                        f.agv,
-                        f.pickup_ready,
-                        f.machine_ready,
-                        f.agv_ready,
-                        f.empty_travel,
-                        f.arrival,
-                        f.task_finish,
-                        round(f.pickup_ready_scaled, 6),
-                        round(f.machine_ready_scaled, 6),
-                        round(f.agv_ready_scaled, 6),
-                        round(f.empty_travel_scaled, 6),
-                        round(f.arrival_scaled, 6),
-                        round(f.task_finish_scaled, 6),
-                    ]
-                    for f in vectors
-                ],
-            }
-        )
+        return _agv_line(state, selected_op)
     raise ProtocolError(f"unknown phase {phase!r}")
 
 
@@ -271,10 +331,10 @@ class ExternalPolicyClient:
     """Decider living in a child process that speaks protocol v1.
 
     One channel runs one episode at a time; episodes are executed back to back
-    over the same pipes. Replies are awaited with a per-decision timeout. A
-    protocol or transport error in an exchange closes the child, so a stale
-    reply left in its pipe cannot answer a later exchange; the next send
-    starts a fresh child.
+    over the same pipes. Replies are read on the caller's thread, awaited with
+    select and a per-decision timeout (POSIX pipes). A protocol or transport
+    error in an exchange closes the child, so a stale reply left in its pipe
+    cannot answer a later exchange; the next send starts a fresh child.
     """
 
     def __init__(self, command, role: str = ROLE_JOINT, timeout: float = DEFAULT_TIMEOUT):
@@ -282,8 +342,7 @@ class ExternalPolicyClient:
         self.role = role
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._lines: queue.Queue = queue.Queue()
-        self._reader: threading.Thread | None = None
+        self._pending = b""  # bytes read past the last complete reply
 
     # -- channel plumbing ---------------------------------------------------
 
@@ -296,44 +355,37 @@ class ExternalPolicyClient:
             )
         try:
             self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except OSError as exc:
             raise TransportError(f"cannot start policy process {self.command}: {exc}") from exc
-        self._lines = queue.Queue()
-        self._reader = threading.Thread(
-            target=self._pump, args=(self._proc.stdout, self._lines), daemon=True
-        )
-        self._reader.start()
-
-    @staticmethod
-    def _pump(stream, sink: queue.Queue) -> None:
-        for line in stream:
-            sink.put(line)
-        sink.put(None)
 
     def _send(self, line: str) -> None:
         self._ensure_running()
+        data = (line + "\n").encode("utf-8")
         try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+            # An unbuffered pipe may take a large line in parts.
+            while data:
+                data = data[self._proc.stdin.write(data):]
+        except OSError as exc:
             raise TransportError(f"policy channel closed while sending: {exc}") from exc
 
     def _recv(self) -> str:
+        fd = self._proc.stdout.fileno()
+        deadline = monotonic() + self.timeout
+        while (end := self._pending.find(b"\n")) < 0:
+            ready, _, _ = select.select([fd], [], [], max(deadline - monotonic(), 0.0))
+            if not ready:
+                raise TransportError(f"policy did not answer within {self.timeout:.0f}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise TransportError("policy process closed its output")
+            self._pending += chunk
+        line, self._pending = self._pending[:end], self._pending[end + 1:]
         try:
-            line = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            raise TransportError(
-                f"policy did not answer within {self.timeout:.0f}s"
-            ) from None
-        if line is None:
-            raise TransportError("policy process closed its output")
-        return line.rstrip("\n")
+            return line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"policy reply is not UTF-8: {exc}") from exc
 
     def _exchange(self, line: str, parse=None, *args):
         """Send one line and, given `parse`, return `parse(reply, *args)`."""
@@ -360,6 +412,7 @@ class ExternalPolicyClient:
 
     def close(self) -> None:
         proc, self._proc = self._proc, None
+        self._pending = b""
         if proc is None:
             return
         try:
@@ -368,8 +421,6 @@ class ExternalPolicyClient:
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()
-        # The reader thread ends at the dead child's EOF; close its pipe after.
-        self._reader.join(timeout=5)
         proc.stdout.close()
 
     def __enter__(self) -> "ExternalPolicyClient":
@@ -404,7 +455,6 @@ def run_episode(
     instance: Instance,
     op_policy,
     agv_policy,
-    reward_scale: float = 5.0,
     solver_id: str = "external",
 ) -> EpisodeTrace:
     """Run one full episode, querying the operation decider and then the AGV
@@ -437,7 +487,7 @@ def run_episode(
         records.append(StepRecord(digest, job, agv))
 
     makespan = state.makespan()
-    reward = terminal_reward(state, reward_scale)
+    reward = terminal_reward(state)
     final = terminal_message(state.steps, makespan, reward)
     for policy in policies:
         policy.end_episode(final)

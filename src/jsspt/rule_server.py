@@ -13,6 +13,7 @@ Run as:  python -m jsspt.rule_server --op-rule SPT --agv-rule SCTA \
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -31,10 +32,32 @@ def _field(msg: dict, name: str):
     return msg[name]
 
 
+def _edge_tail(line: str) -> str | None:
+    """The line's suffix from its edge lists, if that suffix holds exactly the
+    precedence and assignment members and the closing brace."""
+    start = line.find(',"precedence":')
+    if start < 0:
+        return None
+    tail = line[start:]
+    try:
+        edges = json.loads("{" + tail[1:])
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(edges, dict) or edges.keys() != {"precedence", "assignment"}:
+        return None
+    return tail
+
+
 def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
           stdin=None, stdout=None) -> None:
     """Answer protocol v1 lines until stdin closes; a line the protocol does
-    not allow raises ProtocolError naming the missing field or bad value."""
+    not allow raises ProtocolError naming the missing field or bad value.
+
+    The server reads no edge list, and those are the same on every operation
+    line of an episode. So a line ending in the validated edge tail of the
+    last operation line parsed in full is parsed as head + "}": a typed
+    object there means head + tail is valid JSON with the same other members.
+    Any other line is parsed in full, so every invalid line is rejected."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     op_rule = OperationRule(op_rule)
@@ -46,13 +69,24 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
         stdout.write(encode_message(obj) + "\n")
         stdout.flush()
 
+    tail = None
     for line in stdin:
         line = line.strip()
         if not line:
             continue
-        msg = parse_message(line)
+        msg = None
+        if tail is not None and line.endswith(tail):
+            try:
+                msg = parse_message(line[: -len(tail)] + "}")
+            except ProtocolError:
+                pass
+        if msg is None:
+            msg = parse_message(line)
+            if msg.get("type") == "observation" and msg.get("phase") == "operation":
+                tail = _edge_tail(line)
         kind = msg["type"]
         if kind == "hello":
+            tail = None
             instance = load_instance(instances_dir / f"{_field(msg, 'instance')}.json")
             state = ScheduleState(instance)
             rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -6,13 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import micro_instance, random_small_instance
+from helpers import micro_instance, random_small_instance, zero_transport
 from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
     ExternalPolicyClient,
     RulePolicy,
     _round6_text,
+    _scaled_texts,
     encode_message,
     hello_message,
     parse_decision,
@@ -22,7 +24,7 @@ from jsspt.bridge import (
 )
 from jsspt.engine import JointAction, ScheduleState
 from jsspt.errors import ProtocolError, TransportError
-from jsspt.features import build_graph
+from jsspt.features import agv_features, build_graph
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
 from jsspt.rules import solve
 
@@ -142,6 +144,67 @@ def test_round6_text_is_repr_of_rounded_float():
         assert _round6_text(value) == repr(round(value, 6)) == repr(float(f"{value:.6f}"))
 
 
+def test_scaled_texts_are_repr_of_rounded_ratio():
+    # Every 0 <= num <= span <= 2000: 2,003,000 pairs, 1,728 of them exact
+    # 7th-digit ties, which must take the float path.
+    ties = 0
+    for span in range(1, 2001):
+        nums = range(span + 1)
+        assert _scaled_texts(nums, 0, span) == [repr(round(num / span, 6)) for num in nums]
+        ties += sum((num * 2_000_000 + span) % (2 * span) == 0 for num in nums)
+    assert ties == 1728
+    # Spans around the exact path's limit of 10**5, with an offset lo.
+    rng = np.random.default_rng(9)
+    for span in [*range(99_990, 100_011), *rng.integers(50_000, 200_000, 30).tolist()]:
+        lo = int(rng.integers(0, 1000))
+        nums = [0, 1, span // 2, span - 1, span, *rng.integers(0, span + 1, 300).tolist()]
+        values = [lo + num for num in nums]
+        assert _scaled_texts(values, lo, lo + span) == [repr(round(num / span, 6)) for num in nums]
+    assert _scaled_texts([4, 4], 4, 4) == ["0.0", "0.0"]
+
+
+def _reference_agv_line(state, job):
+    """The documented v1 AGV line, built as a dict from features.agv_features
+    and encoded in one piece."""
+    return encode_message({
+        "type": "observation",
+        "schema": 1,
+        "step": state.steps,
+        "phase": "agv",
+        "selected_job": job,
+        "mask": list(range(state.instance.k)),
+        "agvs": [
+            [
+                f.agv, f.pickup_ready, f.machine_ready, f.agv_ready, f.empty_travel,
+                f.arrival, f.task_finish,
+                round(f.pickup_ready_scaled, 6), round(f.machine_ready_scaled, 6),
+                round(f.agv_ready_scaled, 6), round(f.empty_travel_scaled, 6),
+                round(f.arrival_scaled, 6), round(f.task_finish_scaled, 6),
+            ]
+            for f in agv_features(state, job)
+        ],
+    })
+
+
+def test_agv_lines_match_reference_encoder():
+    # Every 4th instance has zero transport, every 5th a single vehicle.
+    rng = np.random.default_rng(31)
+    for episode in range(40):
+        inst = random_small_instance(rng)
+        if episode % 4 == 0:
+            inst = dataclasses.replace(inst, transport=tuple(map(tuple, zero_transport(inst.m))))
+        if episode % 5 == 0:
+            inst = dataclasses.replace(inst, k=1)
+        state = ScheduleState(inst)
+        while not state.is_terminal():
+            jobs = state.valid_operations()
+            for job in jobs:
+                line = serialize_observation(state, AGV_PHASE, selected_op=job)
+                assert line == _reference_agv_line(state, job)
+            job = jobs[int(rng.integers(len(jobs)))]
+            state.advance(job, int(rng.integers(inst.k)))
+
+
 def test_serialize_phase_guards(i1):
     state = ScheduleState(i1)
     with pytest.raises(ProtocolError):
@@ -234,7 +297,7 @@ def test_trace_reward_matches_recomputation():
 
     inst = generate_instance(GenerationConfig(n=3, m=3, k=2, seed=12))
     policy = RulePolicy("LWR", "SCPT")
-    trace = run_episode(inst, policy, policy, reward_scale=5.0)
+    trace = run_episode(inst, policy, policy)
     assert len(trace.steps) == inst.total_ops
     assert trace.reward == pytest.approx(
         -trace.makespan / (lower_bound(inst) * 5.0), abs=1e-12
@@ -295,7 +358,7 @@ def test_external_endpoint_factory(tmp_path):
 def _write_server_script(tmp_path, body: str):
     path = tmp_path / "server.py"
     path.write_text(
-        "import json, sys\n"
+        "import json, sys, time\n"
         "def reply(obj):\n"
         "    sys.stdout.write(json.dumps(obj) + '\\n')\n"
         "    sys.stdout.flush()\n"
@@ -374,6 +437,60 @@ def test_protocol_error_restarts_child(tmp_path, i1):
         assert first.returncode == 0 and first.stdout.closed
         client.begin_episode(inst)
         assert client._proc is not first and client._proc.poll() is None
+
+
+def test_reply_split_across_writes_is_reassembled(tmp_path, i1):
+    cmd = _write_server_script(
+        tmp_path,
+        "    if msg['type'] == 'hello':\n"
+        "        text = json.dumps({'type': 'ready', 'version': 1})\n"
+        "    elif msg['type'] == 'observation':\n"
+        "        text = json.dumps({'type': 'decision', 'step': msg['step'], 'choice': 0})\n"
+        "    else:\n"
+        "        continue\n"
+        "    for part in (text[:9], text[9:] + '\\n'):\n"
+        "        sys.stdout.write(part)\n"
+        "        sys.stdout.flush()\n"
+        "        time.sleep(0.05)\n",
+    )
+    with ExternalPolicyClient(cmd, timeout=20) as client:
+        assert run_episode(i1, client, client).makespan == 10
+
+
+def test_two_replies_in_one_read_are_returned_in_order(tmp_path, i1):
+    cmd = _write_server_script(
+        tmp_path,
+        "    if msg['type'] == 'hello':\n"
+        "        reply({'type': 'ready', 'version': 1})\n"
+        "    elif msg['type'] == 'observation':\n"
+        "        sys.stdout.write(''.join(json.dumps(\n"
+        "            {'type': 'decision', 'step': msg['step'], 'choice': c}) + '\\n' for c in (0, 1)))\n"
+        "        sys.stdout.flush()\n",
+    )
+    with ExternalPolicyClient(cmd, timeout=20) as client:
+        client.begin_episode(i1)
+        state = ScheduleState(i1)
+        assert client.choose_operation(state, serialize_observation(state, OPERATION_PHASE)) == 0
+        state.advance(0, 0)
+        with pytest.raises(ProtocolError, match="stale decision: replied to step 0, pending 1"):
+            client.choose_operation(state, serialize_observation(state, OPERATION_PHASE))
+        assert client._proc is None
+
+
+@pytest.mark.parametrize(
+    "write, error, message",
+    [
+        ("sys.stdout.write('{\"type\":\"ready\"')", TransportError, "closed its output"),
+        ("sys.stdout.buffer.write(b'\\xff\\n')", ProtocolError, "not UTF-8"),
+    ],
+    ids=["eof-mid-line", "not-utf8"],
+)
+def test_bad_reply_bytes(tmp_path, i1, write, error, message):
+    cmd = _write_server_script(tmp_path, f"    {write}\n    sys.stdout.flush()\n    break\n")
+    with ExternalPolicyClient(cmd, timeout=20) as client:
+        with pytest.raises(error, match=message):
+            client.begin_episode(i1)
+        assert client._proc is None
 
 
 def test_close_kills_stalled_child_and_closes_pipes(tmp_path, monkeypatch):
