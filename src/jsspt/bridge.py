@@ -62,13 +62,18 @@ def encode_message(obj: dict) -> str:
 
 
 class _LineFragments(NamedTuple):
-    """The parts of the observation lines that are fixed per instance."""
+    """The parts of the observation lines that are fixed per instance, and
+    the operation line's memo of per-job runs."""
 
     done_heads: tuple[tuple[str, ...], ...]  # per job, "[job,op,machine,1," per op
     open_heads: tuple[tuple[str, ...], ...]  # per job, "[job,op,machine,0," per op
     ratio_texts: tuple[str, ...]  # machine ratio text for c of n jobs scheduled
     tail: str  # ',"precedence":[..],"assignment":[..]}'
     agv_mask: str  # "0,1,..,k-1"
+    # Per job, the last run encoded: (entries snapshot, (raw bounds,
+    # "[job,op,machine,s,raw," prefixes), lo, hi, run text). The snapshot
+    # fixes the raw bounds and the heads, so with (lo, hi) it fixes the text.
+    runs: list
 
 
 # Keyed by the instance itself, so an entry lives exactly as long as its
@@ -96,6 +101,7 @@ def _line_fragments(instance: Instance) -> _LineFragments:
             ratio_texts=tuple(_scaled_texts(range(instance.n + 1), 0, instance.n)),
             tail="," + edges[1:],
             agv_mask=",".join(map(str, range(instance.k))),
+            runs=[None] * instance.n,
         )
     return frags
 
@@ -111,10 +117,17 @@ def _round6_text(value: float) -> str:
     return text + "0" if text.endswith(".") else text
 
 
-def _scaled_texts(values, lo: int, hi: int) -> list[str]:
+# ("0.%06d" % q).rstrip("0") for q = 1000 * a + b with a >= 1 or b >= 100:
+# _MILLI[a] + _DIGITS3[b], or _MILLI_SHORT[a] when b == 0.
+_MILLI = tuple(f"0.{a:03d}" for a in range(1000))
+_MILLI_SHORT = tuple(text.rstrip("0") for text in _MILLI)
+_DIGITS3 = tuple(f"{b:03d}".rstrip("0") for b in range(1000))
+
+
+def _scaled_texts(values, lo: int, hi: int, heads=None) -> list[str]:
     """[_round6_text((v - lo) / (hi - lo)) for v in values] for integers
     lo <= v <= hi; all "0.0" when hi == lo, as features' min-max scaling
-    collapses.
+    collapses. Given `heads`, each text comes after its head.
 
     With num = v - lo and span = hi - lo, q is num/span in millionths
     rounded half up, and r is 0 only at an exact 7th-digit tie. For
@@ -123,18 +136,22 @@ def _scaled_texts(values, lo: int, hi: int) -> list[str]:
     larger spans, 1.0 and values below 1e-4 (which repr writes with an
     exponent) take the float path."""
     span = hi - lo
+    if heads is None:
+        heads = [""] * len(values)
     if not span:
-        return ["0.0"] * len(values)
+        return [head + "0.0" for head in heads]
+    if span > 100_000:
+        return [head + _round6_text((v - lo) / span) for head, v in zip(heads, values)]
     two_span = 2 * span
-    exact = span <= 100_000
+    base = span - 2_000_000 * lo
     texts = []
-    for v in values:
-        num = v - lo
-        q, r = divmod(num * 2_000_000 + span, two_span)
-        if r and 100 <= q < 1_000_000 and exact:
-            texts.append(("0.%06d" % q).rstrip("0"))
+    for head, v in zip(heads, values):
+        q, r = divmod(2_000_000 * v + base, two_span)
+        if r and 100 <= q < 1_000_000:
+            a, b = divmod(q, 1000)
+            texts.append(head + _MILLI[a] + _DIGITS3[b] if b else head + _MILLI_SHORT[a])
         else:
-            texts.append(_round6_text(num / span))
+            texts.append(head + _round6_text((v - lo) / span))
     return texts
 
 
@@ -145,23 +162,39 @@ def _minmax_texts(values: list[int]) -> list[str]:
 def _operation_line(state: ScheduleState) -> str:
     """The operation-phase line: per-step values are formatted into the
     per-instance fragments. Each bound is features.op_lower_bound, min-max
-    scaled over all operations."""
+    scaled over all operations.
+
+    A job's bounds ascend (its done ends, then offset + work_prefix), so its
+    first and last bound are its min and max. A job's run of operations is
+    re-encoded only when its entries or the line's (lo, hi) differ from the
+    memo's; when only (lo, hi) differ, only the scaled texts are."""
     inst = state.instance
     frags = _line_fragments(inst)
-    heads: list[str] = []
-    raw: list[int] = []
-    for entries, prefix, done_heads, open_heads in zip(
-        state.entries, inst.work_prefix, frags.done_heads, frags.open_heads
-    ):
-        done = len(entries)
-        heads += done_heads[:done]
-        heads += open_heads[done:]
-        raw += [e.end for e in entries]
-        offset = _open_offset(entries, prefix)
-        raw += [offset + p for p in prefix[done:]]
-    operations = ",".join(
-        [f"{head}{v},{text}]" for head, v, text in zip(heads, raw, _minmax_texts(raw))]
-    )
+    runs = frags.runs
+    all_entries = state.entries
+    prefixes = inst.work_prefix
+    lo = min([ent[0].end if ent else prefix[0] for ent, prefix in zip(all_entries, prefixes)])
+    hi = max([_open_offset(ent, prefix) + prefix[-1] for ent, prefix in zip(all_entries, prefixes)])
+    texts: list[str] = []
+    for j, entries in enumerate(all_entries):
+        run = runs[j]
+        if run is not None and run[0] == entries:
+            if run[2] == lo and run[3] == hi:
+                texts.append(run[4])
+                continue
+            snapshot, (raw, pre) = run[0], run[1]
+        else:
+            prefix = prefixes[j]
+            done = len(entries)
+            offset = _open_offset(entries, prefix)
+            raw = [e.end for e in entries] + [offset + p for p in prefix[done:]]
+            heads = frags.done_heads[j][:done] + frags.open_heads[j][done:]
+            pre = [f"{head}{v}," for head, v in zip(heads, raw)]
+            snapshot = entries.copy()
+        text = "],".join(_scaled_texts(raw, lo, hi, pre)) + "]"
+        runs[j] = (snapshot, (raw, pre), lo, hi, text)
+        texts.append(text)
+    operations = ",".join(texts)
     # The v1 machine flag is always 0.
     ratios = frags.ratio_texts
     machines = ",".join([f"[{t},0,{ratios[c]}]" for t, c in enumerate(state.machine_ops)])

@@ -274,7 +274,7 @@ def instance_from_document(doc: dict) -> Instance:
         raise
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"document: malformed field value ({exc})") from exc
-    _check_time_max(inst)
+    _check_time_bounds(inst)
     return inst
 
 
@@ -322,14 +322,20 @@ def _document_table(rows, field: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _check_time_max(inst: Instance) -> None:
+def _check_time_bounds(inst: Instance) -> None:
     """Documents stay inside the sampling universe, the domain the metrics
-    are defined on, so a loaded instance also records and summarizes."""
+    are defined on, so a loaded instance also records and summarizes: every
+    time is at most TIME_MAX, and every transport leg between two machines at
+    least TIME_MIN. Instances built in code may still have zero legs."""
     for name, rows in (("proc_times", inst.proc_times), ("transport", inst.transport)):
         for a, row in enumerate(rows):
             for b, t in enumerate(row):
                 if t > TIME_MAX:
                     raise DocumentError(f"{name}[{a}][{b}]: must be <= {TIME_MAX}, got {t}")
+    for a, row in enumerate(inst.transport):
+        for b, t in enumerate(row):
+            if t < TIME_MIN and a != b:
+                raise DocumentError(f"transport[{a}][{b}]: must be >= {TIME_MIN}, got {t}")
 
 
 def _check_instance_fields(n, m, k, routings, proc_times, transport) -> None:

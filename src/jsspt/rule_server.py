@@ -69,6 +69,15 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
         stdout.write(encode_message(obj) + "\n")
         stdout.flush()
 
+    def decide(step, choice: int) -> None:
+        # json.dumps writes a plain int as str() does; any other step value
+        # (bool, float, string, ...) keeps the canonical encoder.
+        if type(step) is int:
+            stdout.write(f'{{"type":"decision","step":{step},"choice":{choice}}}\n')
+            stdout.flush()
+        else:
+            reply({"type": "decision", "step": step, "choice": choice})
+
     tail = None
     for line in stdin:
         line = line.strip()
@@ -97,12 +106,11 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
             if state is None:
                 raise ProtocolError("observation before any hello")
             if phase == "operation":
-                job = select_operation(op_rule, state, rng)
-                reply({"type": "decision", "step": step, "choice": job})
+                decide(step, select_operation(op_rule, state, rng))
             elif phase == "agv":
                 job = _field(msg, "selected_job")
                 agv = select_agv(agv_rule, state, job, rng)
-                reply({"type": "decision", "step": step, "choice": agv})
+                decide(step, agv)
                 state.advance(job, agv)
             else:
                 raise ProtocolError(f"unknown observation phase {phase!r}")

@@ -1,10 +1,13 @@
-"""Shared builders for hand-crafted instances and random episodes."""
+"""Shared builders for hand-crafted instances and random episodes, and the
+reference operation-line encoder."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from jsspt.bridge import encode_message
 from jsspt.engine import JointAction, ScheduleResult, ScheduleState
+from jsspt.features import build_graph
 from jsspt.instances import GenerationConfig, Instance, generate_instance
 from jsspt.rules import solve
 
@@ -32,13 +35,14 @@ def make_instance(
     )
 
 
-def micro_instance() -> Instance:
+def micro_instance(idle_leg: int = 0) -> Instance:
     """One job, one machine, one AGV: p=5, t(load, M1)=2, t(M1, unload)=3.
-    The only feasible schedule has makespan 10."""
+    The only feasible schedule has makespan 10. The legs it never drives take
+    `idle_leg`; a saved document loads only with idle_leg >= 1."""
     transport = [
-        [0, 0, 2],  # from load
-        [0, 0, 0],  # from unload
-        [0, 3, 0],  # from M1
+        [0, idle_leg, 2],  # from load
+        [idle_leg, 0, idle_leg],  # from unload
+        [idle_leg, 3, 0],  # from M1
     ]
     return make_instance([[0]], [[5]], transport, k=1, ident="micro")
 
@@ -77,3 +81,37 @@ def all_decision_sequences(instance: Instance):
                 yield from expand(state.apply(JointAction(job, agv)), trail + ((job, agv),))
 
     yield from expand(ScheduleState(instance), ())
+
+
+def _reference_operation_line(state):
+    """The documented v1 operation line, built as a dict from the graph's
+    fields and encoded in one piece."""
+
+    def round6(value):
+        return float(f"{value:.6f}")
+
+    graph = build_graph(state)
+    inst = state.instance
+    operations = []
+    for j in range(inst.n):
+        for i in range(1, inst.m + 2):
+            v = j * (inst.m + 1) + i - 1
+            operations.append([
+                j, i, inst.op_machine(j, i), graph.op_scheduled[v],
+                graph.op_bound_raw[v], round6(graph.op_bound[v]),
+            ])
+    machines = [
+        [t, 0, round6(graph.machine_ratio[t])]
+        for t in range(inst.m + 2)
+    ]
+    return encode_message({
+        "type": "observation",
+        "schema": 1,
+        "step": state.steps,
+        "phase": "operation",
+        "mask": state.valid_operations(),
+        "operations": operations,
+        "machines": machines,
+        "precedence": [list(e) for e in graph.precedence_edges],
+        "assignment": [list(e) for e in graph.assignment_edges],
+    })

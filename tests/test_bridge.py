@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import micro_instance, random_small_instance, zero_transport
+from helpers import _reference_operation_line, micro_instance, random_small_instance, zero_transport
 from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
@@ -24,7 +24,7 @@ from jsspt.bridge import (
 )
 from jsspt.engine import JointAction, ScheduleState
 from jsspt.errors import ProtocolError, TransportError
-from jsspt.features import agv_features, build_graph
+from jsspt.features import agv_features
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
 from jsspt.rules import solve
 
@@ -84,40 +84,6 @@ def test_protocol_v1_golden_digests(config, op_rule, agv_rule, steps, makespan, 
     assert (len(trace.steps), trace.makespan) == (steps, makespan)
     joined = "\n".join(s.digest for s in trace.steps)
     assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
-
-
-def _reference_operation_line(state):
-    """The documented v1 operation line, built as a dict from the graph's
-    fields and encoded in one piece."""
-
-    def round6(value):
-        return float(f"{value:.6f}")
-
-    graph = build_graph(state)
-    inst = state.instance
-    operations = []
-    for j in range(inst.n):
-        for i in range(1, inst.m + 2):
-            v = j * (inst.m + 1) + i - 1
-            operations.append([
-                j, i, inst.op_machine(j, i), graph.op_scheduled[v],
-                graph.op_bound_raw[v], round6(graph.op_bound[v]),
-            ])
-    machines = [
-        [t, 0, round6(graph.machine_ratio[t])]
-        for t in range(inst.m + 2)
-    ]
-    return encode_message({
-        "type": "observation",
-        "schema": 1,
-        "step": state.steps,
-        "phase": "operation",
-        "mask": state.valid_operations(),
-        "operations": operations,
-        "machines": machines,
-        "precedence": [list(e) for e in graph.precedence_edges],
-        "assignment": [list(e) for e in graph.assignment_edges],
-    })
 
 
 def test_operation_lines_match_reference_encoder():

@@ -33,7 +33,7 @@ def test_gen_rejects_bad_config(tmp_path, capsys):
 
 
 def test_solve_single_combo(tmp_path, capsys):
-    path = save_instance(micro_instance(), tmp_path)
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
     out = tmp_path / "schedule.json"
     code = run_cli(
         "solve", "--instance", str(path),
@@ -47,7 +47,7 @@ def test_solve_single_combo(tmp_path, capsys):
 
 
 def test_solve_all_combos(tmp_path, capsys):
-    path = save_instance(micro_instance(), tmp_path)
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
     code = run_cli("solve", "--instance", str(path), "--all-combos")
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -73,6 +73,30 @@ def test_solve_rejects_times_above_time_max(tmp_path, capsys):
     code = run_cli("solve", "--instance", str(path), "--op-rule", "SPT", "--agv-rule", "SCTA")
     assert code == 3
     assert "proc_times[0][0]: must be <= 100, got 150" in capsys.readouterr().err
+
+
+def test_eval_external_rejects_zero_transport_document(tmp_path, capsys):
+    # Rejected at load, before any episode runs: the metrics could only
+    # reject it after the whole episode (exit 4).
+    doc = {
+        "id": "flat", "n": 3, "m": 2, "k": 1, "seed": 0,
+        "routings": [[0, 1], [1, 0], [0, 1]],
+        "proc_times": [[5, 7, 0]] * 3,
+        "transport": [[0] * 4 for _ in range(4)],
+    }
+    (tmp_path / "flat.json").write_text(json.dumps(doc), encoding="utf-8")
+    server = (
+        f"{sys.executable} -m jsspt.rule_server --op-rule SPT --agv-rule SCTA "
+        f"--instances-dir {tmp_path}"
+    )
+    out_file = tmp_path / "out.csv"
+    code = run_cli(
+        "eval-external", "--instances", str(tmp_path), "--cmd", server,
+        "--timeout", "20", "--out", str(out_file),
+    )
+    assert code == 3
+    assert "document error: transport[0][1]: must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_bench_cli(tmp_path, capsys):
@@ -156,7 +180,7 @@ def test_bench_rejects_unknown_solver_on_every_path(tmp_path, capsys):
 
 
 def test_solve_rejects_non_integer_fields(tmp_path, capsys):
-    doc = json.loads((save_instance(micro_instance(), tmp_path)).read_text())
+    doc = json.loads((save_instance(micro_instance(idle_leg=1), tmp_path)).read_text())
     doc["k"] = True
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -198,7 +222,7 @@ def test_regress_join_error(tmp_path, capsys):
 
 
 def test_oracle_cli(tmp_path, capsys):
-    path = save_instance(micro_instance(), tmp_path)
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
     code = run_cli("oracle", "--instance", str(path))
     assert code == 0
     out = capsys.readouterr().out
@@ -239,7 +263,7 @@ def test_eval_external_cli(tmp_path, capsys):
 
 
 def test_eval_external_unreachable(tmp_path, capsys):
-    path = save_instance(micro_instance(), tmp_path)
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
     out_file = tmp_path / "external.csv"
     code = run_cli(
         "eval-external", "--instances", str(path),

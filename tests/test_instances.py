@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -279,9 +280,18 @@ def test_load_rejects_string_integers():
         instance_from_document(doc)
 
 
-def test_zero_transport_instance_round_trips(tmp_path):
+def test_zero_transport_document_is_rejected(tmp_path):
+    # Built in code, zero legs are allowed (engine tests rely on them); as a
+    # document, the instance lies outside the domain the metrics accept.
     inst = make_instance([[0, 1], [1, 0]], [[3, 100], [1, 2]], zero_transport(2), k=1)
-    assert load_instance(save_instance(inst, tmp_path)) == inst
+    path = save_instance(inst, tmp_path)
+    with pytest.raises(DocumentError, match=r"^transport\[0\]\[1\]: must be >= 1, got 0$"):
+        load_instance(path)
+    for a, b in itertools.permutations(range(4), 2):  # each single zero leg of m = 2
+        doc = _small_document()
+        doc["transport"][a][b] = 0
+        with pytest.raises(DocumentError, match=rf"^transport\[{a}\]\[{b}\]: must be >= 1, got 0$"):
+            instance_from_document(doc)
 
 
 def test_mean_durations():

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import micro_instance
 from jsspt import rule_server
-from jsspt.bridge import OPERATION_PHASE, hello_message, serialize_observation
+from jsspt.bridge import OPERATION_PHASE, encode_message, hello_message, serialize_observation
 from jsspt.engine import ScheduleState
 from jsspt.errors import ProtocolError
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
@@ -21,7 +21,7 @@ def _serve(tmp_path, *lines):
 
 
 def _hello(tmp_path):
-    inst = micro_instance()
+    inst = micro_instance(idle_leg=1)
     save_instance(inst, tmp_path)
     return json.loads(hello_message(inst))
 
@@ -38,6 +38,17 @@ def test_serves_one_step(tmp_path):
         {"type": "decision", "step": 0, "choice": 0},
         {"type": "decision", "step": 0, "choice": 0},
     ]
+
+
+@pytest.mark.parametrize("step", [0, 7, 10**20, True, 1.5, "3", None])
+def test_decision_lines_are_canonical(tmp_path, step):
+    # An int step is written directly; every other step through the encoder.
+    lines = [_hello(tmp_path), {"type": "observation", "step": step, "phase": "operation"}]
+    out = io.StringIO()
+    stdin = io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
+    serve("SPT", "SCTA", tmp_path, stdin=stdin, stdout=out)
+    expected = encode_message({"type": "decision", "step": step, "choice": 0})
+    assert out.getvalue().splitlines()[1] == expected
 
 
 @pytest.mark.parametrize(
