@@ -72,7 +72,7 @@ from .rules import (
     select_agv,
     select_operation,
     solve,
-    solve_all_combos,
+    sweep,
 )
 
 __version__ = "0.1.0"

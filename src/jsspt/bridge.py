@@ -27,20 +27,21 @@ All times are integers; scaled features are quantized to 6 decimal places.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import select
 import shlex
 import subprocess
 import weakref
-from dataclasses import dataclass
 from time import monotonic
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine import ScheduleResult, ScheduleState, build_result, terminal_reward
+from .engine import ScheduleState, terminal_reward
+# Unused here; kept importable because the benchmark's traced run
+# (perfbench/spans.py) wraps `bridge.build_result`.
+from .engine import build_result  # noqa: F401
 from .errors import ProtocolError, TransportError
 # build_graph and agv_features build the same values as the line encoders
 # below; the benchmark's tracer (perfbench/spans.py) wraps them here.
@@ -280,6 +281,8 @@ def parse_decision(line: str, expected_step: int) -> int:
     if msg.get("type") != "decision":
         raise ProtocolError(f"expected a decision line, got type {msg.get('type')!r}")
     step = msg.get("step")
+    if type(step) is not int:
+        raise ProtocolError(f"decision step must be an integer, got {step!r}")
     if step != expected_step:
         raise ProtocolError(f"stale decision: replied to step {step}, pending {expected_step}")
     choice = msg.get("choice")
@@ -307,12 +310,6 @@ def hello_message(instance: Instance) -> str:
             "m": instance.m,
             "k": instance.k,
         }
-    )
-
-
-def terminal_message(step: int, makespan: int, reward: float) -> str:
-    return encode_message(
-        {"type": "terminal", "step": step, "makespan": makespan, "reward": reward}
     )
 
 
@@ -354,9 +351,6 @@ class RulePolicy:
         return select_agv(self.agv_rule, state, job, self._rng)
 
     def end_episode(self, message: str) -> None:
-        pass
-
-    def close(self) -> None:
         pass
 
 
@@ -466,33 +460,11 @@ class ExternalPolicyClient:
 
 # -- episode runner -----------------------------------------------------------
 
-class StepRecord(NamedTuple):
-    digest: str
-    job: int
-    agv: int
-
-
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """Everything one episode produced: the per-step records, the schedule,
-    and the terminal reward."""
-
-    instance_id: str
-    steps: tuple[StepRecord, ...]
-    makespan: int
-    reward: float
-    result: ScheduleResult
-
-
-def run_episode(
-    instance: Instance,
-    op_policy,
-    agv_policy,
-    solver_id: str = "external",
-) -> EpisodeTrace:
+def run_episode(instance: Instance, op_policy, agv_policy) -> tuple[ScheduleState, list]:
     """Run one full episode, querying the operation decider and then the AGV
-    decider at every step. A masked choice aborts the episode with a protocol
-    error and produces no result."""
+    decider at every step; returns the terminal state and the decisions, as
+    rules.play does. Both deciders receive the terminal line with its reward.
+    A masked choice aborts the episode with a protocol error."""
     if op_policy.role not in (ROLE_OPERATION, ROLE_JOINT):
         raise ProtocolError(f"{op_policy.role} cannot act as the operation decider")
     if agv_policy.role not in (ROLE_AGV, ROLE_JOINT):
@@ -503,7 +475,7 @@ def run_episode(
         policy.begin_episode(instance)
 
     state = ScheduleState(instance)
-    records: list[StepRecord] = []
+    decisions: list[tuple[int, int]] = []
     while not state.is_terminal():
         op_line = serialize_observation(state, OPERATION_PHASE)
         job = op_policy.choose_operation(state, op_line)
@@ -513,22 +485,13 @@ def run_episode(
         agv = agv_policy.choose_agv(state, job, agv_line)
         if not 0 <= agv < instance.k:
             raise ProtocolError(f"agv decider chose invalid vehicle {agv} (k={instance.k})")
-        digest = hashlib.sha256(
-            (op_line + "\n" + agv_line).encode("utf-8")
-        ).hexdigest()[:16]
         state.advance(job, agv)
-        records.append(StepRecord(digest, job, agv))
+        decisions.append((job, agv))
 
-    makespan = state.makespan()
-    reward = terminal_reward(state)
-    final = terminal_message(state.steps, makespan, reward)
+    final = encode_message(
+        {"type": "terminal", "step": state.steps, "makespan": state.makespan(),
+         "reward": terminal_reward(state)}
+    )
     for policy in policies:
         policy.end_episode(final)
-    result = build_result(state, solver_id, [(r.job, r.agv) for r in records])
-    return EpisodeTrace(
-        instance_id=instance.id,
-        steps=tuple(records),
-        makespan=makespan,
-        reward=reward,
-        result=result,
-    )
+    return state, decisions

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .instances import GenerationConfig, generate_instance, load_instance, save_instance
 from .oracle import brute_force_oracle
-from .rules import ALL_COMBOS, parse_combo, solve, solve_all_combos
+from .rules import ALL_COMBOS, parse_combo, solve, sweep
 
 ENV_OUT_DIR = "JSSPT_OUT"
 
@@ -124,10 +124,11 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     if args.all_combos:
-        sweep = solve_all_combos(instance, seed=args.seed)
-        for result in sweep.results:
-            print(f"{result.solver_id},{result.makespan}")
-        print(f"best,{sweep.best_solver},{sweep.best_makespan}")
+        makespans = sweep(instance, seed=args.seed)
+        for ident, makespan in zip(ALL_COMBOS, makespans):
+            print(f"{ident},{makespan}")
+        best = min(makespans)  # ties keep the canonical order
+        print(f"best,{ALL_COMBOS[makespans.index(best)]},{best}")
         return 0
     op_rule, agv_rule = parse_combo(f"{args.op_rule}+{args.agv_rule}")
     result = solve(instance, op_rule, agv_rule, seed=args.seed)

@@ -31,7 +31,7 @@ from .instances import (
 )
 from .metrics import ResultRecord, bottleneck_features, make_record, rpi, win
 from .regression import RegressionReport, aggregate_ci, ols_fit, z_normalize
-from .rules import ALL_COMBOS, parse_combo, play
+from .rules import ALL_COMBOS, parse_combo, sweep
 from .rules import solve  # noqa: F401  (unused; the traced benchmark run wraps harness.solve)
 
 #: Resource-scarcity ladder used throughout the experiments.
@@ -101,6 +101,10 @@ class ExperimentPlan(_Axes):
 
     def __post_init__(self) -> None:
         self._check("instances_per_config", self.solvers)
+        # A repeated id would count each instance twice in its summary row.
+        for i, ident in enumerate(self.solvers):
+            if ident in self.solvers[:i]:
+                raise ConfigurationError(f"solver {ident!r} appears more than once in the plan")
 
 
 def plan_to_document(plan: ExperimentPlan) -> dict:
@@ -163,18 +167,10 @@ def generate_bench_instances(plan: ExperimentPlan) -> list[Instance]:
 
 # -- solving ------------------------------------------------------------------
 
-def _solver_seed(instance: Instance, solver_id: str) -> tuple[int, int]:
-    return (instance.seed, ALL_COMBOS.index(solver_id))
-
-
 def _solve_one_instance(args) -> list[ResultRecord]:
     instance, solver_ids, cell_id = args
-    records = []
-    for ident in solver_ids:
-        op_rule, agv_rule = parse_combo(ident)
-        state, _ = play(instance, op_rule, agv_rule, seed=_solver_seed(instance, ident))
-        records.append(make_record(instance, ident, state.makespan(), cell_id))
-    return records
+    makespans = sweep(instance, solver_ids, seed=instance.seed)
+    return [make_record(instance, ident, ms, cell_id) for ident, ms in zip(solver_ids, makespans)]
 
 
 def solve_instances(
@@ -368,27 +364,48 @@ def records_to_csv(records: list[ResultRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
+    """The records of a results table. A missing column, a short row or a
+    cell that is not a number of its column's type raises DocumentError
+    naming the line and the column."""
     reader = csv.DictReader(io.StringIO(text))
+    for column in RESULT_COLUMNS:
+        if column not in (reader.fieldnames or ()):
+            raise DocumentError(f"results table line 1: no {column!r} column")
     records = []
     for row in reader:
+        line = reader.line_num
         records.append(
             ResultRecord(
                 instance_id=row["instance"],
                 solver_id=row["solver"],
-                makespan=int(row["makespan"]),
-                n=int(row["n"]),
-                m=int(row["m"]),
-                k=int(row["k"]),
-                p_raw=float(row["p_raw"]),
-                t_raw=float(row["t_raw"]),
-                rho=float(row["rho"]),
-                tau=float(row["tau"]),
+                makespan=_cell(row, "makespan", int, line),
+                n=_cell(row, "n", int, line),
+                m=_cell(row, "m", int, line),
+                k=_cell(row, "k", int, line),
+                p_raw=_cell(row, "p_raw", float, line),
+                t_raw=_cell(row, "t_raw", float, line),
+                rho=_cell(row, "rho", float, line),
+                tau=_cell(row, "tau", float, line),
                 regime=row["regime"],
                 cell_id=row["cell"],
-                seed=int(row["seed"]),
+                seed=_cell(row, "seed", int, line),
             )
         )
     return records
+
+
+def _cell(row: dict, column: str, kind, line: int):
+    """A numeric cell of a results row, as `kind`."""
+    value = row[column]
+    if value is None:  # csv.DictReader fills a short row with None
+        raise DocumentError(f"results table line {line}: the row ends before column {column!r}")
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DocumentError(
+            f"results table line {line}, column {column!r}: must be {what}, got {value!r}"
+        ) from None
 
 
 def read_records(path: str | Path) -> list[ResultRecord]:
@@ -629,6 +646,6 @@ def run_external_eval(
     records = []
     with ExternalPolicyClient(command, timeout=timeout) as client:
         for instance in instances:
-            trace = run_episode(instance, client, client, solver_id=label)
-            records.append(make_record(instance, label, trace.makespan))
+            state, _ = run_episode(instance, client, client)
+            records.append(make_record(instance, label, state.makespan()))
     return records

@@ -65,18 +65,10 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
     state = None
     rng = np.random.default_rng(seed)
 
-    def reply(obj: dict) -> None:
-        stdout.write(encode_message(obj) + "\n")
+    def decide(step: int, choice: int) -> None:
+        # The same text as encode_message: json.dumps writes an int as str().
+        stdout.write(f'{{"type":"decision","step":{step},"choice":{choice}}}\n')
         stdout.flush()
-
-    def decide(step, choice: int) -> None:
-        # json.dumps writes a plain int as str() does; any other step value
-        # (bool, float, string, ...) keeps the canonical encoder.
-        if type(step) is int:
-            stdout.write(f'{{"type":"decision","step":{step},"choice":{choice}}}\n')
-            stdout.flush()
-        else:
-            reply({"type": "decision", "step": step, "choice": choice})
 
     tail = None
     for line in stdin:
@@ -99,10 +91,13 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
             instance = load_instance(instances_dir / f"{_field(msg, 'instance')}.json")
             state = ScheduleState(instance)
             rng = np.random.default_rng(seed)
-            reply({"type": "ready", "version": PROTOCOL_VERSION})
+            stdout.write(encode_message({"type": "ready", "version": PROTOCOL_VERSION}) + "\n")
+            stdout.flush()
         elif kind == "observation":
             phase = _field(msg, "phase")
             step = _field(msg, "step")
+            if type(step) is not int:
+                raise ProtocolError(f"observation step must be an integer, got {step!r}")
             if state is None:
                 raise ProtocolError("observation before any hello")
             if phase == "operation":

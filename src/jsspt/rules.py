@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -153,29 +152,13 @@ def solve(instance: Instance, op_rule, agv_rule, seed=0) -> ScheduleResult:
     return build_result(state, combo_id(op_rule, agv_rule), decisions)
 
 
-class ComboSweep(NamedTuple):
-    results: tuple[ScheduleResult, ...]
-    best_solver: str
-    best_makespan: int
-
-
-def solve_all_combos(instance: Instance, seed=0) -> ComboSweep:
-    """Evaluate all 40 rule combinations; RANDOM streams are independent per
-    combo. Reports the per-instance best (ties keep the canonical order)."""
-    results = []
-    best_solver = ""
-    best_makespan = None
-    for index, ident in enumerate(ALL_COMBOS):
+def sweep(instance: Instance, solver_ids=ALL_COMBOS, seed=0) -> list[int]:
+    """The makespan of each combo in `solver_ids`, in order. Combo c plays
+    with seed (seed, ALL_COMBOS.index(c)), so RANDOM streams are independent
+    per combo and do not depend on which other combos run."""
+    makespans = []
+    for ident in solver_ids:
         op_rule, agv_rule = parse_combo(ident)
-        result = solve(instance, op_rule, agv_rule, seed=_combo_seed(seed, index))
-        results.append(result)
-        if best_makespan is None or result.makespan < best_makespan:
-            best_makespan = result.makespan
-            best_solver = ident
-    return ComboSweep(tuple(results), best_solver, int(best_makespan))
-
-
-def _combo_seed(seed, index: int):
-    if isinstance(seed, (list, tuple)):
-        return tuple(seed) + (index,)
-    return (int(seed), index)
+        state, _ = play(instance, op_rule, agv_rule, seed=(seed, ALL_COMBOS.index(ident)))
+        makespans.append(state.makespan())
+    return makespans

@@ -1,11 +1,14 @@
-"""Shared builders for hand-crafted instances and random episodes, and the
-reference operation-line encoder."""
+"""Shared builders for hand-crafted instances and random episodes, the
+reference operation-line encoder, and a decider that records the protocol v1
+lines it is sent."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from jsspt.bridge import encode_message
+from jsspt.bridge import RulePolicy, encode_message
 from jsspt.engine import JointAction, ScheduleResult, ScheduleState
 from jsspt.features import build_graph
 from jsspt.instances import GenerationConfig, Instance, generate_instance
@@ -115,3 +118,34 @@ def _reference_operation_line(state):
         "precedence": [list(e) for e in graph.precedence_edges],
         "assignment": [list(e) for e in graph.assignment_edges],
     })
+
+
+class RecordingPolicy(RulePolicy):
+    """A rule decider that keeps the lines of its last episode: every
+    observation line in the order sent, and the terminal line."""
+
+    def begin_episode(self, instance: Instance) -> None:
+        super().begin_episode(instance)
+        self.lines: list[str] = []
+        self.terminal: str | None = None
+
+    def choose_operation(self, state, message):
+        self.lines.append(message)
+        return super().choose_operation(state, message)
+
+    def choose_agv(self, state, job, message):
+        self.lines.append(message)
+        return super().choose_agv(state, job, message)
+
+    def end_episode(self, message):
+        self.terminal = message
+
+
+def episode_digest(lines: list[str]) -> str:
+    """sha256 over an episode's joined step digests; a step's digest is the
+    first 16 hex digits of sha256(operation line + "\n" + AGV line)."""
+    steps = [
+        hashlib.sha256((op + "\n" + agv).encode("utf-8")).hexdigest()[:16]
+        for op, agv in zip(lines[::2], lines[1::2])
+    ]
+    return hashlib.sha256("\n".join(steps).encode("utf-8")).hexdigest()

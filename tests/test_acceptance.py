@@ -25,7 +25,7 @@ from jsspt.instances import GenerationConfig, generate_instance, save_instance
 from jsspt.metrics import bottleneck_features, make_record, rho, temporal_dominance
 from jsspt.oracle import brute_force_oracle
 from jsspt.regression import ols_fit, z_normalize
-from jsspt.rules import solve, solve_all_combos
+from jsspt.rules import solve, sweep
 
 
 def _report(criterion: int, text: str) -> None:
@@ -47,8 +47,7 @@ def test_criterion_1_oracle_equivalence():
         )
         instance = generate_instance(config)
         oracle = brute_force_oracle(instance)
-        sweep = solve_all_combos(instance, seed=checked)
-        assert all(r.makespan >= oracle.makespan for r in sweep.results)
+        assert min(sweep(instance, seed=checked)) >= oracle.makespan
         state = ScheduleState(instance)
         for job, agv in oracle.decisions:
             state = state.apply(JointAction(job, agv))
@@ -160,10 +159,8 @@ def test_criterion_6_protocol_transparency(tmp_path):
     external_records = []
     with ExternalPolicyClient(command, timeout=30) as client:
         for instance in instances:
-            trace = run_episode(instance, client, client, solver_id="SPT+SCTA")
-            external_records.append(
-                make_record(instance, trace.result.solver_id, trace.makespan)
-            )
+            state, _ = run_episode(instance, client, client)
+            external_records.append(make_record(instance, "SPT+SCTA", state.makespan()))
 
     from jsspt.harness import records_to_csv
 
@@ -192,8 +189,7 @@ def test_criterion_8_throughput():
     for _ in range(100):
         config = GenerationConfig(n=15, m=10, k=9, seed=int(seed_rng.integers(2**31 - 1)))
         instance = generate_instance(config)
-        sweep = solve_all_combos(instance, seed=count)
-        assert len(sweep.results) == 40
+        assert len(sweep(instance, seed=count)) == 40
         count += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0

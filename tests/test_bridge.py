@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import _reference_operation_line, micro_instance, random_small_instance, zero_transport
+from helpers import (
+    RecordingPolicy,
+    _reference_operation_line,
+    episode_digest,
+    micro_instance,
+    random_small_instance,
+    zero_transport,
+)
 from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
@@ -22,11 +28,11 @@ from jsspt.bridge import (
     run_episode,
     serialize_observation,
 )
-from jsspt.engine import JointAction, ScheduleState
+from jsspt.engine import JointAction, ScheduleState, lower_bound
 from jsspt.errors import ProtocolError, TransportError
 from jsspt.features import agv_features
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
-from jsspt.rules import solve
+from jsspt.rules import play, solve
 
 
 def test_operation_observation_contents(i1):
@@ -57,8 +63,8 @@ def test_observation_round_trip(i1):
     assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
 
-# sha256 over the joined per-step digests of one episode, pinning every byte
-# of the protocol v1 lines it produced.
+# helpers.episode_digest of the observation lines one episode sends, pinning
+# every byte of them.
 GOLDEN_EPISODES = [
     (GenerationConfig(n=15, m=10, k=9, seed=3), "SPT", "SCTA", 165, 7805,
      "0e098aca683898f46a117c5110fd7b594c320f59b2cf81855f7f4f0660ff2814"),
@@ -79,11 +85,11 @@ GOLDEN_EPISODES = [
 )
 def test_protocol_v1_golden_digests(config, op_rule, agv_rule, steps, makespan, digest):
     inst = micro_instance() if config is None else generate_instance(config)
-    policy = RulePolicy(op_rule, agv_rule, seed=7)
-    trace = run_episode(inst, policy, policy)
-    assert (len(trace.steps), trace.makespan) == (steps, makespan)
-    joined = "\n".join(s.digest for s in trace.steps)
-    assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
+    policy = RecordingPolicy(op_rule, agv_rule, seed=7)
+    state, decisions = run_episode(inst, policy, policy)
+    assert (len(decisions), state.makespan()) == (steps, makespan)
+    assert len(policy.lines) == 2 * steps
+    assert episode_digest(policy.lines) == digest
 
 
 def test_operation_lines_match_reference_encoder():
@@ -188,6 +194,11 @@ def test_parse_decision():
         parse_decision(line, 4)
     with pytest.raises(ProtocolError):
         parse_decision(json.dumps({"type": "decision", "step": 3, "choice": "x"}), 3)
+    # The step is a plain integer: true and 1.0 do not answer step 1.
+    for step in (True, 1.0, "1", None):
+        reply = json.dumps({"type": "decision", "step": step, "choice": 0})
+        with pytest.raises(ProtocolError, match="step must be an integer"):
+            parse_decision(reply, 1)
     with pytest.raises(ProtocolError):
         parse_decision("not json", 3)
     with pytest.raises(ProtocolError):
@@ -211,29 +222,27 @@ def test_rule_policy_roles():
 
 
 def test_run_episode_builtin_micro(i1):
-    policy = RulePolicy("SPT", "SCTA")
-    trace = run_episode(i1, policy, policy, solver_id="SPT+SCTA")
-    assert trace.makespan == 10
-    assert trace.reward == pytest.approx(-0.2, abs=1e-12)
-    assert len(trace.steps) == i1.total_ops
-    assert [s.job for s in trace.steps] == [0, 0]
-    assert trace.result.solver_id == "SPT+SCTA"
+    policy = RecordingPolicy("SPT", "SCTA")
+    state, decisions = run_episode(i1, policy, policy)
+    assert state.makespan() == 10
+    assert decisions == [(0, 0), (0, 0)]
+    assert json.loads(policy.terminal)["reward"] == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_run_episode_matches_direct_solve():
     inst = generate_instance(GenerationConfig(n=4, m=3, k=2, seed=8))
     policy = RulePolicy("MWR", "SPUT")
-    trace = run_episode(inst, policy, policy, solver_id="MWR+SPUT")
+    state, decisions = run_episode(inst, policy, policy)
     direct = solve(inst, "MWR", "SPUT")
-    assert trace.makespan == direct.makespan
-    assert trace.result.rows == direct.rows
+    assert state.makespan() == direct.makespan
+    assert tuple(decisions) == direct.decisions
 
 
 def test_run_episode_role_mismatch(i1):
     op_only = RulePolicy(op_rule="SPT")
     agv_only = RulePolicy(agv_rule="SCTA")
-    trace = run_episode(i1, op_only, agv_only)
-    assert trace.makespan == 10
+    state, _ = run_episode(i1, op_only, agv_only)
+    assert state.makespan() == 10
     with pytest.raises(ProtocolError):
         run_episode(i1, agv_only, agv_only)
 
@@ -259,15 +268,16 @@ def test_queries_alternate_once_per_step():
 
 
 def test_trace_reward_matches_recomputation():
-    from jsspt.engine import lower_bound
-
+    # The terminal line both deciders receive, field by field.
     inst = generate_instance(GenerationConfig(n=3, m=3, k=2, seed=12))
-    policy = RulePolicy("LWR", "SCPT")
-    trace = run_episode(inst, policy, policy)
-    assert len(trace.steps) == inst.total_ops
-    assert trace.reward == pytest.approx(
-        -trace.makespan / (lower_bound(inst) * 5.0), abs=1e-12
-    )
+    op_policy, agv_policy = RecordingPolicy(op_rule="LWR"), RecordingPolicy(agv_rule="SCPT")
+    state, decisions = run_episode(inst, op_policy, agv_policy)
+    assert len(decisions) == inst.total_ops
+    assert op_policy.terminal == agv_policy.terminal
+    msg = json.loads(op_policy.terminal)
+    assert msg.keys() == {"type", "step", "makespan", "reward"}
+    assert (msg["type"], msg["step"], msg["makespan"]) == ("terminal", inst.total_ops, state.makespan())
+    assert msg["reward"] == -state.makespan() / (lower_bound(inst) * 5)
 
 
 class _MaskedChooser(RulePolicy):
@@ -302,12 +312,10 @@ def test_external_rule_server_transparency(tmp_path):
         save_instance(inst, tmp_path)
     with ExternalPolicyClient(rule_server_cmd(tmp_path), timeout=20) as client:
         for inst in instances:
-            external = run_episode(inst, client, client, solver_id="SPT+SCTA")
-            builtin_policy = RulePolicy("SPT", "SCTA")
-            builtin = run_episode(inst, builtin_policy, builtin_policy, solver_id="SPT+SCTA")
-            assert external.steps == builtin.steps  # digests, jobs and agvs all match
-            assert external.makespan == builtin.makespan
-            assert external.result.rows == builtin.result.rows
+            state, decisions = run_episode(inst, client, client)
+            builtin, builtin_decisions = play(inst, "SPT", "SCTA")
+            assert decisions == builtin_decisions
+            assert state.makespan() == builtin.makespan()
 
 
 def test_external_endpoint_factory(tmp_path):
@@ -317,8 +325,8 @@ def test_external_endpoint_factory(tmp_path):
         " ".join(rule_server_cmd(tmp_path, "LWR", "SCPT")), role="joint-policy", timeout=20
     )
     with client:
-        trace = run_episode(inst, client, client, solver_id="LWR+SCPT")
-    assert trace.makespan == solve(inst, "LWR", "SCPT").makespan
+        state, _ = run_episode(inst, client, client)
+    assert state.makespan() == solve(inst, "LWR", "SCPT").makespan
 
 
 def _write_server_script(tmp_path, body: str):
@@ -420,7 +428,8 @@ def test_reply_split_across_writes_is_reassembled(tmp_path, i1):
         "        time.sleep(0.05)\n",
     )
     with ExternalPolicyClient(cmd, timeout=20) as client:
-        assert run_episode(i1, client, client).makespan == 10
+        state, _ = run_episode(i1, client, client)
+    assert state.makespan() == 10
 
 
 def test_two_replies_in_one_read_are_returned_in_order(tmp_path, i1):

@@ -46,7 +46,7 @@ def test_solve_single_combo(tmp_path, capsys):
     assert len(doc["rows"]) == 2
 
 
-def test_solve_all_combos(tmp_path, capsys):
+def test_solve_cli_sweeps_all_combos(tmp_path, capsys):
     path = save_instance(micro_instance(idle_leg=1), tmp_path)
     code = run_cli("solve", "--instance", str(path), "--all-combos")
     assert code == 0
@@ -205,6 +205,55 @@ def test_regress_cli(tmp_path, capsys):
     text = report_path.read_text()
     assert text.count("model,") == 5
     assert "R2," in text and "VIF" in text
+
+
+@pytest.mark.parametrize(
+    "mangle, column, named",
+    [
+        ("set-79.5", "makespan", "line 2, column 'makespan': must be an integer, got '79.5'"),
+        ("drop-column", "seed", "line 1: no 'seed' column"),
+        ("cut-row", "tau", "line 2: the row ends before column 'tau'"),
+    ],
+    ids=["float-makespan", "no-seed-column", "short-row"],
+)
+def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, column, named):
+    code = run_cli(
+        "grid", "--sizes", "2x2", "--rhos", "0.5", "--instances-per-cell", "1",
+        "--seed", "2", "--out", str(tmp_path),
+    )
+    assert code == 0
+    path = tmp_path / "grid_results.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    at = rows[0].index(column)
+    if mangle == "drop-column":
+        rows = [row[:at] + row[at + 1:] for row in rows]
+    elif mangle == "cut-row":
+        rows[1] = rows[1][:at]
+    else:
+        rows[1][at] = mangle.removeprefix("set-")
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    code = run_cli(
+        "regress", "--results", str(path), "--solver", "SPT+SCTA", "--baseline", "MOR+SCTA",
+    )
+    assert code == 3
+    assert capsys.readouterr().err == f"jsspt: document error: results table {named}\n"
+
+
+def test_bench_rejects_repeated_solver(tmp_path, capsys):
+    named = "jsspt: configuration error: solver 'SPT+SCTA' appears more than once in the plan"
+    code = run_cli(
+        "bench", "--sizes", "4x3", "--rhos", "0.5", "--instances", "3",
+        "--solvers", "SPT+SCTA,SPT+SCTA,MOR+SCTA", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert named in capsys.readouterr().err
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({**PLAN_FIELDS, "solvers": ["SPT+SCTA", "SPT+SCTA"]}))
+    code = run_cli("bench", "--plan", str(plan_path), "--out", str(tmp_path))
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_regress_join_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ from jsspt.harness import (
     summary_to_csv,
     tau_bin,
 )
-from jsspt import engine, harness, rules
+from jsspt import engine, rules
 from jsspt.instances import GRID_BINS, GenerationConfig, generate_instance
 from jsspt.metrics import ResultRecord, make_record, temporal_dominance
 from jsspt.rules import ALL_COMBOS, parse_combo, solve
@@ -153,9 +153,8 @@ def test_solve_instances_builds_no_schedule(monkeypatch):
     cells = ["p1_t1", "p1_t11", ""]
     want = []
     for instance, cell in zip(instances, cells):
-        for ident in ALL_COMBOS:
-            seed = harness._solver_seed(instance, ident)
-            result = solve(instance, *parse_combo(ident), seed=seed)
+        for index, ident in enumerate(ALL_COMBOS):
+            result = solve(instance, *parse_combo(ident), seed=(instance.seed, index))
             want.append(make_record(instance, result.solver_id, result.makespan, cell))
 
     def refuse(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Property tests over random instances and random valid decision sequences:
 the in-place and functional transitions agree, apply() never touches its
-parent, every rule schedule validates, play() agrees with solve(), every
+parent, every rule schedule validates, play() agrees with solve() and with
+run_episode() under a rule decider, sweep() agrees with solve(), every
 operation line equals the reference encoder's in any encoding order,
 documents load back equal, and the oracle bounds every combo."""
 
@@ -14,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import _reference_operation_line
-from jsspt.bridge import OPERATION_PHASE, serialize_observation
+from jsspt.bridge import OPERATION_PHASE, RulePolicy, run_episode, serialize_observation
 from jsspt.engine import JointAction, ScheduleState, load_result, save_result, validate_schedule
 from jsspt.errors import ActionError
 from jsspt.harness import ExperimentPlan, load_plan, plan_to_document
 from jsspt.instances import Instance, load_instance, save_instance
 from jsspt.oracle import brute_force_oracle
-from jsspt.rules import ALL_COMBOS, parse_combo, play, solve
+from jsspt.rules import ALL_COMBOS, parse_combo, play, solve, sweep
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -139,6 +140,29 @@ def test_play_agrees_with_solve_for_every_combo(instance, seed):
         assert tuple(decisions) == result.decisions
 
 
+@settings(max_examples=25, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_run_episode_agrees_with_play_for_every_combo(instance, seed):
+    for combo in ALL_COMBOS:
+        op_rule, agv_rule = parse_combo(combo)
+        policy = RulePolicy(op_rule, agv_rule, seed)
+        state, decisions = run_episode(instance, policy, policy)
+        played, played_decisions = play(instance, op_rule, agv_rule, seed)
+        assert decisions == played_decisions
+        assert state.makespan() == played.makespan()
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_sweep_agrees_with_solve_for_every_combo(instance, seed):
+    makespans = sweep(instance, seed=seed)
+    assert len(makespans) == len(ALL_COMBOS)
+    for index, combo in enumerate(ALL_COMBOS):
+        result = solve(instance, *parse_combo(combo), seed=(seed, index))
+        assert validate_schedule(result, instance) == []
+        assert makespans[index] == result.makespan
+
+
 @SETTINGS
 @given(st.data())
 def test_operation_lines_match_reference_in_any_encoding_order(data):
@@ -177,7 +201,8 @@ def test_schedule_document_round_trips(instance, combo, seed):
             min_size=1, max_size=6,
         ).map(tuple),
         instances_per_config=st.integers(1, 10**6),
-        solvers=st.lists(st.sampled_from(ALL_COMBOS), min_size=1, max_size=5).map(tuple),
+        solvers=st.lists(st.sampled_from(ALL_COMBOS), min_size=1, max_size=5, unique=True)
+        .map(tuple),
         seed=st.integers(0, 2**64),
     )
 )

@@ -42,10 +42,15 @@ def test_serves_one_step(tmp_path):
 
 @pytest.mark.parametrize("step", [0, 7, 10**20, True, 1.5, "3", None])
 def test_decision_lines_are_canonical(tmp_path, step):
-    # An int step is written directly; every other step through the encoder.
+    # A decision line is the encoder's text; a step that is not a plain
+    # integer (a bool included) is a protocol error.
     lines = [_hello(tmp_path), {"type": "observation", "step": step, "phase": "operation"}]
     out = io.StringIO()
     stdin = io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
+    if type(step) is not int:
+        with pytest.raises(ProtocolError, match="step must be an integer"):
+            serve("SPT", "SCTA", tmp_path, stdin=stdin, stdout=out)
+        return
     serve("SPT", "SCTA", tmp_path, stdin=stdin, stdout=out)
     expected = encode_message({"type": "decision", "step": step, "choice": 0})
     assert out.getvalue().splitlines()[1] == expected

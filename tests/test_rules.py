@@ -19,7 +19,7 @@ from jsspt.rules import (
     select_agv,
     select_operation,
     solve,
-    solve_all_combos,
+    sweep,
 )
 
 
@@ -135,11 +135,9 @@ def test_select_agv_invalid_job(i1):
 
 def test_solve_micro_all_combos_force_ten():
     inst = micro_instance()
-    sweep = solve_all_combos(inst, seed=0)
-    assert len(sweep.results) == 40
-    assert all(r.makespan == 10 for r in sweep.results)
-    assert sweep.best_makespan == 10
-    for result in sweep.results:
+    assert sweep(inst, seed=0) == [10] * 40
+    for index, ident in enumerate(ALL_COMBOS):
+        result = solve(inst, *parse_combo(ident), seed=(0, index))
         assert validate_schedule(result, inst) == []
 
 
@@ -174,10 +172,12 @@ def test_random_combo_always_valid():
 
 def test_best_combo_bounds_all_makespans():
     inst = generate_instance(GenerationConfig(n=4, m=4, k=2, seed=33))
-    sweep = solve_all_combos(inst, seed=1)
-    assert sweep.best_makespan == min(r.makespan for r in sweep.results)
-    best = next(r for r in sweep.results if r.solver_id == sweep.best_solver)
-    assert best.makespan == sweep.best_makespan
+    makespans = sweep(inst, seed=1)
+    best = makespans.index(min(makespans))
+    assert solve(inst, *parse_combo(ALL_COMBOS[best]), seed=(1, best)).makespan == min(makespans)
+    # A subset sweeps each combo with its own stream, in the order given.
+    picked = (ALL_COMBOS[best], "RANDOM+RANDOM", ALL_COMBOS[0])
+    assert sweep(inst, picked, seed=1) == [makespans[ALL_COMBOS.index(c)] for c in picked]
 
 
 def test_replaying_decisions_reproduces_schedule():
@@ -342,11 +342,11 @@ def test_golden_bench_digests():
     assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_RESULTS_CSV
     docs = [
         json.dumps(
-            result_to_document(solve(inst, *parse_combo(ident), seed=harness._solver_seed(inst, ident))),
+            result_to_document(solve(inst, *parse_combo(ident), seed=(inst.seed, index))),
             separators=(",", ":"),
         )
         for inst in insts
-        for ident in plan.solvers
+        for index, ident in enumerate(plan.solvers)
     ]
     assert len(docs) == 480
     assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == GOLDEN_SCHEDULE_DOCS
