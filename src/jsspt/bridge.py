@@ -133,9 +133,10 @@ def _scaled_texts(values, lo: int, hi: int, heads=None) -> list[str]:
     With num = v - lo and span = hi - lo, q is num/span in millionths
     rounded half up, and r is 0 only at an exact 7th-digit tie. For
     span <= 10**5 a rational that is not a tie lies at least 5e-12 from one,
-    far beyond the error of the double num / span, so both round to q. Ties,
-    larger spans, 1.0 and values below 1e-4 (which repr writes with an
-    exponent) take the float path."""
+    far beyond the error of the double num / span, so both round to q. The
+    endpoints num == 0 and num == span are exact; ties, larger spans and
+    values below 1e-4 (which repr writes with an exponent) take the float
+    path."""
     span = hi - lo
     if heads is None:
         heads = [""] * len(values)
@@ -151,6 +152,10 @@ def _scaled_texts(values, lo: int, hi: int, heads=None) -> list[str]:
         if r and 100 <= q < 1_000_000:
             a, b = divmod(q, 1000)
             texts.append(head + _MILLI[a] + _DIGITS3[b] if b else head + _MILLI_SHORT[a])
+        elif v == lo:
+            texts.append(head + "0.0")
+        elif v == hi:
+            texts.append(head + "1.0")
         else:
             texts.append(head + _round6_text((v - lo) / span))
     return texts

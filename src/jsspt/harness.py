@@ -364,16 +364,28 @@ def records_to_csv(records: list[ResultRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
-    """The records of a results table. A missing column, a short row or a
-    cell that is not a number of its column's type raises DocumentError
-    naming the line and the column."""
+    """The records of a results table. A missing column, a short or long
+    row, a cell that is not a number of its column's type or a repeated
+    (instance, solver) pair raises DocumentError naming the line."""
     reader = csv.DictReader(io.StringIO(text))
     for column in RESULT_COLUMNS:
         if column not in (reader.fieldnames or ()):
             raise DocumentError(f"results table line 1: no {column!r} column")
     records = []
+    lines: dict[tuple[str, str], int] = {}
     for row in reader:
         line = reader.line_num
+        if None in row:  # csv.DictReader files surplus cells under None
+            raise DocumentError(
+                f"results table line {line}: the row runs past column {reader.fieldnames[-1]!r}"
+            )
+        pair = (row["instance"], row["solver"])
+        if pair in lines:
+            raise DocumentError(
+                f"results table line {line}: instance {pair[0]!r}, solver {pair[1]!r} "
+                f"repeats line {lines[pair]}"
+            )
+        lines[pair] = line
         records.append(
             ResultRecord(
                 instance_id=row["instance"],

@@ -155,10 +155,21 @@ def solve(instance: Instance, op_rule, agv_rule, seed=0) -> ScheduleResult:
 def sweep(instance: Instance, solver_ids=ALL_COMBOS, seed=0) -> list[int]:
     """The makespan of each combo in `solver_ids`, in order. Combo c plays
     with seed (seed, ALL_COMBOS.index(c)), so RANDOM streams are independent
-    per combo and do not depend on which other combos run."""
+    per combo and do not depend on which other combos run.
+
+    Each distinct decision process is played once: a repeated combo, and
+    X+SCTA beside X+SPUT for a non-RANDOM operation rule X, reuse one
+    episode's makespan (select_agv gives SPUT and SCTA one argmin, and
+    neither consumes the stream)."""
+    played: dict[tuple[OperationRule, AgvRule], int] = {}
     makespans = []
     for ident in solver_ids:
         op_rule, agv_rule = parse_combo(ident)
-        state, _ = play(instance, op_rule, agv_rule, seed=(seed, ALL_COMBOS.index(ident)))
-        makespans.append(state.makespan())
+        key = (op_rule, agv_rule)
+        if agv_rule is AgvRule.SCTA and op_rule is not OperationRule.RANDOM:
+            key = (op_rule, AgvRule.SPUT)
+        if key not in played:
+            state, _ = play(instance, op_rule, agv_rule, seed=(seed, ALL_COMBOS.index(ident)))
+            played[key] = state.makespan()
+        makespans.append(played[key])
     return makespans

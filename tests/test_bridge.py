@@ -14,6 +14,7 @@ from helpers import (
     random_small_instance,
     zero_transport,
 )
+from jsspt import bridge
 from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
@@ -133,6 +134,17 @@ def test_scaled_texts_are_repr_of_rounded_ratio():
         values = [lo + num for num in nums]
         assert _scaled_texts(values, lo, lo + span) == [repr(round(num / span, 6)) for num in nums]
     assert _scaled_texts([4, 4], 4, 4) == ["0.0", "0.0"]
+
+
+def test_scaled_text_endpoints_skip_the_float_path(monkeypatch):
+    def float_path(value):
+        raise AssertionError(f"float path taken for {value!r}")
+
+    monkeypatch.setattr(bridge, "_round6_text", float_path)
+    for span in range(1, 1001):
+        lo = 7 * span
+        want = ["a" + repr(round(0 / span, 6)), "b" + repr(round(span / span, 6))]
+        assert _scaled_texts([lo, lo + span], lo, lo + span, ["a", "b"]) == want
 
 
 def _reference_agv_line(state, job):

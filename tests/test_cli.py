@@ -213,8 +213,10 @@ def test_regress_cli(tmp_path, capsys):
         ("set-79.5", "makespan", "line 2, column 'makespan': must be an integer, got '79.5'"),
         ("drop-column", "seed", "line 1: no 'seed' column"),
         ("cut-row", "tau", "line 2: the row ends before column 'tau'"),
+        ("extend-row", "seed", "line 2: the row runs past column 'seed'"),
+        ("repeat-row", "instance", "line 3: instance '{0}', solver '{1}' repeats line 2"),
     ],
-    ids=["float-makespan", "no-seed-column", "short-row"],
+    ids=["float-makespan", "no-seed-column", "short-row", "long-row", "repeated-pair"],
 )
 def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, column, named):
     code = run_cli(
@@ -229,6 +231,10 @@ def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, colum
         rows = [row[:at] + row[at + 1:] for row in rows]
     elif mangle == "cut-row":
         rows[1] = rows[1][:at]
+    elif mangle == "extend-row":
+        rows[1] = rows[1] + ["7"]
+    elif mangle == "repeat-row":
+        rows[2] = rows[1]
     else:
         rows[1][at] = mangle.removeprefix("set-")
     path.write_text("".join(",".join(row) + "\n" for row in rows))
@@ -237,6 +243,7 @@ def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, colum
         "regress", "--results", str(path), "--solver", "SPT+SCTA", "--baseline", "MOR+SCTA",
     )
     assert code == 3
+    named = named.format(*rows[1])
     assert capsys.readouterr().err == f"jsspt: document error: results table {named}\n"
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, micro_instance, random_small_instance, zero_transport
-from jsspt import harness
+from jsspt import harness, rules
 from jsspt.engine import JointAction, ScheduleState, lower_bound, result_to_document, validate_schedule
 from jsspt.errors import ActionError, StateError
 from jsspt.instances import LOAD, GenerationConfig, generate_instance
@@ -322,6 +322,30 @@ def test_sput_and_scta_choose_alike():
                 assert select_agv(AgvRule.SPUT, state, job) == select_agv(AgvRule.SCTA, state, job)
         for rule in DETERMINISTIC_OP_RULES:
             assert solve(inst, rule, AgvRule.SPUT).rows == solve(inst, rule, AgvRule.SCTA).rows
+
+
+def test_sweep_plays_each_decision_process_once(monkeypatch):
+    inst = generate_instance(GenerationConfig(n=5, m=4, k=3, seed=12))
+    full = sweep(inst, seed=3)
+    play = rules.play
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "play", counted)
+    for combos, episodes in [
+        (ALL_COMBOS, 31),
+        (("SPT+SPUT", "SPT+SCTA"), 1),
+        (("SPT+SCTA",), 1),
+        (("RANDOM+SPUT", "RANDOM+SCTA"), 2),
+        (("MOR+SCTA", "MOR+SCTA"), 1),
+    ]:
+        del calls[:]
+        makespans = sweep(inst, combos, seed=3)
+        assert len(calls) == episodes, combos
+        assert makespans == [full[ALL_COMBOS.index(c)] for c in combos]
 
 
 def test_valid_operations_is_a_fresh_copy():
