@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import select
 import shlex
 import subprocess
+import sys
 import weakref
 from time import monotonic
 from typing import NamedTuple
@@ -254,6 +256,53 @@ def _agv_line(state: ScheduleState, job: int) -> str:
     )
 
 
+# -- canonical line grammars ----------------------------------------------------
+#
+# Full-match grammars for the three texts the v1 encoders and the reference
+# server write: the operation line's head (from "{" up to its edge lists), the
+# AGV line and the decision reply. Either end reads a canonical line through
+# them instead of json.loads. They accept only valid JSON: fixed keys in the
+# encoders' order, no whitespace, ASCII digits without leading zeros. So a
+# match has one reading, and its groups are what json.loads gives. Any other
+# line, valid or not, is left to parse_message.
+
+
+def _full_match(pattern: str):
+    if sys.version_info < (3, 11):
+        # Possessive repeats arrived in 3.11. Each repeat here is followed by a
+        # character it cannot take, so plain repeats accept the same lines;
+        # they only backtrack longer on a line that fails.
+        pattern = re.sub(r"([*+?])\+", r"\1", pattern)
+    return re.compile(pattern).fullmatch
+
+
+_INT = "(?:0|[1-9][0-9]*+)"  # a non-negative JSON integer
+# A scaled feature as _round6_text writes it: 0.0 to 1.0, or 1e-06 to 9.9e-05.
+_SCALED = r"[0-9](?:\.[0-9]++)?+(?:e-[0-9]++)?+"
+
+
+def _list(item: str) -> str:
+    return rf"\[(?:{item}(?:,{item})*+)?+\]"
+
+
+_OBSERVATION = rf'\{{"type":"observation","schema":{SCHEMA_VERSION},"step":({_INT}),'
+_OPERATION_ROW = rf"\[{_INT},{_INT},{_INT},[01],{_INT},{_SCALED}\]"  # job,op,machine,s,raw,bound
+_MACHINE_ROW = rf"\[{_INT},0,{_SCALED}\]"  # machine, the flag 0, ratio
+_AGV_ROW = r"\[" + ",".join([_INT] * 7 + [_SCALED] * 6) + r"\]"  # vehicle, 6 raw, 6 scaled
+# Groups: step.
+match_operation_head = _full_match(
+    rf'{_OBSERVATION}"phase":"{OPERATION_PHASE}","mask":{_list(_INT)},'
+    rf'"operations":{_list(_OPERATION_ROW)},"machines":{_list(_MACHINE_ROW)}'
+)
+# Groups: step, selected_job.
+match_agv_line = _full_match(
+    rf'{_OBSERVATION}"phase":"{AGV_PHASE}","selected_job":({_INT}),'
+    rf'"mask":{_list(_INT)},"agvs":{_list(_AGV_ROW)}\}}'
+)
+# Groups: step, choice.
+match_decision = _full_match(rf'\{{"type":"decision","step":({_INT}),"choice":({_INT})\}}')
+
+
 def serialize_observation(
     state: ScheduleState, phase: str, selected_op: int | None = None
 ) -> str:
@@ -281,7 +330,11 @@ def parse_message(line: str) -> dict:
 
 def parse_decision(line: str, expected_step: int) -> int:
     """Extract the chosen index from a decision reply; the reply must answer
-    the pending step."""
+    the pending step. A canonical reply to the pending step is read by its
+    grammar; any other reply is parsed, to accept it or name its fault."""
+    match = match_decision(line)
+    if match is not None and int(match[1]) == expected_step:
+        return int(match[2])
     msg = parse_message(line)
     if msg.get("type") != "decision":
         raise ProtocolError(f"expected a decision line, got type {msg.get('type')!r}")

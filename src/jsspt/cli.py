@@ -12,38 +12,16 @@ import argparse
 import dataclasses
 import json
 import os
-import sys
 from pathlib import Path
 
 from . import harness
 from .engine import save_result
-from .errors import (
-    ActionError,
-    ConfigurationError,
-    DocumentError,
-    JssptError,
-    MetricError,
-    OracleLimitError,
-    ProtocolError,
-    StateError,
-    TransportError,
-)
+from .errors import ConfigurationError, JssptError, report_error
 from .instances import GenerationConfig, generate_instance, load_instance, save_instance
 from .oracle import brute_force_oracle
 from .rules import ALL_COMBOS, parse_combo, solve, sweep
 
 ENV_OUT_DIR = "JSSPT_OUT"
-
-_ERROR_CATEGORIES = (
-    (ConfigurationError, 2, "configuration"),
-    (DocumentError, 3, "document"),
-    (OracleLimitError, 7, "refused"),
-    (ProtocolError, 5, "protocol"),
-    (TransportError, 6, "transport"),
-    (ActionError, 4, "compute"),
-    (StateError, 4, "compute"),
-    (MetricError, 4, "compute"),
-)
 
 
 def _out_dir(value: str | None) -> Path:
@@ -293,16 +271,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except JssptError as exc:
-        for err_type, code, category in _ERROR_CATEGORIES:
-            if isinstance(exc, err_type):
-                print(f"jsspt: {category} error: {exc}", file=sys.stderr)
-                return code
-        print(f"jsspt: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"jsspt: io error: {exc}", file=sys.stderr)
-        return 3
+    except (JssptError, OSError) as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

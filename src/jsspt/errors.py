@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Every error raised on purpose derives from JssptError so the CLI can map
-failure categories to exit codes without string matching.
+Every error raised on purpose derives from JssptError so the CLI and the rule
+server can map failure categories to exit codes without string matching.
 """
+
+import sys
 
 
 class JssptError(Exception):
@@ -46,3 +48,28 @@ class TransportError(JssptError):
 
 class OracleLimitError(JssptError):
     """The exhaustive oracle refused an instance above its search limits."""
+
+
+# (error type, exit code, category), first match wins.
+_ERROR_CATEGORIES = (
+    (ConfigurationError, 2, "configuration"),
+    (DocumentError, 3, "document"),
+    (OracleLimitError, 7, "refused"),
+    (ProtocolError, 5, "protocol"),
+    (TransportError, 6, "transport"),
+    (ActionError, 4, "compute"),
+    (StateError, 4, "compute"),
+    (MetricError, 4, "compute"),
+    (OSError, 3, "io"),
+)
+
+
+def report_error(exc: JssptError | OSError) -> int:
+    """Print the error with its category prefix on stderr; returns its exit
+    code (1 for an uncategorized JssptError)."""
+    for err_type, code, category in _ERROR_CATEGORIES:
+        if isinstance(exc, err_type):
+            print(f"jsspt: {category} error: {exc}", file=sys.stderr)
+            return code
+    print(f"jsspt: error: {exc}", file=sys.stderr)
+    return 1

@@ -19,9 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import PROTOCOL_VERSION, encode_message, parse_message
+from .bridge import (
+    PROTOCOL_VERSION,
+    encode_message,
+    match_agv_line,
+    match_operation_head,
+    parse_message,
+)
 from .engine import ScheduleState
-from .errors import ProtocolError
+from .errors import JssptError, ProtocolError, report_error
 from .instances import load_instance
 from .rules import AgvRule, OperationRule, select_agv, select_operation
 
@@ -48,16 +54,42 @@ def _edge_tail(line: str) -> str | None:
     return tail
 
 
+def _read_canonical(line: str, tail: str | None) -> tuple[str, int, int | None] | None:
+    """(phase, step, selected_job) of a canonical observation line, read by
+    the bridge grammars: an operation line ending in the kept tail, whose head
+    matches, or an AGV line. None for any other line."""
+    if tail is not None and line.endswith(tail):
+        match = match_operation_head(line, 0, len(line) - len(tail))
+        return None if match is None else ("operation", int(match[1]), None)
+    match = match_agv_line(line)
+    return None if match is None else ("agv", int(match[1]), int(match[2]))
+
+
+def _instance_path(instances_dir: Path, msg: dict) -> Path:
+    """The document a hello names: <instance>.json directly in instances_dir."""
+    name = _field(msg, "instance")
+    if type(name) is not str or name in ("", "..") or "\0" in name or Path(name).name != name:
+        raise ProtocolError(f"hello instance must be a plain file stem, got {name!r}")
+    path = instances_dir / f"{name}.json"
+    if not path.exists():
+        raise ProtocolError(f"hello instance {name!r} is not in {instances_dir}")
+    return path
+
+
 def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
           stdin=None, stdout=None) -> None:
     """Answer protocol v1 lines until stdin closes; a line the protocol does
     not allow raises ProtocolError naming the missing field or bad value.
 
-    The server reads no edge list, and those are the same on every operation
-    line of an episode. So a line ending in the validated edge tail of the
-    last operation line parsed in full is parsed as head + "}": a typed
-    object there means head + tail is valid JSON with the same other members.
-    Any other line is parsed in full, so every invalid line is rejected."""
+    A canonical observation line is read by the bridge grammars, without
+    json.loads. The server reads no edge list, and those are the same on
+    every operation line of an episode. So once an operation line has parsed
+    in full, a later line ending in its validated edge tail is matched up to
+    that tail: a match means the whole line is valid JSON with the matched
+    members. A canonical AGV line is matched whole. Any other line is parsed:
+    a line ending in the tail as head + "}", where a typed object means
+    head + tail is valid JSON with the same other members, and else in full,
+    so every invalid line is rejected."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     op_rule = OperationRule(op_rule)
@@ -75,44 +107,53 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
         line = line.strip()
         if not line:
             continue
-        msg = None
-        if tail is not None and line.endswith(tail):
-            try:
-                msg = parse_message(line[: -len(tail)] + "}")
-            except ProtocolError:
-                pass
-        if msg is None:
-            msg = parse_message(line)
-            if msg.get("type") == "observation" and msg.get("phase") == "operation":
-                tail = _edge_tail(line)
-        kind = msg["type"]
-        if kind == "hello":
-            tail = None
-            instance = load_instance(instances_dir / f"{_field(msg, 'instance')}.json")
-            state = ScheduleState(instance)
-            rng = np.random.default_rng(seed)
-            stdout.write(encode_message({"type": "ready", "version": PROTOCOL_VERSION}) + "\n")
-            stdout.flush()
-        elif kind == "observation":
+        canonical = _read_canonical(line, tail)
+        if canonical is not None:
+            phase, step, job = canonical
+        else:
+            msg = None
+            if tail is not None and line.endswith(tail):
+                try:
+                    msg = parse_message(line[: -len(tail)] + "}")
+                except ProtocolError:
+                    pass
+            if msg is None:
+                msg = parse_message(line)
+                if msg.get("type") == "observation" and msg.get("phase") == "operation":
+                    tail = _edge_tail(line)
+            kind = msg["type"]
+            if kind == "hello":
+                tail = None
+                state = ScheduleState(load_instance(_instance_path(instances_dir, msg)))
+                rng = np.random.default_rng(seed)
+                stdout.write(encode_message({"type": "ready", "version": PROTOCOL_VERSION}) + "\n")
+                stdout.flush()
+                continue
+            if kind == "terminal":
+                state = None
+                continue
+            if kind != "observation":
+                raise ProtocolError(f"unexpected message type {kind!r}")
             phase = _field(msg, "phase")
             step = _field(msg, "step")
             if type(step) is not int:
                 raise ProtocolError(f"observation step must be an integer, got {step!r}")
-            if state is None:
-                raise ProtocolError("observation before any hello")
-            if phase == "operation":
-                decide(step, select_operation(op_rule, state, rng))
-            elif phase == "agv":
+        if state is None:
+            raise ProtocolError("observation before any hello")
+        if phase == "operation":
+            decide(step, select_operation(op_rule, state, rng))
+        elif phase == "agv":
+            if canonical is None:
                 job = _field(msg, "selected_job")
-                agv = select_agv(agv_rule, state, job, rng)
-                decide(step, agv)
-                state.advance(job, agv)
-            else:
-                raise ProtocolError(f"unknown observation phase {phase!r}")
-        elif kind == "terminal":
-            state = None
+                if type(job) is not int:
+                    raise ProtocolError(f"selected_job must be an integer, got {job!r}")
+            if job not in state.frontier:
+                raise ProtocolError(f"selected_job {job} is not an unfinished job")
+            agv = select_agv(agv_rule, state, job, rng)
+            decide(step, agv)
+            state.advance(job, agv)
         else:
-            raise ProtocolError(f"unexpected message type {kind!r}")
+            raise ProtocolError(f"unknown observation phase {phase!r}")
 
 
 def main(argv=None) -> int:
@@ -132,9 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         serve(args.op_rule, args.agv_rule, args.instances_dir, args.seed)
-    except ProtocolError as exc:
-        print(f"jsspt: protocol error: {exc}", file=sys.stderr)
-        return 5
+    except (JssptError, OSError) as exc:
+        return report_error(exc)
     return 0
 
 

@@ -1,25 +1,49 @@
 """Property tests over random instances and random valid decision sequences:
 the in-place and functional transitions agree, apply() never touches its
-parent, every rule schedule validates, play() agrees with solve() and with
-run_episode() under a rule decider, sweep() agrees with solve(), every
-operation line equals the reference encoder's in any encoding order,
+parent, every rule schedule validates and every single-field change to it is
+reported, play() agrees with solve() and with run_episode() under a rule
+decider, sweep() agrees with solve(), every operation line equals the
+reference encoder's in any encoding order, the canonical-line grammars read
+every encoder line as json.loads does and never change what a line gets,
 documents load back equal, and the oracle bounds every combo."""
 
 import copy
+import dataclasses
+import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import _reference_operation_line
-from jsspt.bridge import OPERATION_PHASE, RulePolicy, run_episode, serialize_observation
-from jsspt.engine import JointAction, ScheduleState, load_result, save_result, validate_schedule
+from jsspt import bridge, rule_server
+from jsspt.bridge import (
+    AGV_PHASE,
+    OPERATION_PHASE,
+    RulePolicy,
+    encode_message,
+    hello_message,
+    match_decision,
+    parse_decision,
+    run_episode,
+    serialize_observation,
+)
+from jsspt.engine import (
+    JointAction,
+    OpRow,
+    ScheduleState,
+    load_result,
+    save_result,
+    validate_schedule,
+)
 from jsspt.errors import ActionError
 from jsspt.harness import ExperimentPlan, load_plan, plan_to_document
 from jsspt.instances import Instance, load_instance, save_instance
+from jsspt.rule_server import _edge_tail, _read_canonical, serve
 from jsspt.oracle import brute_force_oracle
 from jsspt.rules import ALL_COMBOS, parse_combo, play, solve, sweep
 
@@ -216,3 +240,160 @@ def test_oracle_optimum_bounds_every_combo(instance, seed):
     optimum = brute_force_oracle(instance).makespan
     for combo in ALL_COMBOS:
         assert optimum <= solve(instance, *parse_combo(combo), seed=seed).makespan
+
+
+@SETTINGS
+@given(instances(), st.sampled_from(ALL_COMBOS), st.integers(0, 2**32 - 1))
+def test_every_single_field_change_to_a_schedule_is_reported(instance, combo, seed):
+    result = solve(instance, *parse_combo(combo), seed=seed)
+    changed = [dataclasses.replace(result, makespan=result.makespan + d) for d in (-1, 1)]
+    for r, row in enumerate(result.rows):
+        for field in OpRow._fields:
+            for d in (-1, 1):
+                rows = list(result.rows)
+                rows[r] = row._replace(**{field: getattr(row, field) + d})
+                changed.append(dataclasses.replace(result, rows=tuple(rows)))
+    for s, (job, agv) in enumerate(result.decisions):
+        for pair in ((job - 1, agv), (job + 1, agv), (job, agv - 1), (job, agv + 1)):
+            decisions = list(result.decisions)
+            decisions[s] = pair
+            changed.append(dataclasses.replace(result, decisions=tuple(decisions)))
+    for forged in changed:
+        assert validate_schedule(forged, instance) != []
+
+
+# -- canonical-line grammars ---------------------------------------------------
+
+def transcript(data, instance) -> list[str]:
+    """The v1 lines of one random episode, from hello to terminal."""
+    lines = [hello_message(instance)]
+    state = ScheduleState(instance)
+    for job, agv in random_actions(data, instance):
+        lines.append(serialize_observation(state, OPERATION_PHASE))
+        lines.append(serialize_observation(state, AGV_PHASE, selected_op=job))
+        state.advance(job, agv)
+    lines.append(encode_message({"type": "terminal", "step": state.steps}))
+    return lines
+
+
+def no_match(*args):
+    return None
+
+
+def served(instances_dir, lines, fast=True):
+    """What serve writes for the lines, and the error it ends with (type and
+    message) or None. fast=False turns the grammars off: every line then
+    takes the parse_message path."""
+    out = io.StringIO()
+    with mock.patch.object(rule_server, "match_operation_head",
+                           bridge.match_operation_head if fast else no_match), \
+            mock.patch.object(rule_server, "match_agv_line", bridge.match_agv_line if fast else no_match):
+        try:
+            serve("SPT", "SCTA", instances_dir, stdin=io.StringIO("".join(l + "\n" for l in lines)),
+                  stdout=out)
+        except Exception as exc:
+            return out.getvalue(), (type(exc), str(exc))
+    return out.getvalue(), None
+
+
+def fields(line) -> tuple:
+    msg = json.loads(line)
+    return msg["type"], msg.get("phase"), msg["step"], msg.get("selected_job")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_lines_take_the_fast_path(data):
+    # Every encoder line after an episode's first operation line is read by
+    # a grammar, as json.loads reads it; so is every decision reply, at both
+    # ends. The server parses only hello, that first line and terminal.
+    instance = data.draw(instances(min_leg=1))
+    lines = transcript(data, instance)
+    tail = _edge_tail(lines[1])
+    for line in lines[2:-1]:
+        kind, phase, step, job = fields(line)
+        assert (kind, *_read_canonical(line, tail)) == ("observation", phase, step, job)
+    parsed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instance(instance, tmp)
+        with mock.patch.object(rule_server, "parse_message",
+                               side_effect=lambda line: parsed.append(line) or bridge.parse_message(line)):
+            replies, error = served(Path(tmp), lines)
+    assert error is None
+    assert parsed == [lines[0], lines[1], lines[-1]]
+    with mock.patch.object(bridge, "parse_message", side_effect=AssertionError):
+        for reply in replies.splitlines()[1:]:
+            msg = json.loads(reply)
+            match = match_decision(reply)
+            assert ("decision", int(match[1]), int(match[2])) == (msg["type"], msg["step"], msg["choice"])
+            assert parse_decision(reply, msg["step"]) == msg["choice"]
+
+
+@pytest.mark.parametrize("value", ["1.5", "1e2", "1.0", "-1", "01", "true", '"1"', "null"])
+def test_step_or_job_that_is_not_a_plain_integer_is_parsed(tmp_path, value):
+    instance = Instance("prop", 2, 1, 1, ((0,), (0,)), ((3, 0), (4, 0)),
+                        ((0, 1, 2), (1, 0, 1), (2, 1, 0)), seed=0)
+    save_instance(instance, tmp_path)
+    state = ScheduleState(instance)
+    hello, first = hello_message(instance), serialize_observation(state, OPERATION_PHASE)
+    agv = serialize_observation(state, AGV_PHASE, selected_op=1)
+    for line in (first.replace('"step":0', f'"step":{value}'),
+                 agv.replace('"step":0', f'"step":{value}'),
+                 agv.replace('"selected_job":1', f'"selected_job":{value}')):
+        assert _read_canonical(line, _edge_tail(first)) is None
+        assert served(tmp_path, [hello, first, line]) == served(tmp_path, [hello, first, line], fast=False)
+
+
+# Single-character edits: JSON punctuation, digits, letters, whitespace and a
+# non-ASCII digit.
+EDIT_CHARS = '0123456789-+.eE,:[]{}"atx \t\u0663'
+
+
+@st.composite
+def edited(draw, line):
+    """The line with one character inserted, deleted or replaced: near the
+    start, at a digit or anywhere."""
+    digits = [i for i, c in enumerate(line) if c.isdigit()]
+    at = draw(st.one_of(st.integers(0, min(len(line), 90)), st.sampled_from(digits),
+                        st.integers(0, len(line))))
+    how = draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = draw(st.one_of(st.sampled_from("0123456789"), st.sampled_from(EDIT_CHARS)))
+    if how == "insert":
+        return line[:at] + char + line[at:]
+    return line[:at] + (char if how == "replace" else "") + line[at + 1:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_edited_lines_get_what_the_parser_gives(data):
+    # A line a grammar accepts is valid JSON with the matched values; any
+    # edited line gets the same replies and the same error with the grammars
+    # on as with every line parsed.
+    instance = data.draw(instances(min_leg=1))
+    lines = transcript(data, instance)
+    tail = _edge_tail(lines[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instance(instance, tmp)
+        for _ in range(12):
+            line = data.draw(edited(data.draw(st.sampled_from(lines[1:-1]))))
+            canonical = _read_canonical(line, tail)
+            if canonical is not None:
+                assert fields(line) == ("observation", *canonical)
+            prefix = [lines[0], lines[1]]
+            assert served(Path(tmp), prefix + [line]) == served(Path(tmp), prefix + [line], fast=False)
+
+    step = data.draw(st.integers(0, 10**6))
+    reply = data.draw(edited(encode_message({"type": "decision", "step": step, "choice": 3})))
+    match = match_decision(reply)
+    if match is not None:
+        msg = json.loads(reply)
+        assert (msg["type"], msg["step"], msg["choice"]) == ("decision", int(match[1]), int(match[2]))
+
+    def outcome(fast):
+        with mock.patch.object(bridge, "match_decision", match_decision if fast else no_match):
+            try:
+                return parse_decision(reply, step)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+    assert outcome(True) == outcome(False)

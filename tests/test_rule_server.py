@@ -1,12 +1,20 @@
 import io
 import json
+import subprocess
 import sys
 
 import pytest
 
 from helpers import micro_instance
 from jsspt import rule_server
-from jsspt.bridge import OPERATION_PHASE, encode_message, hello_message, serialize_observation
+from jsspt.bridge import (
+    AGV_PHASE,
+    OPERATION_PHASE,
+    encode_message,
+    hello_message,
+    match_agv_line,
+    serialize_observation,
+)
 from jsspt.engine import ScheduleState
 from jsspt.errors import ProtocolError
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
@@ -90,6 +98,76 @@ def test_main_maps_protocol_error_to_exit_5(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("jsspt: protocol error: ")
 
 
+@pytest.mark.parametrize("name", ["missing", "../micro", "/micro", "a/micro", "", "..", "micro\0",
+                                  5, None, ["micro"]])
+def test_hello_names_a_plain_stem_in_the_instances_dir(tmp_path, name):
+    # micro.json sits one level above the instances dir, where "../micro"
+    # would find it.
+    hello = dict(_hello(tmp_path), instance=name)
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(ProtocolError, match="hello instance"):
+        _serve(tmp_path / "sub", hello)
+
+
+def _observation(step, phase, **fields):
+    return {"type": "observation", "schema": 1, "step": step, "phase": phase, **fields}
+
+
+@pytest.mark.parametrize("job", ["a", 1.0, True, None, -1, 99])
+def test_selected_job_must_be_an_unfinished_job(tmp_path, job):
+    message = "must be an integer" if type(job) is not int else f"selected_job {job} "
+    with pytest.raises(ProtocolError, match=message):
+        _serve(tmp_path, _hello(tmp_path), _observation(0, "agv", selected_job=job))
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["matched", "parsed"])
+def test_finished_job_is_a_protocol_error(tmp_path, canonical):
+    # micro has one job of two operations (M1, then unload): the third AGV
+    # line names a finished job.
+    inst = micro_instance(idle_leg=1)
+    save_instance(inst, tmp_path)
+    line = serialize_observation(ScheduleState(inst), AGV_PHASE, selected_op=0)
+    if not canonical:
+        line = json.dumps(json.loads(line))  # with spaces after the separators
+    assert bool(match_agv_line(line)) == canonical
+    lines = [hello_message(inst)] + [line] * 3
+    with pytest.raises(ProtocolError, match="selected_job 0 is not an unfinished job"):
+        serve("SPT", "SCTA", tmp_path, stdin=io.StringIO("".join(l + "\n" for l in lines)),
+              stdout=io.StringIO())
+
+
+def _main(tmp_path, monkeypatch, *lines):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(json.dumps(l) + "\n" for l in lines)))
+    return main(["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)])
+
+
+def test_main_maps_bad_hello_and_job_to_exit_5(tmp_path, monkeypatch, capsys):
+    hello = _hello(tmp_path)
+    assert _main(tmp_path, monkeypatch, dict(hello, instance="missing")) == 5
+    assert "'missing'" in capsys.readouterr().err
+    assert _main(tmp_path, monkeypatch, hello, _observation(0, "agv", selected_job=99)) == 5
+    assert capsys.readouterr().err.startswith("jsspt: protocol error: selected_job 99 ")
+
+
+def test_main_maps_document_and_io_errors_to_exit_3(tmp_path, monkeypatch, capsys):
+    (tmp_path / "broken.json").write_text("{}")
+    (tmp_path / "folder.json").mkdir()
+    assert _main(tmp_path, monkeypatch, {"type": "hello", "instance": "broken"}) == 3
+    assert capsys.readouterr().err.startswith("jsspt: document error: ")
+    assert _main(tmp_path, monkeypatch, {"type": "hello", "instance": "folder"}) == 3
+    assert capsys.readouterr().err.startswith("jsspt: io error: ")
+
+
+def test_module_exits_5_on_a_missing_instance(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "jsspt.rule_server", "--op-rule", "SPT", "--agv-rule", "SCTA",
+         "--instances-dir", str(tmp_path)],
+        input='{"type":"hello","instance":"missing"}\n', capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("jsspt: protocol error: hello instance 'missing'")
+
+
 # -- edge-tail reuse ------------------------------------------------------------
 
 def _operation_line(inst):
@@ -120,19 +198,29 @@ def two_instances(tmp_path):
     return insts
 
 
+def _reordered(line):
+    """The same members with step before schema: valid JSON, not canonical."""
+    return line.replace('"schema":1,"step":0,', '"step":0,"schema":1,', 1)
+
+
 def test_cached_tail_parses_only_the_head(tmp_path, monkeypatch, two_instances):
+    # A canonical line ending in the kept tail is matched and never parsed;
+    # a valid head that is not canonical is parsed as head + "}".
     a, b = two_instances
     line_a, line_b = _operation_line(a), _operation_line(b)
+    odd_a, odd_b = _reordered(line_a), _reordered(line_b)
     tail_a, tail_b = _edge_tail(line_a), _edge_tail(line_b)
     assert tail_a != tail_b
+    assert odd_a != line_a and odd_a.endswith(tail_a)
     parsed = _serve_raw(
-        tmp_path, [hello_message(a), line_a, line_a, line_b, line_b, hello_message(a), line_b],
+        tmp_path,
+        [hello_message(a), line_a, line_a, odd_a, line_b, line_b, odd_b, hello_message(a), line_b],
         monkeypatch)
     assert parsed[1:] == [
         line_a,  # the first operation line parses in full
-        line_a[: -len(tail_a)] + "}",
+        odd_a[: -len(tail_a)] + "}",
         line_b,  # another instance's tail parses in full
-        line_b[: -len(tail_b)] + "}",
+        odd_b[: -len(tail_b)] + "}",
         hello_message(a),
         line_b,  # hello drops the tail
     ]
