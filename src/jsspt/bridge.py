@@ -258,21 +258,29 @@ def _agv_line(state: ScheduleState, job: int) -> str:
 
 # -- canonical line grammars ----------------------------------------------------
 #
-# Full-match grammars for the three texts the v1 encoders and the reference
-# server write: the operation line's head (from "{" up to its edge lists), the
-# AGV line and the decision reply. Either end reads a canonical line through
-# them instead of json.loads. They accept only valid JSON: fixed keys in the
-# encoders' order, no whitespace, ASCII digits without leading zeros. So a
-# match has one reading, and its groups are what json.loads gives. Any other
-# line, valid or not, is left to parse_message.
+# Full-match grammars for the two observation texts the v1 encoders write:
+# the operation line's head (from "{" up to its edge lists) and the AGV line.
+# The reference server reads a canonical line through them instead of
+# json.loads. They accept only valid JSON: fixed keys in the encoders' order,
+# no whitespace, ASCII digits without leading zeros. So a match has one
+# reading, and its groups are what json.loads gives. Any other line, valid or
+# not, is left to parse_message.
+#
+# The repeats are possessive: they keep no state to backtrack into. With
+# plain repeats the external benchmark's step took 1.17x as long
+# (BENCH_12.json).
+
+
+def _without_possessive(pattern: str) -> str:
+    """The pattern with plain repeats, for Python 3.10, which has no
+    possessive ones. Each repeat here is followed by a character it cannot
+    take, so the plain pattern accepts the same lines, only slower."""
+    return re.sub(r"([*+?])\+", r"\1", pattern)
 
 
 def _full_match(pattern: str):
     if sys.version_info < (3, 11):
-        # Possessive repeats arrived in 3.11. Each repeat here is followed by a
-        # character it cannot take, so plain repeats accept the same lines;
-        # they only backtrack longer on a line that fails.
-        pattern = re.sub(r"([*+?])\+", r"\1", pattern)
+        pattern = _without_possessive(pattern)
     return re.compile(pattern).fullmatch
 
 
@@ -299,8 +307,6 @@ match_agv_line = _full_match(
     rf'{_OBSERVATION}"phase":"{AGV_PHASE}","selected_job":({_INT}),'
     rf'"mask":{_list(_INT)},"agvs":{_list(_AGV_ROW)}\}}'
 )
-# Groups: step, choice.
-match_decision = _full_match(rf'\{{"type":"decision","step":({_INT}),"choice":({_INT})\}}')
 
 
 def serialize_observation(
@@ -330,11 +336,7 @@ def parse_message(line: str) -> dict:
 
 def parse_decision(line: str, expected_step: int) -> int:
     """Extract the chosen index from a decision reply; the reply must answer
-    the pending step. A canonical reply to the pending step is read by its
-    grammar; any other reply is parsed, to accept it or name its fault."""
-    match = match_decision(line)
-    if match is not None and int(match[1]) == expected_step:
-        return int(match[2])
+    the pending step."""
     msg = parse_message(line)
     if msg.get("type") != "decision":
         raise ProtocolError(f"expected a decision line, got type {msg.get('type')!r}")

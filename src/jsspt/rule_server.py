@@ -86,10 +86,8 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
     every operation line of an episode. So once an operation line has parsed
     in full, a later line ending in its validated edge tail is matched up to
     that tail: a match means the whole line is valid JSON with the matched
-    members. A canonical AGV line is matched whole. Any other line is parsed:
-    a line ending in the tail as head + "}", where a typed object means
-    head + tail is valid JSON with the same other members, and else in full,
-    so every invalid line is rejected."""
+    members. A canonical AGV line is matched whole. Any other line is parsed
+    in full, so every invalid line is rejected."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     op_rule = OperationRule(op_rule)
@@ -111,16 +109,9 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
         if canonical is not None:
             phase, step, job = canonical
         else:
-            msg = None
-            if tail is not None and line.endswith(tail):
-                try:
-                    msg = parse_message(line[: -len(tail)] + "}")
-                except ProtocolError:
-                    pass
-            if msg is None:
-                msg = parse_message(line)
-                if msg.get("type") == "observation" and msg.get("phase") == "operation":
-                    tail = _edge_tail(line)
+            msg = parse_message(line)
+            if msg.get("type") == "observation" and msg.get("phase") == "operation":
+                tail = _edge_tail(line)
             kind = msg["type"]
             if kind == "hello":
                 tail = None

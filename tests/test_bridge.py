@@ -217,23 +217,6 @@ def test_parse_decision():
         parse_decision(json.dumps({"type": "observation", "step": 3}), 3)
 
 
-def test_canonical_decision_skips_the_parser(monkeypatch):
-    # A canonical reply to the pending step is read by its grammar; a stale
-    # or non-canonical one is parsed, for the same result or error as before.
-    replies = []
-    real = bridge.parse_message
-    monkeypatch.setattr(bridge, "parse_message", lambda line: replies.append(line) or real(line))
-    line = encode_message({"type": "decision", "step": 12, "choice": 7})
-    assert parse_decision(line, 12) == 7
-    assert replies == []
-    with pytest.raises(ProtocolError, match="stale decision: replied to step 12, pending 11"):
-        parse_decision(line, 11)
-    assert parse_decision(json.dumps({"type": "decision", "step": 12, "choice": 7}), 12) == 7
-    with pytest.raises(ProtocolError, match="malformed"):
-        parse_decision('{"type":"decision","step":012,"choice":7}', 12)
-    assert len(replies) == 3
-
-
 def test_hello_message_fields(i1):
     msg = parse_message(hello_message(i1))
     assert msg["instance"] == "micro"

@@ -4,13 +4,15 @@ parent, every rule schedule validates and every single-field change to it is
 reported, play() agrees with solve() and with run_episode() under a rule
 decider, sweep() agrees with solve(), every operation line equals the
 reference encoder's in any encoding order, the canonical-line grammars read
-every encoder line as json.loads does and never change what a line gets,
+every encoder line as json.loads does, also in the form Python 3.10
+compiles, and never change what a line gets,
 documents load back equal, and the oracle bounds every combo."""
 
 import copy
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -27,8 +29,6 @@ from jsspt.bridge import (
     RulePolicy,
     encode_message,
     hello_message,
-    match_decision,
-    parse_decision,
     run_episode,
     serialize_observation,
 )
@@ -296,6 +296,18 @@ def served(instances_dir, lines, fast=True):
     return out.getvalue(), None
 
 
+# The grammars as Python 3.10 compiles them, with plain repeats.
+PLAIN_GRAMMARS = {
+    name: re.compile(bridge._without_possessive(getattr(bridge, name).__self__.pattern)).fullmatch
+    for name in ("match_operation_head", "match_agv_line")
+}
+
+
+def read_without_possessive(line, tail):
+    with mock.patch.multiple(rule_server, **PLAIN_GRAMMARS):
+        return _read_canonical(line, tail)
+
+
 def fields(line) -> tuple:
     msg = json.loads(line)
     return msg["type"], msg.get("phase"), msg["step"], msg.get("selected_job")
@@ -305,28 +317,23 @@ def fields(line) -> tuple:
 @given(st.data())
 def test_canonical_lines_take_the_fast_path(data):
     # Every encoder line after an episode's first operation line is read by
-    # a grammar, as json.loads reads it; so is every decision reply, at both
-    # ends. The server parses only hello, that first line and terminal.
+    # a grammar, as json.loads reads it. The server parses only hello, that
+    # first line and terminal.
     instance = data.draw(instances(min_leg=1))
     lines = transcript(data, instance)
     tail = _edge_tail(lines[1])
     for line in lines[2:-1]:
         kind, phase, step, job = fields(line)
         assert (kind, *_read_canonical(line, tail)) == ("observation", phase, step, job)
+        assert read_without_possessive(line, tail) == _read_canonical(line, tail)
     parsed = []
     with tempfile.TemporaryDirectory() as tmp:
         save_instance(instance, tmp)
         with mock.patch.object(rule_server, "parse_message",
                                side_effect=lambda line: parsed.append(line) or bridge.parse_message(line)):
-            replies, error = served(Path(tmp), lines)
+            _, error = served(Path(tmp), lines)
     assert error is None
     assert parsed == [lines[0], lines[1], lines[-1]]
-    with mock.patch.object(bridge, "parse_message", side_effect=AssertionError):
-        for reply in replies.splitlines()[1:]:
-            msg = json.loads(reply)
-            match = match_decision(reply)
-            assert ("decision", int(match[1]), int(match[2])) == (msg["type"], msg["step"], msg["choice"])
-            assert parse_decision(reply, msg["step"]) == msg["choice"]
 
 
 @pytest.mark.parametrize("value", ["1.5", "1e2", "1.0", "-1", "01", "true", '"1"', "null"])
@@ -379,21 +386,6 @@ def test_edited_lines_get_what_the_parser_gives(data):
             canonical = _read_canonical(line, tail)
             if canonical is not None:
                 assert fields(line) == ("observation", *canonical)
+            assert read_without_possessive(line, tail) == canonical
             prefix = [lines[0], lines[1]]
             assert served(Path(tmp), prefix + [line]) == served(Path(tmp), prefix + [line], fast=False)
-
-    step = data.draw(st.integers(0, 10**6))
-    reply = data.draw(edited(encode_message({"type": "decision", "step": step, "choice": 3})))
-    match = match_decision(reply)
-    if match is not None:
-        msg = json.loads(reply)
-        assert (msg["type"], msg["step"], msg["choice"]) == ("decision", int(match[1]), int(match[2]))
-
-    def outcome(fast):
-        with mock.patch.object(bridge, "match_decision", match_decision if fast else no_match):
-            try:
-                return parse_decision(reply, step)
-            except Exception as exc:
-                return type(exc), str(exc)
-
-    assert outcome(True) == outcome(False)

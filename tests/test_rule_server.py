@@ -1,6 +1,5 @@
 import io
 import json
-import subprocess
 import sys
 
 import pytest
@@ -158,16 +157,6 @@ def test_main_maps_document_and_io_errors_to_exit_3(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("jsspt: io error: ")
 
 
-def test_module_exits_5_on_a_missing_instance(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "jsspt.rule_server", "--op-rule", "SPT", "--agv-rule", "SCTA",
-         "--instances-dir", str(tmp_path)],
-        input='{"type":"hello","instance":"missing"}\n', capture_output=True, text=True,
-        timeout=60)
-    assert proc.returncode == 5
-    assert proc.stderr.startswith("jsspt: protocol error: hello instance 'missing'")
-
-
 # -- edge-tail reuse ------------------------------------------------------------
 
 def _operation_line(inst):
@@ -204,8 +193,8 @@ def _reordered(line):
 
 
 def test_cached_tail_parses_only_the_head(tmp_path, monkeypatch, two_instances):
-    # A canonical line ending in the kept tail is matched and never parsed;
-    # a valid head that is not canonical is parsed as head + "}".
+    # A canonical line ending in the kept tail is matched up to that tail and
+    # never parsed; a valid line that is not canonical is parsed whole.
     a, b = two_instances
     line_a, line_b = _operation_line(a), _operation_line(b)
     odd_a, odd_b = _reordered(line_a), _reordered(line_b)
@@ -218,9 +207,9 @@ def test_cached_tail_parses_only_the_head(tmp_path, monkeypatch, two_instances):
         monkeypatch)
     assert parsed[1:] == [
         line_a,  # the first operation line parses in full
-        odd_a[: -len(tail_a)] + "}",
+        odd_a,
         line_b,  # another instance's tail parses in full
-        odd_b[: -len(tail_b)] + "}",
+        odd_b,
         hello_message(a),
         line_b,  # hello drops the tail
     ]
