@@ -327,7 +327,7 @@ def serialize_observation(
 def parse_message(line: str) -> dict:
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer too long for int()
         raise ProtocolError(f"malformed protocol line: {exc}") from exc
     if not isinstance(msg, dict) or "type" not in msg:
         raise ProtocolError("protocol line is not a typed object")

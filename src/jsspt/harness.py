@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,6 +185,10 @@ def solve_instances(
     tasks = [(inst, solver_ids, cell) for inst, cell in zip(instances, cells)]
     records: list[ResultRecord] = []
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: it brings in multiprocessing, socket and logging,
+        # which a one-process run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for batch in pool.map(_solve_one_instance, tasks, chunksize=4):
                 records.extend(batch)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc, stdtr, stdtrit
 
 from .errors import MetricError
 
@@ -105,7 +104,12 @@ def ols_fit(
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(std_errors > 0, coef / std_errors, np.inf * np.sign(coef))
     # The t and F tails that scipy.stats.t.sf/.ppf and f.sf evaluate, taken
-    # from scipy.special directly: importing scipy.stats costs over a second.
+    # from scipy.special directly, and only here, so that a process that
+    # evaluates no tail (the rule server, solve, gen) never loads scipy. On a
+    # 2-vCPU Xeon (Python 3.11, numpy 2.4, scipy 1.17) `import scipy.stats`
+    # takes 1.2-1.6 s, and `import scipy.special` 0.25 s beyond numpy's 0.13 s.
+    from scipy.special import fdtrc, stdtr, stdtrit
+
     p_values = 2.0 * stdtr(dof, -np.abs(t_values))
     t_crit = float(stdtrit(dof, 0.975))
     conf_low = coef - t_crit * std_errors
@@ -189,5 +193,7 @@ def aggregate_ci(values, level: float = 0.95) -> tuple[float, float]:
         raise MetricError(f"confidence interval needs >= 2 values, got {vals.size}")
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1))
+    from scipy.special import stdtrit  # see ols_fit
+
     t_crit = float(stdtrit(vals.size - 1, (1.0 + level) / 2.0))
     return mean, t_crit * sd / float(np.sqrt(vals.size))

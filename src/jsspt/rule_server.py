@@ -21,6 +21,7 @@ import numpy as np
 
 from .bridge import (
     PROTOCOL_VERSION,
+    SCHEMA_VERSION,
     encode_message,
     match_agv_line,
     match_operation_head,
@@ -28,7 +29,7 @@ from .bridge import (
 )
 from .engine import ScheduleState
 from .errors import JssptError, ProtocolError, report_error
-from .instances import load_instance
+from .instances import Instance, load_instance
 from .rules import AgvRule, OperationRule, select_agv, select_operation
 
 
@@ -54,15 +55,25 @@ def _edge_tail(line: str) -> str | None:
     return tail
 
 
+def _group_int(match, group: int, name: str) -> int:
+    try:
+        return int(match[group])
+    except ValueError as exc:  # more digits than int() converts
+        raise ProtocolError(f"observation {name} has {len(match[group])} digits, "
+                            "too many to read") from exc
+
+
 def _read_canonical(line: str, tail: str | None) -> tuple[str, int, int | None] | None:
     """(phase, step, selected_job) of a canonical observation line, read by
     the bridge grammars: an operation line ending in the kept tail, whose head
     matches, or an AGV line. None for any other line."""
     if tail is not None and line.endswith(tail):
         match = match_operation_head(line, 0, len(line) - len(tail))
-        return None if match is None else ("operation", int(match[1]), None)
+        return None if match is None else ("operation", _group_int(match, 1, "step"), None)
     match = match_agv_line(line)
-    return None if match is None else ("agv", int(match[1]), int(match[2]))
+    if match is None:
+        return None
+    return "agv", _group_int(match, 1, "step"), _group_int(match, 2, "selected_job")
 
 
 def _instance_path(instances_dir: Path, msg: dict) -> Path:
@@ -74,6 +85,17 @@ def _instance_path(instances_dir: Path, msg: dict) -> Path:
     if not path.exists():
         raise ProtocolError(f"hello instance {name!r} is not in {instances_dir}")
     return path
+
+
+def _check_hello(msg: dict, instance: Instance) -> None:
+    """A hello must speak schema and protocol 1 and give the named
+    instance's sizes, each a plain integer."""
+    expected = {"schema": SCHEMA_VERSION, "version": PROTOCOL_VERSION,
+                "n": instance.n, "m": instance.m, "k": instance.k}
+    for name, value in expected.items():
+        got = _field(msg, name)
+        if type(got) is not int or got != value:
+            raise ProtocolError(f"hello {name} must be {value} for {instance.id!r}, got {got!r}")
 
 
 def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
@@ -115,7 +137,9 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
             kind = msg["type"]
             if kind == "hello":
                 tail = None
-                state = ScheduleState(load_instance(_instance_path(instances_dir, msg)))
+                instance = load_instance(_instance_path(instances_dir, msg))
+                _check_hello(msg, instance)
+                state = ScheduleState(instance)
                 rng = np.random.default_rng(seed)
                 stdout.write(encode_message({"type": "ready", "version": PROTOCOL_VERSION}) + "\n")
                 stdout.flush()

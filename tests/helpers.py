@@ -5,14 +5,25 @@ lines it is sent."""
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
+import pytest
 
 from jsspt.bridge import RulePolicy, encode_message
 from jsspt.engine import JointAction, ScheduleResult, ScheduleState
 from jsspt.features import build_graph
 from jsspt.instances import GenerationConfig, Instance, generate_instance
 from jsspt.rules import solve
+
+
+# An integer text longer than this Python's int() limit: json.loads and int()
+# raise a plain ValueError on it. A Python without the limit reads it.
+OVERLONG_INT = "1" * 5000
+needs_int_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(OVERLONG_INT),
+    reason="this Python converts integers of any length",
+)
 
 
 def make_instance(

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    OVERLONG_INT,
     RecordingPolicy,
     _reference_operation_line,
     episode_digest,
     micro_instance,
+    needs_int_digit_limit,
     random_small_instance,
     zero_transport,
 )
@@ -215,6 +217,16 @@ def test_parse_decision():
         parse_decision("not json", 3)
     with pytest.raises(ProtocolError):
         parse_decision(json.dumps({"type": "observation", "step": 3}), 3)
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("field", ["step", "choice"])
+def test_parse_decision_rejects_overlong_integer(field):
+    # json.loads raises a plain ValueError on it, which is not a ProtocolError.
+    values = {"step": "3", "choice": "0", field: OVERLONG_INT}
+    reply = f'{{"type":"decision","step":{values["step"]},"choice":{values["choice"]}}}'
+    with pytest.raises(ProtocolError, match="malformed protocol line"):
+        parse_decision(reply, 3)
 
 
 def test_hello_message_fields(i1):
@@ -423,6 +435,25 @@ def test_protocol_error_restarts_child(tmp_path, i1):
         assert first.returncode == 0 and first.stdout.closed
         client.begin_episode(inst)
         assert client._proc is not first and client._proc.poll() is None
+
+
+@needs_int_digit_limit
+def test_overlong_integer_reply_closes_child(tmp_path, i1):
+    cmd = _write_server_script(
+        tmp_path,
+        "    if msg['type'] == 'hello':\n"
+        "        reply({'type': 'ready', 'version': 1})\n"
+        "    elif msg['type'] == 'observation':\n"
+        f"        sys.stdout.write('{{\"type\":\"decision\",\"step\":{OVERLONG_INT},\"choice\":0}}\\n')\n"
+        "        sys.stdout.flush()\n",
+    )
+    client = ExternalPolicyClient(cmd, timeout=20)
+    with client:
+        proc = client._proc
+        with pytest.raises(ProtocolError, match="malformed protocol line"):
+            run_episode(i1, client, client)
+        assert client._proc is None
+    assert proc.returncode == 0 and proc.stdin.closed and proc.stdout.closed
 
 
 def test_reply_split_across_writes_is_reassembled(tmp_path, i1):

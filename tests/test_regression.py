@@ -1,5 +1,8 @@
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +171,53 @@ def test_import_leaves_scipy_stats_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+# One fresh interpreter against this checkout's src/: the imports every
+# command makes and an in-process `jsspt solve --all-combos` load no scipy and
+# no process pool; the first confidence interval loads scipy.special.
+COLD_START = """
+import json, sys
+import jsspt, jsspt.cli, jsspt.harness, jsspt.rule_server
+from jsspt.instances import GenerationConfig, generate_instance, save_instance
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("scipy") or m == "concurrent.futures.process")
+
+path = save_instance(generate_instance(GenerationConfig(n=4, m=3, k=2, seed=1)), sys.argv[1])
+code = jsspt.cli.main(["solve", "--instance", str(path), "--all-combos"])
+report = {"code": code, "after_solve": loaded()}
+values = [3.0, 1.5, 4.25, 2.0, 7.5]
+report["ci"] = jsspt.aggregate_ci(values)
+report["after_ci"] = loaded()
+from scipy import stats
+import numpy as np
+half = stats.t.ppf(0.975, len(values) - 1) * np.std(values, ddof=1) / np.sqrt(len(values))
+report["expected_ci"] = [float(np.mean(values)), float(half)]
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path_factory.mktemp("cold"))],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cold_start_loads_no_scipy_and_no_process_pool(cold_start):
+    assert cold_start["code"] == 0
+    assert cold_start["after_solve"] == []
+
+
+def test_first_interval_loads_scipy_special(cold_start):
+    assert "scipy.special" in cold_start["after_ci"]
+    assert "concurrent.futures.process" not in cold_start["after_ci"]
+    assert cold_start["ci"] == cold_start["expected_ci"]
 
 
 def test_special_tails_equal_scipy_stats():

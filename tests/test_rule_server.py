@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from helpers import micro_instance
+from helpers import OVERLONG_INT, micro_instance, needs_int_digit_limit
 from jsspt import rule_server
 from jsspt.bridge import (
     AGV_PHASE,
@@ -245,3 +245,66 @@ def test_uncached_tail_parses_in_full(tmp_path, monkeypatch, two_instances):
     line = HEAD + ',"precedence":[[0,1]],"assignment":[],"extra":1}'
     parsed = _serve_raw(tmp_path, [hello_message(two_instances[0]), line, line], monkeypatch)
     assert parsed[1:] == [line, line]
+
+
+# -- over-long integers ------------------------------------------------------------
+
+def _with_step(line, step_text):
+    return line.replace('"step":0,', f'"step":{step_text},', 1).replace(
+        '"step": 0,', f'"step": {step_text},', 1)
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("phase", [OPERATION_PHASE, AGV_PHASE])
+@pytest.mark.parametrize("canonical", [True, False], ids=["matched", "parsed"])
+def test_overlong_step_exits_5(tmp_path, monkeypatch, capsys, two_instances, phase, canonical):
+    # A step of 5,000 digits is valid JSON that neither json.loads nor int()
+    # reads: the server exits 5, whether the line takes a grammar or the parse.
+    inst = two_instances[0]
+    state = ScheduleState(inst)
+    first = _operation_line(inst)
+    if phase == OPERATION_PHASE:
+        line = _with_step(first, OVERLONG_INT)
+        # A later line ending in the first line's tail takes the grammar.
+        lines = [hello_message(inst), first, line] if canonical else [hello_message(inst), line]
+    else:
+        line = serialize_observation(state, AGV_PHASE, selected_op=0)
+        if not canonical:
+            line = json.dumps(json.loads(line))  # with spaces after the separators
+        line = _with_step(line, OVERLONG_INT)
+        lines = [hello_message(inst), line]
+    assert OVERLONG_INT in line
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
+    assert main(["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("jsspt: protocol error: ")
+    if canonical:
+        assert "observation step has 5000 digits" in err
+
+
+# -- strict hello ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("schema", 2), ("version", 7), ("version", True), ("n", 99), ("n", True), ("n", 1.0),
+     ("m", 0), ("m", "1"), ("k", -3), ("k", None)],
+)
+def test_hello_must_match_protocol_and_instance(tmp_path, field, value):
+    # micro is 1x1x1, so true and 1.0 equal its sizes but are not plain ints.
+    hello = dict(_hello(tmp_path), **{field: value})
+    with pytest.raises(ProtocolError, match=f"hello {field} must be 1 for 'micro', got {value!r}"):
+        _serve(tmp_path, hello)
+
+
+@pytest.mark.parametrize("field", ["schema", "version", "n", "m", "k"])
+def test_hello_without_a_field_is_a_protocol_error(tmp_path, field):
+    hello = _hello(tmp_path)
+    del hello[field]
+    with pytest.raises(ProtocolError, match=f"hello line has no '{field}' field"):
+        _serve(tmp_path, hello)
+
+
+def test_main_maps_mismatched_hello_to_exit_5(tmp_path, monkeypatch, capsys):
+    hello = dict(_hello(tmp_path), version=7, n=99, m=0, k=-3)
+    assert _main(tmp_path, monkeypatch, hello) == 5
+    assert capsys.readouterr().err == "jsspt: protocol error: hello version must be 1 for 'micro', got 7\n"
