@@ -109,6 +109,12 @@ def _line_fragments(instance: Instance) -> _LineFragments:
     return frags
 
 
+def operation_tail(instance: Instance) -> str:
+    """The text every operation line of the instance ends with: its
+    precedence and assignment lists and the closing brace."""
+    return _line_fragments(instance).tail
+
+
 def _round6_text(value: float) -> str:
     """repr(round(value, 6)), the JSON text of a quantized feature, without
     repr's shortest-digits search. Below 1e9 a 6-decimal rendering has at

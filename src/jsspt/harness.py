@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -223,32 +224,35 @@ SUMMARY_COLUMNS = (
 #: Tie preference for the global-best combo, matching the benchmark baseline.
 PREFERRED_GLOBAL_BEST = "MOR+SCTA"
 
+_COMBOS = frozenset(ALL_COMBOS)
+
+
+def _combo_makespans(records) -> dict[str, dict[str, int]]:
+    """{instance: {combo: makespan}} over the rule-combo rows, in one pass.
+    A results table holds each (instance, solver) pair once."""
+    index: dict[str, dict[str, int]] = {}
+    for rec in records:
+        if rec.solver_id in _COMBOS:
+            index.setdefault(rec.instance_id, {})[rec.solver_id] = rec.makespan
+    return index
+
 
 def select_global_best(records: list[ResultRecord]) -> str:
     """The rule combo with the highest round-robin win rate (strict wins
     against every other combo over all instances). Ties prefer MOR+SCTA,
     then the lexicographically smallest identifier."""
-    combos = sorted({r.solver_id for r in records if r.solver_id in ALL_COMBOS})
-    if len(combos) < 1:
+    index = _combo_makespans(records)
+    wins: dict[str, int] = {}
+    for makespans in index.values():
+        ranked = sorted(makespans.values())
+        for c, makespan in makespans.items():
+            # c beats every combo with a longer makespan on this instance.
+            wins[c] = wins.get(c, 0) + len(ranked) - bisect_right(ranked, makespan)
+    if not wins:
         raise MetricError("no dispatching-rule rows to pick a global best from")
-    if len(combos) == 1:
-        return combos[0]
-    by_instance: dict[str, dict[str, int]] = {}
-    for rec in records:
-        if rec.solver_id in ALL_COMBOS:
-            by_instance.setdefault(rec.instance_id, {})[rec.solver_id] = rec.makespan
-    wins = {c: 0 for c in combos}
-    for makespans in by_instance.values():
-        present = [c for c in combos if c in makespans]
-        for c in present:
-            for other in present:
-                if other != c and makespans[c] < makespans[other]:
-                    wins[c] += 1
     most_wins = max(wins.values())
-    tied = [c for c in combos if wins[c] == most_wins]
-    if PREFERRED_GLOBAL_BEST in tied:
-        return PREFERRED_GLOBAL_BEST
-    return tied[0]
+    tied = sorted(c for c, count in wins.items() if count == most_wins)
+    return PREFERRED_GLOBAL_BEST if PREFERRED_GLOBAL_BEST in tied else tied[0]
 
 
 def summarize_results(records: list[ResultRecord]):
@@ -258,35 +262,20 @@ def summarize_results(records: list[ResultRecord]):
     if not records:
         raise MetricError("cannot summarize an empty results table")
     global_best = select_global_best(records)
-    best_per_instance: dict[str, int] = {}
-    global_per_instance: dict[str, int] = {}
+    index = _combo_makespans(records)
+    best = {i: min(makespans.values()) for i, makespans in index.items()}
+    at_global = {i: ms[global_best] for i, ms in index.items() if global_best in ms}
+    by_solver: dict[str, list[ResultRecord]] = {}
     for rec in records:
-        if rec.solver_id in ALL_COMBOS:
-            prev = best_per_instance.get(rec.instance_id)
-            if prev is None or rec.makespan < prev:
-                best_per_instance[rec.instance_id] = rec.makespan
-        if rec.solver_id == global_best:
-            global_per_instance[rec.instance_id] = rec.makespan
-
-    solvers = sorted({r.solver_id for r in records})
+        by_solver.setdefault(rec.solver_id, []).append(rec)
     rows = []
-    for solver_id in solvers:
-        mine = [r for r in records if r.solver_id == solver_id]
-        rpis_best = [
-            rpi(r.makespan, best_per_instance[r.instance_id])
-            for r in mine
-            if r.instance_id in best_per_instance
+    for solver_id in sorted(by_solver):
+        mine = by_solver[solver_id]
+        rpis_best = [rpi(r.makespan, best[r.instance_id]) for r in mine if r.instance_id in best]
+        vs_global = [
+            (r.makespan, at_global[r.instance_id]) for r in mine if r.instance_id in at_global
         ]
-        rpis_global = [
-            rpi(r.makespan, global_per_instance[r.instance_id])
-            for r in mine
-            if r.instance_id in global_per_instance
-        ]
-        wins = [
-            win(r.makespan, global_per_instance[r.instance_id])
-            for r in mine
-            if r.instance_id in global_per_instance
-        ]
+        rpis_global = [rpi(*pair) for pair in vs_global]
         rows.append(
             {
                 "solver": solver_id,
@@ -296,7 +285,7 @@ def summarize_results(records: list[ResultRecord]):
                 "ci95_rpi_vs_best": _half_width(rpis_best),
                 "mean_rpi_vs_global": _mean(rpis_global),
                 "ci95_rpi_vs_global": _half_width(rpis_global),
-                "win_rate_vs_global": _mean(wins),
+                "win_rate_vs_global": _mean(win(*pair) for pair in vs_global),
                 "global_best": global_best,
             }
         )
@@ -309,30 +298,33 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else float("nan")
 
 
-def _half_width(values) -> float:
-    values = list(values)
-    if len(values) < 2:
-        return 0.0
-    return aggregate_ci(values)[1]
+def _half_width(values: list) -> float:
+    return aggregate_ci(values)[1] if len(values) > 1 else 0.0
 
 
 # -- results tables --------------------------------------------------------------
 
-RESULT_COLUMNS = (
-    "instance",
-    "solver",
-    "makespan",
-    "n",
-    "m",
-    "k",
-    "p_raw",
-    "t_raw",
-    "rho",
-    "tau",
-    "regime",
-    "cell",
-    "seed",
+#: The results table: (header, ResultRecord field, cell type) per column, in
+#: the order ResultRecord declares its fields.
+_RESULT_SCHEMA: tuple[tuple[str, str, type], ...] = (
+    ("instance", "instance_id", str),
+    ("solver", "solver_id", str),
+    ("makespan", "makespan", int),
+    ("n", "n", int),
+    ("m", "m", int),
+    ("k", "k", int),
+    ("p_raw", "p_raw", float),
+    ("t_raw", "t_raw", float),
+    ("rho", "rho", float),
+    ("tau", "tau", float),
+    ("regime", "regime", str),
+    ("cell", "cell_id", str),
+    ("seed", "seed", int),
 )
+RESULT_COLUMNS = tuple(header for header, _, _ in _RESULT_SCHEMA)
+#: The format() spec of each results cell: 6 decimals for a float column,
+#: str() for the others.
+_RESULT_SPECS = tuple(".6f" if kind is float else "" for _, _, kind in _RESULT_SCHEMA)
 
 
 def _fmt(value) -> str:
@@ -346,30 +338,16 @@ def records_to_csv(records: list[ResultRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                r.instance_id,
-                r.solver_id,
-                r.makespan,
-                r.n,
-                r.m,
-                r.k,
-                _fmt(r.p_raw),
-                _fmt(r.t_raw),
-                _fmt(r.rho),
-                _fmt(r.tau),
-                r.regime,
-                r.cell_id,
-                r.seed,
-            ]
-        )
+        # A record's __dict__ holds its fields in declaration order: the schema's.
+        writer.writerow(map(format, vars(r).values(), _RESULT_SPECS))
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
     """The records of a results table. A missing column, a short or long
-    row, a cell that is not a number of its column's type or a repeated
-    (instance, solver) pair raises DocumentError naming the line."""
+    row, a cell that is not a number of its column's type, a number that is
+    not finite or a repeated (instance, solver) pair raises DocumentError
+    naming the line."""
     reader = csv.DictReader(io.StringIO(text))
     for column in RESULT_COLUMNS:
         if column not in (reader.fieldnames or ()):
@@ -389,38 +367,30 @@ def records_from_csv(text: str) -> list[ResultRecord]:
                 f"repeats line {lines[pair]}"
             )
         lines[pair] = line
-        records.append(
-            ResultRecord(
-                instance_id=row["instance"],
-                solver_id=row["solver"],
-                makespan=_cell(row, "makespan", int, line),
-                n=_cell(row, "n", int, line),
-                m=_cell(row, "m", int, line),
-                k=_cell(row, "k", int, line),
-                p_raw=_cell(row, "p_raw", float, line),
-                t_raw=_cell(row, "t_raw", float, line),
-                rho=_cell(row, "rho", float, line),
-                tau=_cell(row, "tau", float, line),
-                regime=row["regime"],
-                cell_id=row["cell"],
-                seed=_cell(row, "seed", int, line),
-            )
-        )
+        cells = {field: _cell(row, header, kind, line) for header, field, kind in _RESULT_SCHEMA}
+        records.append(ResultRecord(**cells))
     return records
 
 
-def _cell(row: dict, column: str, kind, line: int):
-    """A numeric cell of a results row, as `kind`."""
+def _cell(row: dict, column: str, kind: type, line: int):
+    """A cell of a results row, as `kind`; a float cell must be finite."""
     value = row[column]
     if value is None:  # csv.DictReader fills a short row with None
         raise DocumentError(f"results table line {line}: the row ends before column {column!r}")
+    if kind is str:
+        return value
     try:
-        return kind(value)
+        cell = kind(value)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise DocumentError(
             f"results table line {line}, column {column!r}: must be {what}, got {value!r}"
         ) from None
+    if kind is float and not math.isfinite(cell):
+        raise DocumentError(
+            f"results table line {line}, column {column!r}: must be finite, got {value!r}"
+        )
+    return cell
 
 
 def read_records(path: str | Path) -> list[ResultRecord]:
@@ -623,29 +593,19 @@ def run_regression_suite(
     z-normalized bottleneck features."""
     pairs = _pair_records(records, solver, baseline)
     y = np.array([rpi(a.makespan, b.makespan) for a, b in pairs])
-    feats = np.array(
-        [
-            [f.bm, f.jbn, f.abn]
-            for f in (bottleneck_features(a.rho, a.tau) for a, _ in pairs)
-        ]
-    )
-    z = z_normalize(feats, names=["BM", "JBN", "ABN"])
-    columns = {"BM": z[:, 0], "JBN": z[:, 1], "ABN": z[:, 2]}
+    # The (bm, jbn, abn) members of each row's BottleneckFeatures.
+    feats = np.array([bottleneck_features(a.rho, a.tau)[1:] for a, _ in pairs])
+    features = ("BM", "JBN", "ABN")
+    columns = dict(zip(features, z_normalize(feats, names=list(features)).T))
     reports = []
     for label, names in REGRESSION_MODELS:
-        design = np.column_stack(
-            [np.ones(len(y))] + [columns[name] for name in names]
-        )
+        design = np.column_stack([np.ones(len(y))] + [columns[name] for name in names])
         reports.append((label, ols_fit(design, y, names=["const", *names])))
     return reports
 
 
 def format_regression_suite(reports: list[tuple[str, RegressionReport]]) -> str:
-    blocks = []
-    for label, report in reports:
-        blocks.append(f"model,{label}")
-        blocks.append(report.format_text())
-    return "\n".join(blocks)
+    return "\n".join(f"model,{label}\n{report.format_text()}" for label, report in reports)
 
 
 # -- external policy evaluation ----------------------------------------------------

@@ -13,7 +13,6 @@ Run as:  python -m jsspt.rule_server --op-rule SPT --agv-rule SCTA \
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .bridge import (
     encode_message,
     match_agv_line,
     match_operation_head,
+    operation_tail,
     parse_message,
 )
 from .engine import ScheduleState
@@ -39,22 +39,6 @@ def _field(msg: dict, name: str):
     return msg[name]
 
 
-def _edge_tail(line: str) -> str | None:
-    """The line's suffix from its edge lists, if that suffix holds exactly the
-    precedence and assignment members and the closing brace."""
-    start = line.find(',"precedence":')
-    if start < 0:
-        return None
-    tail = line[start:]
-    try:
-        edges = json.loads("{" + tail[1:])
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(edges, dict) or edges.keys() != {"precedence", "assignment"}:
-        return None
-    return tail
-
-
 def _group_int(match, group: int, name: str) -> int:
     try:
         return int(match[group])
@@ -65,8 +49,8 @@ def _group_int(match, group: int, name: str) -> int:
 
 def _read_canonical(line: str, tail: str | None) -> tuple[str, int, int | None] | None:
     """(phase, step, selected_job) of a canonical observation line, read by
-    the bridge grammars: an operation line ending in the kept tail, whose head
-    matches, or an AGV line. None for any other line."""
+    the bridge grammars: an operation line ending in the instance's tail,
+    whose head matches, or an AGV line. None for any other line."""
     if tail is not None and line.endswith(tail):
         match = match_operation_head(line, 0, len(line) - len(tail))
         return None if match is None else ("operation", _group_int(match, 1, "step"), None)
@@ -104,12 +88,12 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
     not allow raises ProtocolError naming the missing field or bad value.
 
     A canonical observation line is read by the bridge grammars, without
-    json.loads. The server reads no edge list, and those are the same on
-    every operation line of an episode. So once an operation line has parsed
-    in full, a later line ending in its validated edge tail is matched up to
-    that tail: a match means the whole line is valid JSON with the matched
-    members. A canonical AGV line is matched whole. Any other line is parsed
-    in full, so every invalid line is rejected."""
+    json.loads. The server reads no edge list, and every operation line of
+    an episode ends in the instance's edge lists as the bridge writes them.
+    So an operation line ending in that tail is matched up to the tail: a
+    match means the whole line is valid JSON with the matched members. A
+    canonical AGV line is matched whole. Any other line is parsed in full,
+    so every invalid line is rejected."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     op_rule = OperationRule(op_rule)
@@ -132,14 +116,12 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
             phase, step, job = canonical
         else:
             msg = parse_message(line)
-            if msg.get("type") == "observation" and msg.get("phase") == "operation":
-                tail = _edge_tail(line)
             kind = msg["type"]
             if kind == "hello":
-                tail = None
                 instance = load_instance(_instance_path(instances_dir, msg))
                 _check_hello(msg, instance)
                 state = ScheduleState(instance)
+                tail = operation_tail(instance)
                 rng = np.random.default_rng(seed)
                 stdout.write(encode_message({"type": "ready", "version": PROTOCOL_VERSION}) + "\n")
                 stdout.flush()

@@ -1,6 +1,6 @@
 """Shared builders for hand-crafted instances and random episodes, the
-reference operation-line encoder, and a decider that records the protocol v1
-lines it is sent."""
+reference operation-line encoder, a decider that records the protocol v1
+lines it is sent, and the reference results reduction."""
 
 from __future__ import annotations
 
@@ -12,9 +12,13 @@ import pytest
 
 from jsspt.bridge import RulePolicy, encode_message
 from jsspt.engine import JointAction, ScheduleResult, ScheduleState
+from jsspt.errors import MetricError
 from jsspt.features import build_graph
+from jsspt.harness import PREFERRED_GLOBAL_BEST
 from jsspt.instances import GenerationConfig, Instance, generate_instance
-from jsspt.rules import solve
+from jsspt.metrics import ResultRecord, rpi, win
+from jsspt.regression import aggregate_ci
+from jsspt.rules import ALL_COMBOS, solve
 
 
 # An integer text longer than this Python's int() limit: json.loads and int()
@@ -160,3 +164,96 @@ def episode_digest(lines: list[str]) -> str:
         for op, agv in zip(lines[::2], lines[1::2])
     ]
     return hashlib.sha256("\n".join(steps).encode("utf-8")).hexdigest()
+
+
+# -- reference results reduction ---------------------------------------------------
+#
+# harness.select_global_best and harness.summarize_results as they were before
+# both read one per-instance index: a pairwise win count, and one scan of
+# every record per solver. The harness versions must give the same global
+# best and the same summary rows, float bits included.
+
+def reference_select_global_best(records: list[ResultRecord]) -> str:
+    combos = sorted({r.solver_id for r in records if r.solver_id in ALL_COMBOS})
+    if len(combos) < 1:
+        raise MetricError("no dispatching-rule rows to pick a global best from")
+    if len(combos) == 1:
+        return combos[0]
+    by_instance: dict[str, dict[str, int]] = {}
+    for rec in records:
+        if rec.solver_id in ALL_COMBOS:
+            by_instance.setdefault(rec.instance_id, {})[rec.solver_id] = rec.makespan
+    wins = {c: 0 for c in combos}
+    for makespans in by_instance.values():
+        present = [c for c in combos if c in makespans]
+        for c in present:
+            for other in present:
+                if other != c and makespans[c] < makespans[other]:
+                    wins[c] += 1
+    most_wins = max(wins.values())
+    tied = [c for c in combos if wins[c] == most_wins]
+    if PREFERRED_GLOBAL_BEST in tied:
+        return PREFERRED_GLOBAL_BEST
+    return tied[0]
+
+
+def reference_summarize_results(records: list[ResultRecord]):
+    if not records:
+        raise MetricError("cannot summarize an empty results table")
+    global_best = reference_select_global_best(records)
+    best_per_instance: dict[str, int] = {}
+    global_per_instance: dict[str, int] = {}
+    for rec in records:
+        if rec.solver_id in ALL_COMBOS:
+            prev = best_per_instance.get(rec.instance_id)
+            if prev is None or rec.makespan < prev:
+                best_per_instance[rec.instance_id] = rec.makespan
+        if rec.solver_id == global_best:
+            global_per_instance[rec.instance_id] = rec.makespan
+
+    solvers = sorted({r.solver_id for r in records})
+    rows = []
+    for solver_id in solvers:
+        mine = [r for r in records if r.solver_id == solver_id]
+        rpis_best = [
+            rpi(r.makespan, best_per_instance[r.instance_id])
+            for r in mine
+            if r.instance_id in best_per_instance
+        ]
+        rpis_global = [
+            rpi(r.makespan, global_per_instance[r.instance_id])
+            for r in mine
+            if r.instance_id in global_per_instance
+        ]
+        wins = [
+            win(r.makespan, global_per_instance[r.instance_id])
+            for r in mine
+            if r.instance_id in global_per_instance
+        ]
+        rows.append(
+            {
+                "solver": solver_id,
+                "instances": len(mine),
+                "mean_makespan": _reference_mean(r.makespan for r in mine),
+                "mean_rpi_vs_best": _reference_mean(rpis_best),
+                "ci95_rpi_vs_best": _reference_half_width(rpis_best),
+                "mean_rpi_vs_global": _reference_mean(rpis_global),
+                "ci95_rpi_vs_global": _reference_half_width(rpis_global),
+                "win_rate_vs_global": _reference_mean(wins),
+                "global_best": global_best,
+            }
+        )
+    rows.sort(key=lambda r: (-r["mean_rpi_vs_best"], r["solver"]))
+    return rows, global_best
+
+
+def _reference_mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else float("nan")
+
+
+def _reference_half_width(values) -> float:
+    values = list(values)
+    if len(values) < 2:
+        return 0.0
+    return aggregate_ci(values)[1]

@@ -215,8 +215,11 @@ def test_regress_cli(tmp_path, capsys):
         ("cut-row", "tau", "line 2: the row ends before column 'tau'"),
         ("extend-row", "seed", "line 2: the row runs past column 'seed'"),
         ("repeat-row", "instance", "line 3: instance '{0}', solver '{1}' repeats line 2"),
+        ("set-nan", "tau", "line 2, column 'tau': must be finite, got 'nan'"),
+        ("set-inf", "rho", "line 2, column 'rho': must be finite, got 'inf'"),
     ],
-    ids=["float-makespan", "no-seed-column", "short-row", "long-row", "repeated-pair"],
+    ids=["float-makespan", "no-seed-column", "short-row", "long-row", "repeated-pair",
+         "nan-tau", "inf-rho"],
 )
 def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, column, named):
     code = run_cli(

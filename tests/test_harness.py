@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jsspt.errors import ConfigurationError, MetricError
+from jsspt.errors import ConfigurationError, DocumentError, MetricError
 from jsspt.harness import (
     DEFAULT_SIZES,
     RHO_LADDER,
@@ -220,6 +220,14 @@ def test_records_csv_round_trip():
     assert parsed[0].instance_id == records[0].instance_id
     assert parsed[0].makespan == records[0].makespan
     assert parsed[0].rho == pytest.approx(records[0].rho, abs=1e-6)
+
+
+def test_short_row_is_rejected_whatever_the_column_order():
+    # With the text columns last, a short row used to read them as None.
+    text = ("instance,solver,makespan,n,m,k,p_raw,t_raw,rho,tau,seed,regime,cell\n"
+            "a,SPT+SCTA,10,2,2,1,50.0,50.0,0.5,0.1,3\n")
+    with pytest.raises(DocumentError, match="line 2: the row ends before column 'regime'"):
+        records_from_csv(text)
 
 
 def test_grid_row_counts_and_cells():

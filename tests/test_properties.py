@@ -6,7 +6,9 @@ decider, sweep() agrees with solve(), every operation line equals the
 reference encoder's in any encoding order, the canonical-line grammars read
 every encoder line as json.loads does, also in the form Python 3.10
 compiles, and never change what a line gets,
-documents load back equal, and the oracle bounds every combo."""
+documents load back equal, the oracle bounds every combo, the results
+reduction gives the reference's global best and summary, and a results table
+reads back the records it was written from."""
 
 import copy
 import dataclasses
@@ -18,10 +20,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import _reference_operation_line
+from helpers import (
+    _reference_operation_line,
+    reference_select_global_best,
+    reference_summarize_results,
+)
 from jsspt import bridge, rule_server
 from jsspt.bridge import (
     AGV_PHASE,
@@ -40,10 +46,20 @@ from jsspt.engine import (
     save_result,
     validate_schedule,
 )
-from jsspt.errors import ActionError
-from jsspt.harness import ExperimentPlan, load_plan, plan_to_document
+from jsspt.errors import ActionError, MetricError
+from jsspt.harness import (
+    ExperimentPlan,
+    load_plan,
+    plan_to_document,
+    records_from_csv,
+    records_to_csv,
+    select_global_best,
+    summarize_results,
+    summary_to_csv,
+)
 from jsspt.instances import Instance, load_instance, save_instance
-from jsspt.rule_server import _edge_tail, _read_canonical, serve
+from jsspt.metrics import ResultRecord
+from jsspt.rule_server import _read_canonical, serve
 from jsspt.oracle import brute_force_oracle
 from jsspt.rules import ALL_COMBOS, parse_combo, play, solve, sweep
 
@@ -316,13 +332,12 @@ def fields(line) -> tuple:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_canonical_lines_take_the_fast_path(data):
-    # Every encoder line after an episode's first operation line is read by
-    # a grammar, as json.loads reads it. The server parses only hello, that
-    # first line and terminal.
+    # Every encoder observation line is read by a grammar, as json.loads
+    # reads it. The server parses only hello and terminal.
     instance = data.draw(instances(min_leg=1))
     lines = transcript(data, instance)
-    tail = _edge_tail(lines[1])
-    for line in lines[2:-1]:
+    tail = bridge.operation_tail(instance)
+    for line in lines[1:-1]:
         kind, phase, step, job = fields(line)
         assert (kind, *_read_canonical(line, tail)) == ("observation", phase, step, job)
         assert read_without_possessive(line, tail) == _read_canonical(line, tail)
@@ -333,7 +348,7 @@ def test_canonical_lines_take_the_fast_path(data):
                                side_effect=lambda line: parsed.append(line) or bridge.parse_message(line)):
             _, error = served(Path(tmp), lines)
     assert error is None
-    assert parsed == [lines[0], lines[1], lines[-1]]
+    assert parsed == [lines[0], lines[-1]]
 
 
 @pytest.mark.parametrize("value", ["1.5", "1e2", "1.0", "-1", "01", "true", '"1"', "null"])
@@ -347,7 +362,7 @@ def test_step_or_job_that_is_not_a_plain_integer_is_parsed(tmp_path, value):
     for line in (first.replace('"step":0', f'"step":{value}'),
                  agv.replace('"step":0', f'"step":{value}'),
                  agv.replace('"selected_job":1', f'"selected_job":{value}')):
-        assert _read_canonical(line, _edge_tail(first)) is None
+        assert _read_canonical(line, bridge.operation_tail(instance)) is None
         assert served(tmp_path, [hello, first, line]) == served(tmp_path, [hello, first, line], fast=False)
 
 
@@ -378,7 +393,7 @@ def test_edited_lines_get_what_the_parser_gives(data):
     # on as with every line parsed.
     instance = data.draw(instances(min_leg=1))
     lines = transcript(data, instance)
-    tail = _edge_tail(lines[1])
+    tail = bridge.operation_tail(instance)
     with tempfile.TemporaryDirectory() as tmp:
         save_instance(instance, tmp)
         for _ in range(12):
@@ -389,3 +404,81 @@ def test_edited_lines_get_what_the_parser_gives(data):
             assert read_without_possessive(line, tail) == canonical
             prefix = [lines[0], lines[1]]
             assert served(Path(tmp), prefix + [line]) == served(Path(tmp), prefix + [line], fast=False)
+
+
+# -- results reduction ---------------------------------------------------------
+
+def _record(instance: str, solver: str, makespan: int) -> ResultRecord:
+    return ResultRecord(instance, solver, makespan, 2, 2, 1, 50.0, 50.0, 0.5, 0.0,
+                        "resource-saturated", "", 0)
+
+
+@st.composite
+def result_sets(draw):
+    """Rows of a results table in any order: rule combos missing on some
+    instances, external solver rows, and makespans in 1-20, so that ties
+    occur. MOR+SCTA, the tie preference, is often among the combos."""
+    combos = draw(st.lists(st.sampled_from(ALL_COMBOS), unique=True, max_size=6))
+    if draw(st.booleans()) and "MOR+SCTA" not in combos:
+        combos.append("MOR+SCTA")
+    solvers = combos + draw(st.lists(st.sampled_from(["external", "learned"]), unique=True))
+    pairs = [(f"i{i}", s) for i in range(draw(st.integers(1, 5))) for s in solvers]
+    if not pairs:
+        return []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return [_record(i, s, draw(st.integers(1, 20))) for i, s in chosen]
+
+
+def _outcome(reduce, records) -> str:
+    """repr of what the reduction returns, float bits included, or its
+    MetricError message."""
+    try:
+        return repr(reduce(records))
+    except MetricError as exc:
+        return f"MetricError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(result_sets())
+@example([])
+@example([_record("i0", "learned", 3), _record("i1", "external", 4)])  # no combo
+@example([_record("i0", "SPT+SCTA", 3), _record("i1", "SPT+SCTA", 5),
+          _record("i1", "external", 4)])  # a single combo
+def test_reduction_matches_the_reference(records):
+    assert _outcome(select_global_best, records) == _outcome(reference_select_global_best, records)
+    assert (_outcome(summarize_results, records)
+            == _outcome(reference_summarize_results, records))
+    if any(r.solver_id in ALL_COMBOS for r in records):
+        rows, best = summarize_results(records)
+        expected_rows, expected_best = reference_summarize_results(records)
+        assert best == expected_best
+        assert summary_to_csv(rows) == summary_to_csv(expected_rows)
+    else:
+        with pytest.raises(MetricError):
+            select_global_best(records)
+
+
+# The csv writer leaves a carriage return unquoted, so a text cell holding
+# one does not read back.
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
+                     max_size=6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@SETTINGS
+@given(st.lists(
+    st.builds(ResultRecord, instance_id=_CELL_TEXT, solver_id=_CELL_TEXT, makespan=st.integers(),
+              n=st.integers(), m=st.integers(), k=st.integers(), p_raw=_FINITE, t_raw=_FINITE,
+              rho=_FINITE, tau=_FINITE, regime=_CELL_TEXT, cell_id=_CELL_TEXT, seed=st.integers()),
+    unique_by=lambda r: (r.instance_id, r.solver_id), max_size=8))
+def test_results_table_round_trips(records):
+    # Every field reads back; floats are written, so compared, at 6 decimals.
+    read = records_from_csv(records_to_csv(records))
+    assert len(read) == len(records)
+    for got, want in zip(read, records):
+        for field in dataclasses.fields(ResultRecord):
+            value = getattr(want, field.name)
+            if isinstance(value, float):
+                assert f"{getattr(got, field.name):.6f}" == f"{value:.6f}"
+            else:
+                assert getattr(got, field.name) == value

@@ -12,12 +12,13 @@ from jsspt.bridge import (
     encode_message,
     hello_message,
     match_agv_line,
+    operation_tail,
     serialize_observation,
 )
 from jsspt.engine import ScheduleState
 from jsspt.errors import ProtocolError
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
-from jsspt.rule_server import _edge_tail, main, serve
+from jsspt.rule_server import main, serve
 
 
 def _serve(tmp_path, *lines):
@@ -193,25 +194,29 @@ def _reordered(line):
 
 
 def test_cached_tail_parses_only_the_head(tmp_path, monkeypatch, two_instances):
-    # A canonical line ending in the kept tail is matched up to that tail and
-    # never parsed; a valid line that is not canonical is parsed whole.
+    # A canonical line ending in the tail of the instance the hello loaded is
+    # matched up to that tail and never parsed, the episode's first line
+    # included; a valid line that is not canonical is parsed whole.
     a, b = two_instances
     line_a, line_b = _operation_line(a), _operation_line(b)
     odd_a, odd_b = _reordered(line_a), _reordered(line_b)
-    tail_a, tail_b = _edge_tail(line_a), _edge_tail(line_b)
+    tail_a, tail_b = operation_tail(a), operation_tail(b)
     assert tail_a != tail_b
+    assert line_a.endswith(tail_a) and line_b.endswith(tail_b)
     assert odd_a != line_a and odd_a.endswith(tail_a)
     parsed = _serve_raw(
         tmp_path,
-        [hello_message(a), line_a, line_a, odd_a, line_b, line_b, odd_b, hello_message(a), line_b],
+        [hello_message(a), line_a, line_a, odd_a, line_b, line_b, odd_b, hello_message(b), line_b,
+         line_a],
         monkeypatch)
-    assert parsed[1:] == [
-        line_a,  # the first operation line parses in full
-        odd_a,
-        line_b,  # another instance's tail parses in full
-        odd_b,
+    assert parsed == [
         hello_message(a),
-        line_b,  # hello drops the tail
+        odd_a,
+        line_b,  # another instance's tail parses in full, every time
+        line_b,
+        odd_b,
+        hello_message(b),
+        line_a,  # a hello replaces the tail
     ]
 
 
@@ -219,26 +224,11 @@ def test_cached_tail_parses_only_the_head(tmp_path, monkeypatch, two_instances):
 def test_line_with_cached_tail_and_bad_head_is_a_protocol_error(
         tmp_path, monkeypatch, two_instances, head):
     a = two_instances[0]
-    line = _operation_line(a)
     with pytest.raises(ProtocolError):
-        _serve_raw(tmp_path, [hello_message(a), line, head + _edge_tail(line)], monkeypatch)
+        _serve_raw(tmp_path, [hello_message(a), head + operation_tail(a)], monkeypatch)
 
 
 HEAD = '{"type":"observation","schema":1,"step":0,"phase":"operation"'
-
-
-@pytest.mark.parametrize(
-    "tail",
-    [
-        ',"precedence":[[0,1]],"assignment":[],"extra":1}',
-        ',"precedence":[[0,1]]}',
-        ',"precedence":[[0,1]],"assignment":[]',
-        ',"precedence":[[0,1]],"assignment":[]}]',
-    ],
-    ids=["extra-key", "no-assignment", "unclosed", "trailing-data"],
-)
-def test_tail_with_other_keys_is_never_cached(tail):
-    assert _edge_tail(HEAD + tail) is None
 
 
 def test_uncached_tail_parses_in_full(tmp_path, monkeypatch, two_instances):
