@@ -1,9 +1,9 @@
 """Job-shop scheduling with AGV transport.
 
 A deterministic construction environment for the transport-extended job shop,
-the classic dispatching-rule solvers, observation builders for learned
-policies, a line protocol for evaluating external agents, and the experiment
-harness (benchmarks, duration grid, sensitivity regression).
+the classic dispatching-rule solvers, a line protocol for evaluating external
+agents (`jsspt.features` is the reference its encoders are tested against),
+and the experiment harness (benchmarks, duration grid, sensitivity regression).
 """
 
 from .engine import (
@@ -27,13 +27,6 @@ from .errors import (
     ProtocolError,
     StateError,
     TransportError,
-)
-from .features import (
-    AgvFeatureVector,
-    DisjunctiveGraph,
-    agv_features,
-    build_graph,
-    op_lower_bound,
 )
 from .instances import (
     GRID_BINS,

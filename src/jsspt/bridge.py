@@ -34,7 +34,6 @@ import select
 import shlex
 import subprocess
 import sys
-import weakref
 from time import monotonic
 from typing import NamedTuple
 
@@ -79,13 +78,10 @@ class _LineFragments(NamedTuple):
     runs: list
 
 
-# Keyed by the instance itself, so an entry lives exactly as long as its
-# instance; an id() key could be reused by a later instance.
-_FRAGMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _line_fragments(instance: Instance) -> _LineFragments:
-    frags = _FRAGMENTS.get(instance)
+    # Held in the instance's __dict__, beside its cached properties: found
+    # without hashing the instance, and gone with it.
+    frags = instance.__dict__.get("_line_fragments")
     if frags is None:
         precedence, assignment = instance.graph_edges
         edges = encode_message(
@@ -98,7 +94,7 @@ def _line_fragments(instance: Instance) -> _LineFragments:
             [f"[{j},{i},{t}," for i, t in enumerate(machines, start=1)]
             for j, machines in enumerate(instance.op_machines)
         ]
-        frags = _FRAGMENTS[instance] = _LineFragments(
+        frags = instance.__dict__["_line_fragments"] = _LineFragments(
             done_heads=tuple(tuple(h + "1," for h in row) for row in heads),
             open_heads=tuple(tuple(h + "0," for h in row) for row in heads),
             ratio_texts=tuple(_scaled_texts(range(instance.n + 1), 0, instance.n)),
@@ -116,14 +112,8 @@ def operation_tail(instance: Instance) -> str:
 
 
 def _round6_text(value: float) -> str:
-    """repr(round(value, 6)), the JSON text of a quantized feature, without
-    repr's shortest-digits search. Below 1e9 a 6-decimal rendering has at
-    most 15 significant digits, so with trailing zeros stripped it already is
-    the shortest text of its float; below 1e-4 repr uses an exponent."""
-    if not 1e-4 <= abs(value) < 1e9:
-        return repr(round(value, 6))
-    text = f"{value:.6f}".rstrip("0")
-    return text + "0" if text.endswith(".") else text
+    """The JSON text of a quantized feature."""
+    return repr(round(value, 6))
 
 
 # ("0.%06d" % q).rstrip("0") for q = 1000 * a + b with a >= 1 or b >= 100:

@@ -11,13 +11,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
 from . import harness
 from .engine import save_result
 from .errors import ConfigurationError, JssptError, report_error
-from .instances import GenerationConfig, generate_instance, load_instance, save_instance
+from .instances import (
+    GenerationConfig,
+    check_seed,
+    generate_instance,
+    load_instance,
+    save_instance,
+    write_text_atomic,
+)
 from .oracle import brute_force_oracle
 from .rules import ALL_COMBOS, parse_combo, solve, sweep
 
@@ -28,17 +36,6 @@ def _out_dir(value: str | None) -> Path:
     path = Path(value or os.environ.get(ENV_OUT_DIR) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_table(path: Path, text: str) -> None:
-    """Write to `<path>.tmp`, then rename: a failed write keeps the old table."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
@@ -82,6 +79,8 @@ def _plan_from_args(plan_type, args):
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ConfigurationError(f"--count must be >= 1, got {args.count}")
     out = _out_dir(args.out)
     written = []
     for i in range(args.count):
@@ -100,6 +99,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    check_seed(args.seed, "--seed")
     instance = load_instance(args.instance)
     if args.all_combos:
         makespans = sweep(instance, seed=args.seed)
@@ -127,8 +127,8 @@ def _cmd_bench(args) -> int:
     records, summary, global_best = harness.run_bench(plan, jobs=args.jobs)
     results_path = out / "results.csv"
     summary_path = out / "summary.csv"
-    _write_table(results_path, harness.records_to_csv(records))
-    _write_table(summary_path, harness.summary_to_csv(summary))
+    write_text_atomic(results_path, harness.records_to_csv(records))
+    write_text_atomic(summary_path, harness.summary_to_csv(summary))
     print(f"{len(records)} rows -> {results_path}")
     print(f"summary -> {summary_path}")
     print(f"global best combo: {global_best}")
@@ -142,9 +142,9 @@ def _cmd_grid(args) -> int:
     results_path = out / "grid_results.csv"
     cells_path = out / "grid_cells.csv"
     heatmap_path = out / "heatmap.csv"
-    _write_table(results_path, harness.records_to_csv(records))
-    _write_table(cells_path, harness.grid_cells_to_csv(cells))
-    _write_table(heatmap_path, harness.heatmap_to_csv(heatmap))
+    write_text_atomic(results_path, harness.records_to_csv(records))
+    write_text_atomic(cells_path, harness.grid_cells_to_csv(cells))
+    write_text_atomic(heatmap_path, harness.heatmap_to_csv(heatmap))
     print(f"{len(records)} rows -> {results_path}")
     print(f"cells -> {cells_path}")
     print(f"heatmap -> {heatmap_path}")
@@ -156,7 +156,7 @@ def _cmd_regress(args) -> int:
     reports = harness.run_regression_suite(records, args.solver, args.baseline)
     text = harness.format_regression_suite(reports)
     if args.out:
-        _write_table(Path(args.out), text)
+        write_text_atomic(Path(args.out), text)
         print(f"report -> {args.out}")
     else:
         print(text, end="")
@@ -164,6 +164,11 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_eval_external(args) -> int:
+    if not 0 < args.timeout < math.inf:
+        raise ConfigurationError(f"--timeout must be positive and finite, got {args.timeout}")
+    # The label fills a results-table cell, which the table keeps on one line.
+    if "\r" in args.label or "\n" in args.label:
+        raise ConfigurationError(f"--label must be one line, got {args.label!r}")
     paths: list[Path] = []
     for entry in args.instances:
         p = Path(entry)
@@ -178,7 +183,7 @@ def _cmd_eval_external(args) -> int:
         instances, args.cmd, label=args.label, timeout=args.timeout
     )
     out_path = Path(args.out) if args.out else _out_dir(None) / "external_results.csv"
-    _write_table(out_path, harness.records_to_csv(records))
+    write_text_atomic(out_path, harness.records_to_csv(records))
     print(f"{len(records)} rows -> {out_path}")
     return 0
 

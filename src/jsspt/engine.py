@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import ActionError, DocumentError, StateError
 from .instances import LOAD, Instance, _document_int, _document_table
+from .instances import read_document, write_text_atomic
 
 
 class JointAction(NamedTuple):
@@ -231,12 +232,12 @@ def result_from_document(doc: dict) -> ScheduleResult:
 
 def save_result(result: ScheduleResult, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(result_to_document(result), indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(result_to_document(result), indent=2) + "\n")
     return path
 
 
 def load_result(path: str | Path) -> ScheduleResult:
-    return result_from_document(json.loads(Path(path).read_text(encoding="utf-8")))
+    return result_from_document(read_document(path))
 
 
 # -- validation --------------------------------------------------------------

@@ -27,6 +27,7 @@ from .instances import (
     Instance,
     _document_int,
     _document_table,
+    check_seed,
     generate_instance,
 )
 from .metrics import ResultRecord, bottleneck_features, make_record, rpi, win
@@ -72,6 +73,7 @@ class _Axes:
             raise ConfigurationError("scarcity values must be positive and finite")
         if getattr(self, count_field) < 1:
             raise ConfigurationError(f"{count_field} must be >= 1")
+        check_seed(self.seed)
         if not solvers:
             raise ConfigurationError("plan needs at least one solver")
         for ident in solvers:
@@ -330,7 +332,7 @@ _RESULT_SPECS = tuple(".6f" if kind is float else "" for _, _, kind in _RESULT_S
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def records_to_csv(records: list[ResultRecord]) -> str:
@@ -347,8 +349,16 @@ def records_from_csv(text: str) -> list[ResultRecord]:
     """The records of a results table. A missing column, a short or long
     row, a cell that is not a number of its column's type, a number that is
     not finite or a repeated (instance, solver) pair raises DocumentError
-    naming the line."""
+    naming the line, as does text the csv module cannot read."""
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        return _read_records(reader)
+    except csv.Error as exc:
+        # DictReader's own line_num stops at the last row it returned.
+        raise DocumentError(f"results table line {reader.reader.line_num}: {exc}") from None
+
+
+def _read_records(reader: csv.DictReader) -> list[ResultRecord]:
     for column in RESULT_COLUMNS:
         if column not in (reader.fieldnames or ()):
             raise DocumentError(f"results table line 1: no {column!r} column")
@@ -426,6 +436,11 @@ class GridPlan(_Axes):
 
     def __post_init__(self) -> None:
         self._check("instances_per_cell", (self.solver_a, self.solver_b))
+        # Each scarcity value heads its own heatmap.csv column, by its :g text.
+        columns = [f"{r:g}" for r in self.rhos]
+        for i, column in enumerate(columns):
+            if column in columns[:i]:
+                raise ConfigurationError(f"rho {self.rhos[i]!r} repeats heatmap column {column}")
 
 
 def _cell_label(proc_bin: tuple[int, int], transport_bin: tuple[int, int]) -> str:
@@ -540,9 +555,10 @@ def tau_bin(tau: float) -> float:
 
 
 def heatmap_table(records, solver_a: str, solver_b: str, rho_axis=RHO_LADDER):
-    """Mean improvement of solver_a over solver_b keyed by (rho column,
-    tau* bin); rows descend from tau* = 1.0 to -1.0, cells without data are
-    None."""
+    """Mean improvement of solver_a over solver_b per (tau* bin, rho column).
+    Rows descend from tau* = 1.0 to -1.0 and are keyed by the heatmap.csv
+    headers: "tau" holds the bin's text, and each rho column its :g text.
+    Cells without data are None."""
     pairs = _pair_records(records, solver_a, solver_b)
     axis = tuple(sorted(rho_axis))
     sums: dict[tuple[float, float], list[float]] = {}
@@ -551,27 +567,16 @@ def heatmap_table(records, solver_a: str, solver_b: str, rho_axis=RHO_LADDER):
         sums.setdefault(key, []).append(rpi(a.makespan, b.makespan))
     rows = []
     for tau_value in reversed(TAU_BINS):
-        row: dict = {"tau": tau_value}
+        row: dict = {"tau": f"{tau_value:.1f}"}
         for rho_value in axis:
             values = sums.get((tau_value, rho_value))
-            row[rho_value] = _mean(values) if values else None
+            row[f"{rho_value:g}"] = _mean(values) if values else None
         rows.append(row)
     return rows
 
 
 def heatmap_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "tau\n"
-    axis = [c for c in rows[0] if c != "tau"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tau"] + [f"{r:g}" for r in axis])
-    for row in rows:
-        writer.writerow(
-            [f"{row['tau']:.1f}"]
-            + ["" if row[c] is None else _fmt(row[c]) for c in axis]
-        )
-    return buf.getvalue()
+    return _table_to_csv(tuple(rows[0]) if rows else ("tau",), rows)
 
 
 # -- regression on solver gaps ---------------------------------------------------

@@ -11,6 +11,7 @@ normative for all index arithmetic in this package.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -32,6 +33,23 @@ TIME_MAX = 100
 GRID_BINS: tuple[tuple[int, int], ...] = tuple(
     (lo, lo + 9) for lo in range(1, TIME_MAX, 10)
 )
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """numpy's generators take only non-negative seeds."""
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {seed}")
+
+
+def plain_file_stem(name) -> bool:
+    """Whether `name` can name <name>.json directly in a directory, on one
+    line: a non-empty string without NUL, line breaks or a directory part."""
+    return (
+        type(name) is str
+        and name not in ("", "..")
+        and Path(name).name == name
+        and not any(c in name for c in "\0\r\n")
+    )
 
 
 def machine_index(machine: int) -> int:
@@ -205,6 +223,7 @@ class GenerationConfig:
                 )
         elif self.k < 1:
             raise ConfigurationError(f"need k >= 1, got {self.k}")
+        check_seed(self.seed)
 
 
 def generate_instance(config: GenerationConfig, *, id_override: str | None = None) -> Instance:
@@ -259,9 +278,12 @@ def instance_from_document(doc: dict) -> Instance:
     for field in required:
         if field not in doc:
             raise DocumentError(f"{field}: missing required field")
+    # The id names the instance's file and its results-table rows.
+    if not plain_file_stem(doc["id"]):
+        raise DocumentError(f"id: must be a plain file stem on one line, got {doc['id']!r}")
     try:
         inst = Instance(
-            id=str(doc["id"]),
+            id=doc["id"],
             n=_document_int(doc["n"], "n"),
             m=_document_int(doc["m"], "m"),
             k=_document_int(doc["k"], "k"),
@@ -284,19 +306,31 @@ def save_instance(inst: Instance, path: str | Path) -> Path:
     path = Path(path)
     if path.is_dir():
         path = path / f"{inst.id}.json"
-    path.write_text(
-        json.dumps(instance_to_document(inst), indent=2) + "\n", encoding="utf-8"
-    )
+    write_text_atomic(path, json.dumps(instance_to_document(inst), indent=2) + "\n")
     return path
 
 
 def load_instance(path: str | Path) -> Instance:
-    text = Path(path).read_text(encoding="utf-8")
+    return instance_from_document(read_document(path))
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write to `<path>.tmp`, then rename: a failed write keeps the old file."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        doc = json.loads(text)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_document(path: str | Path):
+    """The JSON value of a UTF-8 document; DocumentError if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document: not valid JSON ({exc})") from exc
-    return instance_from_document(doc)
 
 
 # -- invariant checks ------------------------------------------------------

@@ -29,7 +29,7 @@ from .bridge import (
 )
 from .engine import ScheduleState
 from .errors import JssptError, ProtocolError, report_error
-from .instances import Instance, load_instance
+from .instances import Instance, check_seed, load_instance, plain_file_stem
 from .rules import AgvRule, OperationRule, select_agv, select_operation
 
 
@@ -63,7 +63,7 @@ def _read_canonical(line: str, tail: str | None) -> tuple[str, int, int | None] 
 def _instance_path(instances_dir: Path, msg: dict) -> Path:
     """The document a hello names: <instance>.json directly in instances_dir."""
     name = _field(msg, "instance")
-    if type(name) is not str or name in ("", "..") or "\0" in name or Path(name).name != name:
+    if not plain_file_stem(name):
         raise ProtocolError(f"hello instance must be a plain file stem, got {name!r}")
     path = instances_dir / f"{name}.json"
     if not path.exists():
@@ -169,6 +169,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     try:
+        check_seed(args.seed, "--seed")
         serve(args.op_rule, args.agv_rule, args.instances_dir, args.seed)
     except (JssptError, OSError) as exc:
         return report_error(exc)

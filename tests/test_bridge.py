@@ -34,7 +34,7 @@ from jsspt.bridge import (
 from jsspt.engine import JointAction, ScheduleState, lower_bound
 from jsspt.errors import ProtocolError, TransportError
 from jsspt.features import agv_features
-from jsspt.instances import GenerationConfig, generate_instance, save_instance
+from jsspt.instances import GenerationConfig, Instance, generate_instance, save_instance
 from jsspt.rules import play, solve
 
 
@@ -106,6 +106,25 @@ def test_operation_lines_match_reference_encoder():
             jobs = state.valid_operations()
             job = jobs[int(rng.integers(len(jobs)))]
             state = state.apply(JointAction(job, int(rng.integers(inst.k))))
+
+
+def test_lines_never_hash_the_instance(monkeypatch):
+    # The per-instance line fragments are found on the instance itself, not
+    # by hashing its routings and tables at every step.
+    def episode_lines():
+        inst = generate_instance(GenerationConfig(n=5, m=4, k=3, seed=8))
+        policy = RecordingPolicy("SPT", "SCTA", seed=7)
+        run_episode(inst, policy, policy)
+        return policy.lines
+
+    want = episode_lines()
+
+    def unhashable(self):
+        raise AssertionError("an observation line hashed its instance")
+
+    monkeypatch.setattr(Instance, "__hash__", unhashable)
+    assert episode_lines() == want
+    assert len(want) == 2 * 5 * (4 + 1)
 
 
 def test_round6_text_is_repr_of_rounded_float():

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import micro_instance
 from jsspt.cli import main
-from jsspt.instances import load_instance, save_instance
+from jsspt.instances import instance_to_document, load_instance, save_instance
 
 
 def run_cli(*argv):
@@ -30,6 +30,54 @@ def test_gen_rejects_bad_config(tmp_path, capsys):
     code = run_cli("gen", "--n", "0", "--m", "3", "--out", str(tmp_path))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+GEN = ("gen", "--n", "4", "--m", "3", "--k", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (GEN + ("--seed", "-1"), "seed must be >= 0, got -1"),
+        (GEN + ("--seed", "-1", "--count", "3"), "seed must be >= 0, got -1"),
+        (GEN + ("--count", "0"), "--count must be >= 1, got 0"),
+        (("bench", "--sizes", "3x2", "--rhos", "0.5", "--instances", "1", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("grid", "--sizes", "3x2", "--instances-per-cell", "1", "--seed", "-2"),
+         "seed must be >= 0, got -2"),
+    ],
+    ids=["gen-seed", "gen-seed-count-3", "gen-count-0", "bench-seed", "grid-seed"],
+)
+def test_negative_seed_or_zero_count_exits_2_before_writing(tmp_path, capsys, argv, named):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert f"jsspt: configuration error: {named}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("combos", [(), ("--all-combos",)])
+def test_solve_rejects_a_negative_seed(tmp_path, capsys, combos):
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
+    assert run_cli("solve", "--instance", str(path), "--seed", "-1", *combos) == 2
+    captured = capsys.readouterr()
+    assert "jsspt: configuration error: --seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_plan_rejects_a_negative_seed(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({**PLAN_FIELDS, "seed": -3}))
+    assert run_cli("bench", "--plan", str(plan_path), "--out", str(tmp_path)) == 2
+    assert "jsspt: configuration error: seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("ident", ["a\rb", "x/y", 5])
+def test_solve_rejects_an_id_that_is_not_a_plain_file_stem(tmp_path, capsys, ident):
+    doc = instance_to_document(micro_instance(idle_leg=1))
+    path = tmp_path / "micro.json"
+    path.write_text(json.dumps({**doc, "id": ident}))
+    assert run_cli("solve", "--instance", str(path)) == 3
+    assert "jsspt: document error: id: must be a plain file stem" in capsys.readouterr().err
 
 
 def test_solve_single_combo(tmp_path, capsys):
@@ -153,6 +201,22 @@ def test_grid_rejects_nonpositive_scarcity(tmp_path, capsys):
     assert code == 2
     assert "jsspt: configuration error: scarcity values must be positive" in capsys.readouterr().err
     assert not (tmp_path / "heatmap.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rhos, named",
+    [("0.2,0.2000001", "rho 0.2000001 repeats heatmap column 0.2"),
+     ("0.5,0.5", "rho 0.5 repeats heatmap column 0.5")],
+    ids=["same-text", "repeated"],
+)
+def test_grid_rejects_scarcity_values_sharing_a_column(tmp_path, capsys, rhos, named):
+    code = run_cli(
+        "grid", "--sizes", "2x2", "--rhos", rhos, "--instances-per-cell", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert f"jsspt: configuration error: {named}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_rejects_zero_size(tmp_path, capsys):
@@ -332,6 +396,30 @@ def test_eval_external_unreachable(tmp_path, capsys):
     assert not out_file.exists()  # zero rows on transport failure
 
 
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (("--timeout", "nan"), "--timeout must be positive and finite, got nan"),
+        (("--timeout", "inf"), "--timeout must be positive and finite, got inf"),
+        (("--timeout", "0"), "--timeout must be positive and finite, got 0.0"),
+        (("--timeout", "-1"), "--timeout must be positive and finite, got -1.0"),
+        (("--label", "a\nb"), "--label must be one line, got 'a\\nb'"),
+        (("--label", "a\rb"), "--label must be one line, got 'a\\rb'"),
+    ],
+    ids=["timeout-nan", "timeout-inf", "timeout-0", "timeout-negative", "label-lf", "label-cr"],
+)
+def test_eval_external_rejects_bad_timeout_and_label(tmp_path, capsys, option, named):
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
+    out_file = tmp_path / "external.csv"
+    code = run_cli(
+        "eval-external", "--instances", str(path), "--cmd", "/nonexistent/policy",
+        *option, "--out", str(out_file),
+    )
+    assert code == 2
+    assert f"jsspt: configuration error: {named}" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("JSSPT_OUT", str(tmp_path / "from-env"))
     code = run_cli("gen", "--n", "3", "--m", "2", "--k", "1", "--seed", "0")
@@ -398,5 +486,23 @@ def test_interrupted_table_write_keeps_the_old_table(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(Path, "write_text", torn_write)
     assert run_cli(*args, "--seed", "2") == 3
+    assert "jsspt: io error: no space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def test_interrupted_document_write_keeps_the_old_document(tmp_path, capsys, monkeypatch):
+    args = ("gen", "--n", "3", "--m", "2", "--k", "1", "--seed", "4", "--out", str(tmp_path))
+    assert run_cli(*args) == 0
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(old) == ["3x2x1-seed4.json"]
+
+    real_write = Path.write_text
+
+    def torn_write(self, data, *a, **kw):
+        real_write(self, data[: len(data) // 2], *a, **kw)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    assert run_cli(*args) == 3
     assert "jsspt: io error: no space left on device" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old

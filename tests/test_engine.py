@@ -7,6 +7,7 @@ from jsspt.engine import (
     ScheduleResult,
     ScheduleState,
     build_result,
+    load_result,
     lower_bound,
     result_from_document,
     result_to_document,
@@ -280,3 +281,10 @@ def test_identical_action_sequences_identical_schedules():
     first = run_sequence(inst, decisions)
     second = run_sequence(inst, decisions)
     assert build_result(first, "a", decisions).rows == build_result(second, "a", decisions).rows
+
+
+def test_load_result_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "schedule.json"
+    path.write_text("{bad", encoding="utf-8")
+    with pytest.raises(DocumentError, match="^document: not valid JSON"):
+        load_result(path)

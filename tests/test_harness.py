@@ -230,6 +230,16 @@ def test_short_row_is_rejected_whatever_the_column_order():
         records_from_csv(text)
 
 
+def test_carriage_return_in_a_cell_is_a_document_error():
+    # The writer leaves a lone carriage return unquoted, and the csv module
+    # cannot read it back; instance ids and labels are kept free of it.
+    text = ("instance,solver,makespan,n,m,k,p_raw,t_raw,rho,tau,regime,cell,seed\n"
+            "a,SPT+SCTA,10,2,2,1,50.0,50.0,0.5,0.1,r,,3\n"
+            "a\rb,SPT+SCTA,10,2,2,1,50.0,50.0,0.5,0.1,r,,3\n")
+    with pytest.raises(DocumentError, match="^results table line 3: new-line character"):
+        records_from_csv(text)
+
+
 def test_grid_row_counts_and_cells():
     plan = GridPlan(
         sizes=((3, 2),), rhos=(0.4, 1.0), instances_per_cell=1,

@@ -280,6 +280,14 @@ def test_load_rejects_string_integers():
         instance_from_document(doc)
 
 
+@pytest.mark.parametrize("ident", [5, None, "", "..", "x/y", "/x", "a\rb", "a\nb", "a\0b"])
+def test_load_rejects_an_id_that_is_not_a_plain_file_stem(ident):
+    # The id names the instance's <id>.json and fills a results-table cell.
+    doc = dict(_small_document(), id=ident)
+    with pytest.raises(DocumentError, match=r"^id: must be a plain file stem on one line, got "):
+        instance_from_document(doc)
+
+
 def test_zero_transport_document_is_rejected(tmp_path):
     # Built in code, zero legs are allowed (engine tests rely on them); as a
     # document, the instance lies outside the domain the metrics accept.

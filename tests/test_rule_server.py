@@ -149,6 +149,15 @@ def test_main_maps_bad_hello_and_job_to_exit_5(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("jsspt: protocol error: selected_job 99 ")
 
 
+def test_main_rejects_a_negative_seed_before_serving(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_hello(tmp_path)) + "\n"))
+    argv = ["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)]
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "jsspt: configuration error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""  # no ready line
+
+
 def test_main_maps_document_and_io_errors_to_exit_3(tmp_path, monkeypatch, capsys):
     (tmp_path / "broken.json").write_text("{}")
     (tmp_path / "folder.json").mkdir()
