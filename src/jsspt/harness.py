@@ -336,13 +336,9 @@ def _fmt(value) -> str:
 
 
 def records_to_csv(records: list[ResultRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for r in records:
-        # A record's __dict__ holds its fields in declaration order: the schema's.
-        writer.writerow(map(format, vars(r).values(), _RESULT_SPECS))
-    return buf.getvalue()
+    # A record's __dict__ holds its fields in declaration order: the schema's.
+    return _write_csv(RESULT_COLUMNS, lambda: (map(format, vars(r).values(), _RESULT_SPECS)
+                                                for r in records))
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
@@ -404,16 +400,29 @@ def _cell(row: dict, column: str, kind: type, line: int):
 
 
 def read_records(path: str | Path) -> list[ResultRecord]:
-    return records_from_csv(Path(path).read_text(encoding="utf-8"))
+    # Untranslated newlines, so that a quoted carriage return reads back as one.
+    with open(path, encoding="utf-8", newline="") as f:
+        return records_from_csv(f.read())
 
 
 def _table_to_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
-    return buf.getvalue()
+    return _write_csv(columns, lambda: ([_fmt(row[c]) for c in columns] for row in rows))
+
+
+def _write_csv(columns: tuple[str, ...], cells) -> str:
+    """A table of the rows that `cells()` yields. Up to Python 3.12 the
+    writer quotes a cell holding a line feed but not one holding a lone
+    carriage return, which the reader then rejects; so a table with any
+    carriage return is written again with every cell quoted."""
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
+        writer.writerow(columns)
+        writer.writerows(cells())
+        text = buf.getvalue()
+        if "\r" not in text:
+            break
+    return text
 
 
 def summary_to_csv(rows: list[dict]) -> str:

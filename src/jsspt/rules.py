@@ -4,6 +4,10 @@ Operation rules score each unfinished job's next operation; AGV rules score
 vehicles on raw transport times for the already-chosen operation. All ties
 break toward the lowest index so benchmark tables are reproducible; only the
 RANDOM rules consume the seeded stream.
+
+`select_operation` finds each non-RANDOM rule's scorer, and `min` or `max`,
+in one dispatch table, `_OPERATION_DISPATCH`; the other rule checks compare
+against module-level aliases, so no decision step loads an enum member.
 """
 
 from __future__ import annotations
@@ -42,50 +46,77 @@ class AgvRule(str, Enum):
     SCPT = "SCPT"          # soonest completion of pending tasks: min release
 
 
+# The operation rules' scorers: one score per job in `state.frontier`.
+
+def _processing_time(state) -> list:
+    times, nxt = state.instance.proc_times, state.next_op
+    return [times[j][nxt[j] - 1] for j in state.frontier]
+
+
+def _work_remaining(state) -> list:
+    suffix, nxt = state.instance.work_suffix, state.next_op
+    return [suffix[j][nxt[j] - 1] for j in state.frontier]
+
+
+def _mean_work_remaining(state) -> list:
+    suffix, nxt, width = state.instance.work_suffix, state.next_op, state.instance.m + 2
+    return [suffix[j][nxt[j] - 1] / (width - nxt[j]) for j in state.frontier]
+
+
+def _flow_due_ratio(state) -> list:
+    inst, nxt = state.instance, state.next_op
+    prefix, suffix = inst.work_prefix, inst.work_suffix
+    return [
+        prefix[j][nxt[j] - 1] / suffix[j][nxt[j] - 1] if suffix[j][nxt[j] - 1] else math.inf
+        for j in state.frontier
+    ]
+
+
+def _operations_done(state) -> list:
+    # Fewer ops done means more remaining: MOR takes the least next_op.
+    nxt = state.next_op
+    return [nxt[j] for j in state.frontier]
+
+
+def _predecessor_end(state) -> list:
+    # FCFS: the candidate whose predecessor finished first.
+    entries = state.entries
+    return [entries[j][-1].end if entries[j] else 0 for j in state.frontier]
+
+
+#: The dispatch table: each non-RANDOM operation rule's scorer and whether it
+#: takes the least (min) or the greatest (max) score.
+_OPERATION_DISPATCH = {
+    OperationRule.SPT: (_processing_time, min),
+    OperationRule.SMPT: (_mean_work_remaining, min),
+    OperationRule.LPT: (_processing_time, max),
+    OperationRule.MWR: (_work_remaining, max),
+    OperationRule.LWR: (_work_remaining, min),
+    OperationRule.FDD_MWR: (_flow_due_ratio, min),
+    OperationRule.MOR: (_operations_done, min),
+    OperationRule.LOR: (_operations_done, max),
+    OperationRule.FCFS: (_predecessor_end, min),
+}
+# Loading an enum member costs about ten times as much as loading a global.
+_RANDOM_OPERATION = OperationRule.RANDOM
+_RANDOM_AGV = AgvRule.RANDOM
+_SCPT = AgvRule.SCPT
+
+
 def select_operation(rule, state, rng: np.random.Generator | None = None) -> int:
     """Pick a job from the valid frontier according to `rule`."""
     rule = rule if type(rule) is OperationRule else OperationRule(rule)
     candidates = state.frontier
     if not candidates:
         raise StateError("no unscheduled operations left")
-    if rule is OperationRule.RANDOM:
+    if rule is _RANDOM_OPERATION:
         if rng is None:
             raise ActionError("RANDOM operation rule needs a random generator")
         return candidates[int(rng.integers(len(candidates)))]
-
-    # One score per candidate from the instance's work tables; min and
-    # list.index both take the first extremum, so the lowest index wins ties.
-    inst = state.instance
-    nxt = state.next_op
-    pick = min
-    if rule is OperationRule.SPT or rule is OperationRule.LPT:
-        times = inst.proc_times
-        scores = [times[j][nxt[j] - 1] for j in candidates]
-        if rule is OperationRule.LPT:
-            pick = max
-    elif rule is OperationRule.MWR or rule is OperationRule.LWR:
-        suffix = inst.work_suffix
-        scores = [suffix[j][nxt[j] - 1] for j in candidates]
-        if rule is OperationRule.MWR:
-            pick = max
-    elif rule is OperationRule.SMPT:
-        suffix = inst.work_suffix
-        width = inst.m + 2
-        scores = [suffix[j][nxt[j] - 1] / (width - nxt[j]) for j in candidates]
-    elif rule is OperationRule.FDD_MWR:
-        prefix, suffix = inst.work_prefix, inst.work_suffix
-        scores = [
-            prefix[j][nxt[j] - 1] / suffix[j][nxt[j] - 1] if suffix[j][nxt[j] - 1] else math.inf
-            for j in candidates
-        ]
-    elif rule is OperationRule.MOR or rule is OperationRule.LOR:
-        # Fewer ops done means more remaining: MOR takes the least next_op.
-        scores = [nxt[j] for j in candidates]
-        if rule is OperationRule.LOR:
-            pick = max
-    else:  # FCFS: the candidate whose predecessor finished first
-        entries = state.entries
-        scores = [entries[j][-1].end if entries[j] else 0 for j in candidates]
+    # min, max and list.index all take the first extremum, so the lowest
+    # index wins ties.
+    score, pick = _OPERATION_DISPATCH[rule]
+    scores = score(state)
     return candidates[scores.index(pick(scores))]
 
 
@@ -93,12 +124,12 @@ def select_agv(rule, state, job: int, rng: np.random.Generator | None = None) ->
     """Pick a vehicle for the chosen job's next operation according to `rule`."""
     rule = rule if type(rule) is AgvRule else AgvRule(rule)
     op = _candidate_op(state, job)
-    if rule is AgvRule.RANDOM:
+    if rule is _RANDOM_AGV:
         if rng is None:
             raise ActionError("RANDOM agv rule needs a random generator")
         return int(rng.integers(state.instance.k))
     free = state.agv_free
-    if rule is AgvRule.SCPT:  # release from pending tasks
+    if rule is _SCPT:  # release from pending tasks
         return free.index(min(free))
     # SPUT: arrival at the pickup machine. SCTA's task finish adds the loaded
     # leg, the same for every vehicle, so both rules take the same argmin.
@@ -135,7 +166,11 @@ def play(instance: Instance, op_rule, agv_rule, seed=0) -> tuple[ScheduleState, 
     state in place; returns the terminal state and the decisions."""
     op_rule = OperationRule(op_rule)
     agv_rule = AgvRule(agv_rule)
-    rng = np.random.default_rng(seed)
+    # Only the RANDOM rules draw, so no other pair pays for a generator.
+    if op_rule is _RANDOM_OPERATION or agv_rule is _RANDOM_AGV:
+        rng = np.random.default_rng(seed)
+    else:
+        rng = None
     state = ScheduleState(instance)
     decisions: list[tuple[int, int]] = []
     for _ in range(instance.total_ops):

@@ -231,8 +231,8 @@ def test_short_row_is_rejected_whatever_the_column_order():
 
 
 def test_carriage_return_in_a_cell_is_a_document_error():
-    # The writer leaves a lone carriage return unquoted, and the csv module
-    # cannot read it back; instance ids and labels are kept free of it.
+    # The csv module cannot read a lone carriage return in an unquoted cell,
+    # as a hand-edited table may hold; records_to_csv quotes such a table.
     text = ("instance,solver,makespan,n,m,k,p_raw,t_raw,rho,tau,regime,cell,seed\n"
             "a,SPT+SCTA,10,2,2,1,50.0,50.0,0.5,0.1,r,,3\n"
             "a\rb,SPT+SCTA,10,2,2,1,50.0,50.0,0.5,0.1,r,,3\n")

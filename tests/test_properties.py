@@ -2,13 +2,15 @@
 the in-place and functional transitions agree, apply() never touches its
 parent, every rule schedule validates and every single-field change to it is
 reported, play() agrees with solve() and with run_episode() under a rule
-decider, sweep() agrees with solve(), every operation line equals the
+decider, sweep() agrees with solve(), scaling every time by c scales every
+combo's makespan by c and relabeling the machines changes none, every
+operation line equals the
 reference encoder's in any encoding order, the canonical-line grammars read
 every encoder line as json.loads does, also in the form Python 3.10
 compiles, and never change what a line gets,
 documents load back equal, the oracle bounds every combo, the results
 reduction gives the reference's global best and summary, and a results table
-reads back the records it was written from."""
+reads back the records it was written from, carriage returns included."""
 
 import copy
 import dataclasses
@@ -51,13 +53,22 @@ from jsspt.harness import (
     ExperimentPlan,
     load_plan,
     plan_to_document,
+    read_records,
     records_from_csv,
     records_to_csv,
     select_global_best,
     summarize_results,
     summary_to_csv,
 )
-from jsspt.instances import Instance, load_instance, save_instance
+from jsspt.instances import (
+    LOAD,
+    UNLOAD,
+    Instance,
+    load_instance,
+    machine_index,
+    save_instance,
+    write_text_atomic,
+)
 from jsspt.metrics import ResultRecord
 from jsspt.rule_server import _read_canonical, serve
 from jsspt.oracle import brute_force_oracle
@@ -67,22 +78,22 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def instances(draw, max_n=5, max_m=4, max_k=4, min_leg=0):
+def instances(draw, max_n=5, max_m=4, max_k=4, min_leg=0, max_time=100):
     """Any instance the constructor accepts, up to the given shape:
-    processing times in [1, 100], transport times in [min_leg, 100] with a
-    zero diagonal (zero off-diagonal legs included by default; a document
-    needs min_leg=1)."""
+    processing times in [1, max_time], transport times in [min_leg,
+    max_time] with a zero diagonal (zero off-diagonal legs included by
+    default; a document needs min_leg=1)."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
     k = draw(st.integers(1, max_k))
     routings = tuple(tuple(draw(st.permutations(range(m)))) for _ in range(n))
     proc = tuple(
-        tuple(draw(st.lists(st.integers(1, 100), min_size=m, max_size=m))) + (0,)
+        tuple(draw(st.lists(st.integers(1, max_time), min_size=m, max_size=m))) + (0,)
         for _ in range(n)
     )
     size = m + 2
     transport = tuple(
-        tuple(0 if a == b else draw(st.integers(min_leg, 100)) for b in range(size))
+        tuple(0 if a == b else draw(st.integers(min_leg, max_time)) for b in range(size))
         for a in range(size)
     )
     return Instance("prop", n, m, k, routings, proc, transport, seed=0)
@@ -201,6 +212,48 @@ def test_sweep_agrees_with_solve_for_every_combo(instance, seed):
         result = solve(instance, *parse_combo(combo), seed=(seed, index))
         assert validate_schedule(result, instance) == []
         assert makespans[index] == result.makespan
+
+
+# Metamorphic relations: each changes the instance in a way that must change
+# every combo's makespan in a known way. The RANDOM pairs are included, as
+# their draws depend only on the frontier's length and on k.
+
+@SETTINGS
+@given(instances(min_leg=1, max_time=33), st.sampled_from([2, 3]),
+       st.integers(0, 2**32 - 1))
+def test_scaling_every_time_scales_every_makespan(instance, c, seed):
+    # Times in [1, 33] stay within TIME_MAX = 100 when tripled.
+    scaled = dataclasses.replace(
+        instance,
+        proc_times=tuple(tuple(c * p for p in row) for row in instance.proc_times),
+        transport=tuple(tuple(c * t for t in row) for row in instance.transport),
+    )
+    assert sweep(scaled, seed=seed) == [c * x for x in sweep(instance, seed=seed)]
+
+
+@SETTINGS
+@given(st.data(), instances(max_n=6, max_m=5, max_k=6, max_time=3), st.integers(0, 2**32 - 1))
+def test_relabeling_the_machines_keeps_every_makespan(data, instance, seed):
+    # Processing machine r becomes perm[r], in the routings and in the
+    # transport matrix; load and unload keep their indices. No rule breaks a
+    # tie by machine index, so every decision stays the same too. Times in
+    # [1, 3] make the ties common.
+    perm = data.draw(st.permutations(range(instance.m)))
+    index = (LOAD, UNLOAD) + tuple(machine_index(r) for r in perm)
+    size = instance.m + 2
+    transport = [[0] * size for _ in range(size)]
+    for a, row in enumerate(instance.transport):
+        for b, t in enumerate(row):
+            transport[index[a]][index[b]] = t
+    relabeled = dataclasses.replace(
+        instance,
+        routings=tuple(tuple(perm[r] for r in row) for row in instance.routings),
+        transport=tuple(map(tuple, transport)),
+    )
+    assert sweep(relabeled, seed=seed) == sweep(instance, seed=seed)
+    for combo in ALL_COMBOS:
+        pair = parse_combo(combo)
+        assert play(relabeled, *pair, seed)[1] == play(instance, *pair, seed)[1], combo
 
 
 @SETTINGS
@@ -458,9 +511,8 @@ def test_reduction_matches_the_reference(records):
             select_global_best(records)
 
 
-# The csv writer leaves a carriage return unquoted, so a text cell holding
-# one does not read back.
-_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
+# Any text the csv module can hold, line breaks included.
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                      max_size=6)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -471,9 +523,15 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
               n=st.integers(), m=st.integers(), k=st.integers(), p_raw=_FINITE, t_raw=_FINITE,
               rho=_FINITE, tau=_FINITE, regime=_CELL_TEXT, cell_id=_CELL_TEXT, seed=st.integers()),
     unique_by=lambda r: (r.instance_id, r.solver_id), max_size=8))
+@example([_record("a\rb", "SPT+SCTA", 3), _record("a", "SPT+SCTA", 3)])
 def test_results_table_round_trips(records):
-    # Every field reads back; floats are written, so compared, at 6 decimals.
+    # Every field reads back, also from a file; floats are written, so
+    # compared, at 6 decimals.
     read = records_from_csv(records_to_csv(records))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        write_text_atomic(path, records_to_csv(records))
+        assert read_records(path) == read
     assert len(read) == len(records)
     for got, want in zip(read, records):
         for field in dataclasses.fields(ResultRecord):

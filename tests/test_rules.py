@@ -348,6 +348,56 @@ def test_sweep_plays_each_decision_process_once(monkeypatch):
         assert makespans == [full[ALL_COMBOS.index(c)] for c in combos]
 
 
+# -- the dispatch table ------------------------------------------------------
+
+def test_dispatch_table_holds_every_rule_but_random():
+    assert set(rules._OPERATION_DISPATCH) == set(OperationRule) - {OperationRule.RANDOM}
+
+
+def test_string_and_enum_rules_choose_alike():
+    rng, insts = differential_instances()
+    for inst in insts[:10]:
+        for state in episode_states(inst, rng):
+            for rule in OperationRule:
+                got = select_operation(rule.value, state, np.random.default_rng(1))
+                assert got == select_operation(rule, state, np.random.default_rng(1))
+            for job in state.valid_operations():
+                for rule in AgvRule:
+                    got = select_agv(rule.value, state, job, np.random.default_rng(1))
+                    assert got == select_agv(rule, state, job, np.random.default_rng(1))
+
+
+def test_unknown_rule_string_is_a_value_error():
+    inst = three_job_instance()
+    state = ScheduleState(inst)
+    with pytest.raises(ValueError):
+        select_operation("NOPE", state)
+    with pytest.raises(ValueError):
+        select_agv("NOPE", state, 0)
+    with pytest.raises(ValueError):
+        rules.play(inst, "NOPE", "SCTA")
+    with pytest.raises(ValueError):
+        rules.play(inst, "SPT", "NOPE")
+
+
+def test_only_random_pairs_make_a_generator(monkeypatch):
+    inst = generate_instance(GenerationConfig(n=4, m=3, k=2, seed=5))
+    expected = {
+        (o, a): rules.play(inst, o, a, seed=2)[1] for o in OperationRule for a in AgvRule
+    }
+
+    def refuse(seed=None):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for (op_rule, agv_rule), decisions in expected.items():
+        if op_rule is OperationRule.RANDOM or agv_rule is AgvRule.RANDOM:
+            with pytest.raises(AssertionError, match="default_rng called"):
+                rules.play(inst, op_rule, agv_rule, seed=2)
+        else:
+            assert rules.play(inst, op_rule, agv_rule, seed=2)[1] == decisions
+
+
 def test_valid_operations_is_a_fresh_copy():
     state = ScheduleState(three_job_instance())
     state.valid_operations().clear()
