@@ -127,14 +127,22 @@ class ScheduleState:
             raise ActionError(f"job {job} is already complete")
 
         machines = inst.op_machines[job]
-        source = machines[op - 2] if op > 1 else LOAD
         target = machines[op - 1]
+        entries = self.entries[job]
+        if op > 1:
+            source, t_start = machines[op - 2], entries[-1].end
+        else:
+            source, t_start = LOAD, 0
         transport = inst.transport
-        prev_end = self.entries[job][-1].end if op > 1 else 0
-        t_start = max(prev_end, self.agv_free[agv] + transport[self.agv_location[agv]][source])
+        agv_free = self.agv_free
+        arrival = agv_free[agv] + transport[self.agv_location[agv]][source]
+        if arrival > t_start:
+            t_start = arrival
         t_end = t_start + transport[source][target]
+        machine_free = self.machine_free
+        free = machine_free[target]
         if op <= inst.m:
-            start = max(t_end, self.machine_free[target])
+            start = t_end if t_end > free else free
             end = start + inst.proc_times[job][op - 1]
         else:
             start = end = t_end
@@ -142,12 +150,12 @@ class ScheduleState:
             self.frontier = [j for j in self.frontier if j != job]
 
         self.next_op[job] = op + 1
-        self.entries[job].append(OpSchedule(t_start, t_end, start, end, agv))
-        if end > self.machine_free[target]:
-            self.machine_free[target] = end
+        entries.append(OpSchedule(t_start, t_end, start, end, agv))
+        if end > free:
+            machine_free[target] = end
         self.machine_ops[target] += 1
         self.agv_location[agv] = target
-        self.agv_free[agv] = t_end
+        agv_free[agv] = t_end
         self.steps += 1
 
     def makespan(self) -> int:

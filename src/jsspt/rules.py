@@ -3,7 +3,9 @@
 Operation rules score each unfinished job's next operation; AGV rules score
 vehicles on raw transport times for the already-chosen operation. All ties
 break toward the lowest index so benchmark tables are reproducible; only the
-RANDOM rules consume the seeded stream.
+RANDOM rules consume the seeded stream. `play` draws every RANDOM vehicle of
+an X+RANDOM episode (X deterministic) in one sized call; RANDOM+Y pairs draw
+per step, since the operation draw's bound is the frontier's length.
 
 `select_operation` finds each non-RANDOM rule's scorer, and `min` or `max`,
 in one dispatch table, `_OPERATION_DISPATCH`; the other rule checks compare
@@ -163,19 +165,24 @@ def parse_combo(identifier: str) -> tuple[OperationRule, AgvRule]:
 
 def play(instance: Instance, op_rule, agv_rule, seed=0) -> tuple[ScheduleState, list]:
     """Run one full construction episode with the rule pair, stepping one
-    state in place; returns the terminal state and the decisions."""
+    state in place; returns the terminal state and the decisions. An X+RANDOM
+    pair with a deterministic X draws all its vehicles in one sized call,
+    which gives the same values as one scalar draw per step; RANDOM+Y draws
+    per step, since the operation draw's bound is the frontier's length."""
     op_rule = OperationRule(op_rule)
     agv_rule = AgvRule(agv_rule)
     # Only the RANDOM rules draw, so no other pair pays for a generator.
+    rng = vehicles = None
     if op_rule is _RANDOM_OPERATION or agv_rule is _RANDOM_AGV:
         rng = np.random.default_rng(seed)
-    else:
-        rng = None
+        if op_rule is not _RANDOM_OPERATION:
+            vehicles = rng.integers(instance.k, size=instance.total_ops).tolist()
     state = ScheduleState(instance)
     decisions: list[tuple[int, int]] = []
-    for _ in range(instance.total_ops):
+    # One call per step through the global: perfbench wraps select_operation.
+    for step in range(instance.total_ops):
         job = select_operation(op_rule, state, rng)
-        agv = select_agv(agv_rule, state, job, rng)
+        agv = select_agv(agv_rule, state, job, rng) if vehicles is None else vehicles[step]
         state.advance(job, agv)
         decisions.append((job, agv))
     return state, decisions

@@ -1,6 +1,7 @@
 """Shared builders for hand-crafted instances and random episodes, the
-reference operation-line encoder, a decider that records the protocol v1
-lines it is sent, and the reference results reduction."""
+reference rule episode loop, the reference operation-line encoder, a decider
+that records the protocol v1 lines it is sent, and the reference results
+reduction."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from jsspt.harness import PREFERRED_GLOBAL_BEST
 from jsspt.instances import GenerationConfig, Instance, generate_instance
 from jsspt.metrics import ResultRecord, rpi, win
 from jsspt.regression import aggregate_ci
-from jsspt.rules import ALL_COMBOS, solve
+from jsspt.rules import ALL_COMBOS, select_agv, select_operation, solve
 
 
 # An integer text longer than this Python's int() limit: json.loads and int()
@@ -83,6 +84,21 @@ def random_episode(instance: Instance, rng: np.random.Generator) -> ScheduleResu
     """Drive the engine with uniformly random valid actions to completion:
     RANDOM+RANDOM draws a job from the frontier, then a vehicle, from `rng`."""
     return solve(instance, "RANDOM", "RANDOM", seed=rng)
+
+
+def reference_play(instance: Instance, op_rule, agv_rule, seed=0):
+    """rules.play with every vehicle chosen per step: one select_operation
+    and one select_agv call per step, each RANDOM rule drawing one scalar
+    from a single generator. Returns the terminal state and the decisions."""
+    rng = np.random.default_rng(seed)
+    state = ScheduleState(instance)
+    decisions = []
+    for _ in range(instance.total_ops):
+        job = select_operation(op_rule, state, rng)
+        agv = select_agv(agv_rule, state, job, rng)
+        state.advance(job, agv)
+        decisions.append((job, agv))
+    return state, decisions
 
 
 def all_decision_sequences(instance: Instance):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,23 @@ def test_apply_rejects_invalid_actions(i1):
     with pytest.raises(ActionError):
         done.apply(JointAction(0, 0))
     assert state.next_op == before  # rejection leaves the state untouched
+
+
+def test_advance_rejection_leaves_every_field_unchanged():
+    # Job 0 is complete, job 1 is halfway, so the frontier has been replaced.
+    inst = make_instance([[0, 1], [1, 0]], [[3, 4], [2, 5]], zero_transport(2), k=2)
+    state = ScheduleState(inst)
+    for job, agv in [(0, 1), (1, 0), (0, 0), (0, 1)]:
+        state.advance(job, agv)
+    frontier = state.frontier
+    assert frontier == [1]
+    before = {name: copy.deepcopy(getattr(state, name)) for name in ScheduleState.__slots__}
+    for job, agv in [(2, 0), (-1, 0), (1, 2), (1, -1), (0, 0)]:
+        with pytest.raises(ActionError):
+            state.advance(job, agv)
+        for name in ScheduleState.__slots__:
+            assert getattr(state, name) == before[name], (job, agv, name)
+        assert state.frontier is frontier
 
 
 def test_apply_is_functional(i1):

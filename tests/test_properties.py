@@ -1,8 +1,9 @@
 """Property tests over random instances and random valid decision sequences:
 the in-place and functional transitions agree, apply() never touches its
 parent, every rule schedule validates and every single-field change to it is
-reported, play() agrees with solve() and with run_episode() under a rule
-decider, sweep() agrees with solve(), scaling every time by c scales every
+reported, play() agrees with solve(), with run_episode() under a rule
+decider and, on X+RANDOM pairs, with a loop that draws each vehicle per
+step, sweep() agrees with solve(), scaling every time by c scales every
 combo's makespan by c and relabeling the machines changes none, every
 operation line equals the
 reference encoder's in any encoding order, the canonical-line grammars read
@@ -27,6 +28,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     _reference_operation_line,
+    micro_instance,
+    reference_play,
     reference_select_global_best,
     reference_summarize_results,
 )
@@ -63,7 +66,9 @@ from jsspt.harness import (
 from jsspt.instances import (
     LOAD,
     UNLOAD,
+    GenerationConfig,
     Instance,
+    generate_instance,
     load_instance,
     machine_index,
     save_instance,
@@ -72,7 +77,7 @@ from jsspt.instances import (
 from jsspt.metrics import ResultRecord
 from jsspt.rule_server import _read_canonical, serve
 from jsspt.oracle import brute_force_oracle
-from jsspt.rules import ALL_COMBOS, parse_combo, play, solve, sweep
+from jsspt.rules import ALL_COMBOS, AgvRule, OperationRule, parse_combo, play, solve, sweep
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -201,6 +206,27 @@ def test_run_episode_agrees_with_play_for_every_combo(instance, seed):
         played, played_decisions = play(instance, op_rule, agv_rule, seed)
         assert decisions == played_decisions
         assert state.makespan() == played.makespan()
+
+
+X_RANDOM_PAIRS = [(o, AgvRule.RANDOM) for o in OperationRule if o is not OperationRule.RANDOM]
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 39)))
+
+
+@SETTINGS
+@given(instances(max_n=8, max_k=6), SEEDS)
+@example(micro_instance(), 0)  # n = 1, k = 1
+@example(generate_instance(GenerationConfig(n=1, m=3, k=5, seed=2)), (7, 3))
+@example(generate_instance(GenerationConfig(n=6, m=4, k=1, seed=3)), 11)
+def test_x_random_pairs_draw_the_vehicles_of_the_per_step_loop(instance, seed):
+    for op_rule, agv_rule in X_RANDOM_PAIRS:
+        state, decisions = play(instance, op_rule, agv_rule, seed=seed)
+        want_state, want = reference_play(instance, op_rule, agv_rule, seed=seed)
+        assert decisions == want
+        assert state.makespan() == want_state.makespan()
+        # A numpy integer in a decision would not survive json.dumps.
+        assert all(type(job) is int and type(agv) is int for job, agv in decisions)
+        result = solve(instance, op_rule, agv_rule, seed=seed)
+        assert round_trip(save_result, load_result, result) == result
 
 
 @settings(max_examples=25, deadline=None)

@@ -398,6 +398,39 @@ def test_only_random_pairs_make_a_generator(monkeypatch):
             assert rules.play(inst, op_rule, agv_rule, seed=2)[1] == decisions
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, (0, 0), (123456789, 39)])
+def test_numpy_sized_draw_equals_scalar_draws(seed):
+    """play draws an X+RANDOM episode's vehicles in one sized call. That
+    gives the per-step loop's decisions only while numpy's sized integers()
+    yields the values of as many scalar calls, and leaves the generator where
+    they leave it, for every bound the benchmark reaches."""
+    steps = 330  # 30 jobs x 11 operations
+    for k in range(1, 41):
+        sized, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sized.integers(k, size=steps).tolist() == [
+            int(scalar.integers(k)) for _ in range(steps)
+        ], k
+        assert sized.bit_generator.state == scalar.bit_generator.state, k
+
+
+def test_play_calls_select_operation_once_per_step(monkeypatch):
+    # perfbench clocks decision steps by wrapping the module global.
+    inst = generate_instance(GenerationConfig(n=4, m=3, k=2, seed=5))
+    select = rules.select_operation
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].steps)
+        return select(*args)
+
+    monkeypatch.setattr(rules, "select_operation", counted)
+    for op_rule in OperationRule:
+        for agv_rule in AgvRule:
+            del calls[:]
+            rules.play(inst, op_rule, agv_rule, seed=2)
+            assert calls == list(range(inst.total_ops)), (op_rule, agv_rule)
+
+
 def test_valid_operations_is_a_fresh_copy():
     state = ScheduleState(three_job_instance())
     state.valid_operations().clear()
