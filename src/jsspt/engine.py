@@ -150,7 +150,9 @@ class ScheduleState:
             self.frontier = [j for j in self.frontier if j != job]
 
         self.next_op[job] = op + 1
-        entries.append(OpSchedule(t_start, t_end, start, end, agv))
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple
+        # generates: one frame less per scheduled operation, the same entry.
+        entries.append(tuple.__new__(OpSchedule, (t_start, t_end, start, end, agv)))
         if end > free:
             machine_free[target] = end
         self.machine_ops[target] += 1

@@ -11,6 +11,7 @@ normative for all index arithmetic in this package.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,6 +133,26 @@ class Instance:
         return tuple(rows)
 
     @cached_property
+    def mean_work_suffix(self) -> tuple[tuple[float, ...], ...]:
+        """mean_work_suffix[j][i-1] = work_suffix[j][i-1] / (m + 2 - i), the
+        mean processing time of the m + 2 - i ops i..m+1 of job j: the SMPT
+        rule's score. Built on first use, so only SMPT episodes pay for it."""
+        width = self.m + 1
+        return tuple(
+            tuple(s / (width - i) for i, s in enumerate(row)) for row in self.work_suffix
+        )
+
+    @cached_property
+    def flow_due_ratio(self) -> tuple[tuple[float, ...], ...]:
+        """flow_due_ratio[j][i-1] = work_prefix[j][i-1] / work_suffix[j][i-1],
+        or inf where the suffix is 0 (the release op): the FDD/MWR rule's
+        score. Built on first use, so only FDD/MWR episodes pay for it."""
+        return tuple(
+            tuple(p / s if s else math.inf for p, s in zip(prefix, suffix))
+            for prefix, suffix in zip(self.work_prefix, self.work_suffix)
+        )
+
+    @cached_property
     def op_machines(self) -> tuple[tuple[int, ...], ...]:
         """op_machines[j][i-1] = op_machine(j, i) for ops 1..m+1 of job j."""
         return tuple(
@@ -229,11 +250,12 @@ class GenerationConfig:
 def generate_instance(config: GenerationConfig, *, id_override: str | None = None) -> Instance:
     """Draw one instance. Deterministic under (config, seed): routings first,
     then processing times, then the off-diagonal transport entries row-major,
-    then k. Each duration table is one sized draw, which numpy's bounded
-    integer stream makes equal to one scalar draw per entry."""
+    then k. Each table is one sized draw: numpy's bounded integer stream makes
+    a duration table equal to one scalar draw per entry, and permuting the n
+    rows of a tiled 0..m-1 along axis 1 equal to n calls of permutation(m)."""
     rng = np.random.default_rng(config.seed)
     n, m = config.n, config.m
-    routings = tuple(tuple(rng.permutation(m).tolist()) for _ in range(n))
+    routings = tuple(map(tuple, rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1).tolist()))
     plo, phi = config.proc_range
     proc_times = tuple(
         tuple(row) + (0,) for row in rng.integers(plo, phi + 1, size=(n, m)).tolist()

@@ -9,19 +9,20 @@ per step, since the operation draw's bound is the frontier's length.
 
 `select_operation` finds each non-RANDOM rule's scorer, and `min` or `max`,
 in one dispatch table, `_OPERATION_DISPATCH`; the other rule checks compare
-against module-level aliases, so no decision step loads an enum member.
+against module-level aliases, so no decision step loads an enum member. SMPT
+and FDD/MWR read their scores from the instance's lazily built float rows,
+`mean_work_suffix` and `flow_due_ratio`, so a step divides nothing.
+`select_agv` checks the job itself, without a helper call.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
 from .engine import ScheduleResult, ScheduleState, build_result
 from .errors import ActionError, StateError
-from .features import _candidate_op
 # Unused here; kept importable because the benchmark's traced run
 # (perfbench/spans.py) wraps `rules.raw_transport_times`.
 from .features import raw_transport_times  # noqa: F401
@@ -61,17 +62,13 @@ def _work_remaining(state) -> list:
 
 
 def _mean_work_remaining(state) -> list:
-    suffix, nxt, width = state.instance.work_suffix, state.next_op, state.instance.m + 2
-    return [suffix[j][nxt[j] - 1] / (width - nxt[j]) for j in state.frontier]
+    rows, nxt = state.instance.mean_work_suffix, state.next_op
+    return [rows[j][nxt[j] - 1] for j in state.frontier]
 
 
 def _flow_due_ratio(state) -> list:
-    inst, nxt = state.instance, state.next_op
-    prefix, suffix = inst.work_prefix, inst.work_suffix
-    return [
-        prefix[j][nxt[j] - 1] / suffix[j][nxt[j] - 1] if suffix[j][nxt[j] - 1] else math.inf
-        for j in state.frontier
-    ]
+    rows, nxt = state.instance.flow_due_ratio, state.next_op
+    return [rows[j][nxt[j] - 1] for j in state.frontier]
 
 
 def _operations_done(state) -> list:
@@ -125,7 +122,12 @@ def select_operation(rule, state, rng: np.random.Generator | None = None) -> int
 def select_agv(rule, state, job: int, rng: np.random.Generator | None = None) -> int:
     """Pick a vehicle for the chosen job's next operation according to `rule`."""
     rule = rule if type(rule) is AgvRule else AgvRule(rule)
-    op = _candidate_op(state, job)
+    inst = state.instance
+    if not 0 <= job < inst.n:
+        raise ActionError(f"job index {job} out of range")
+    op = state.next_op[job]
+    if op > inst.m + 1:
+        raise ActionError(f"job {job} has no unscheduled operation")
     if rule is _RANDOM_AGV:
         if rng is None:
             raise ActionError("RANDOM agv rule needs a random generator")
@@ -135,7 +137,6 @@ def select_agv(rule, state, job: int, rng: np.random.Generator | None = None) ->
         return free.index(min(free))
     # SPUT: arrival at the pickup machine. SCTA's task finish adds the loaded
     # leg, the same for every vehicle, so both rules take the same argmin.
-    inst = state.instance
     source = inst.op_machines[job][op - 2] if op > 1 else LOAD
     transport = inst.transport
     arrival = [f + transport[loc][source] for f, loc in zip(free, state.agv_location)]

@@ -1,7 +1,7 @@
 """Shared builders for hand-crafted instances and random episodes, the
-reference rule episode loop, the reference operation-line encoder, a decider
-that records the protocol v1 lines it is sent, and the reference results
-reduction."""
+reference rule episode loop, the reference engine transition, the reference
+operation-line encoder, a decider that records the protocol v1 lines it is
+sent, and the reference results reduction."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from jsspt.engine import JointAction, ScheduleResult, ScheduleState
 from jsspt.errors import MetricError
 from jsspt.features import build_graph
 from jsspt.harness import PREFERRED_GLOBAL_BEST
-from jsspt.instances import GenerationConfig, Instance, generate_instance
+from jsspt.instances import LOAD, GenerationConfig, Instance, generate_instance
 from jsspt.metrics import ResultRecord, rpi, win
 from jsspt.regression import aggregate_ci
 from jsspt.rules import ALL_COMBOS, select_agv, select_operation, solve
@@ -99,6 +99,49 @@ def reference_play(instance: Instance, op_rule, agv_rule, seed=0):
         state.advance(job, agv)
         decisions.append((job, agv))
     return state, decisions
+
+
+def reference_slots(instance: Instance) -> dict:
+    """A fresh ScheduleState's slots, but the instance, as plain lists."""
+    return {
+        "next_op": [1] * instance.n,
+        "frontier": list(range(instance.n)),
+        "entries": [[] for _ in range(instance.n)],
+        "machine_free": [0] * (instance.m + 2),
+        "machine_ops": [0] * (instance.m + 2),
+        "agv_location": [LOAD] * instance.k,
+        "agv_free": [0] * instance.k,
+        "steps": 0,
+    }
+
+
+def reference_advance(instance: Instance, slots: dict, job: int, agv: int) -> None:
+    """ScheduleState.advance on `reference_slots`, in place, written from the
+    semi-active rules validate_schedule checks. Pickup is at the later of the
+    predecessor's end and the vehicle's arrival after its empty leg; delivery
+    is pickup plus the loaded leg; a processing op starts at the later of
+    delivery and the machine's free time; the release op starts and ends at
+    delivery. An entry is (pickup, delivery, start, end, agv)."""
+    i = slots["next_op"][job]
+    source, target = instance.op_source(job, i), instance.op_machine(job, i)
+    entries = slots["entries"][job]
+    predecessor_end = entries[-1][3] if entries else 0
+    empty_leg = instance.travel(slots["agv_location"][agv], source)
+    pickup = max(predecessor_end, slots["agv_free"][agv] + empty_leg)
+    delivery = pickup + instance.travel(source, target)
+    if i <= instance.m:
+        start = max(delivery, slots["machine_free"][target])
+        end = start + instance.proc_time(job, i)
+    else:
+        start = end = delivery
+    entries.append((pickup, delivery, start, end, agv))
+    slots["next_op"][job] = i + 1
+    slots["frontier"] = [j for j, op in enumerate(slots["next_op"]) if op <= instance.m + 1]
+    slots["machine_free"][target] = max(slots["machine_free"][target], end)
+    slots["machine_ops"][target] += 1
+    slots["agv_location"][agv] = target
+    slots["agv_free"][agv] = delivery
+    slots["steps"] += 1
 
 
 def all_decision_sequences(instance: Instance):

@@ -1,10 +1,11 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from helpers import make_instance, zero_transport
+from helpers import make_instance, random_small_instance, zero_transport
 from jsspt.errors import ConfigurationError, DocumentError
 from jsspt.harness import DEFAULT_SIZES, GridPlan, generate_grid_instances
 from jsspt.instances import (
@@ -159,6 +160,23 @@ def test_sized_draw_equals_scalar_draws(lo, hi):
             assert sized.integers(0, 2**31 - 1) == scalar.integers(0, 2**31 - 1)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])
+def test_permuted_rows_equal_one_permutation_per_row(seed):
+    """generate_instance draws all n routings in one permuted() call. That
+    gives the routings of n permutation(m) calls only while numpy permutes
+    the rows of the tiled 0..m-1 one after another with the same stream, and
+    leaves the generator where the n calls leave it."""
+    for n, m in ((1, 15), (15, 1), (30, 10)):
+        rows, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rows.permuted(np.tile(np.arange(m), (n, 1)), axis=1).tolist() == [
+            scalar.permutation(m).tolist() for _ in range(n)
+        ], (n, m)
+        assert rows.bit_generator.state == scalar.bit_generator.state, (n, m)
+        assert rows.integers(1, 101, size=n * m).tolist() == (
+            scalar.integers(1, 101, size=n * m).tolist()
+        ), (n, m)
+
+
 def _per_entry_reference(config):
     """generate_instance as one scalar draw per duration entry."""
     rng = np.random.default_rng(config.seed)
@@ -309,3 +327,20 @@ def test_mean_durations():
     size = inst.m + 2
     off = [inst.transport[a][b] for a in range(size) for b in range(size) if a != b]
     assert inst.mean_transport_time == pytest.approx(np.mean(off))
+
+
+def test_rule_rows_equal_the_per_step_formulas_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        inst = random_small_instance(rng)
+        m, suffix, prefix = inst.m, inst.work_suffix, inst.work_prefix
+        for j in range(inst.n):
+            for i in range(1, m + 2):
+                mean = suffix[j][i - 1] / (m + 2 - i)
+                ratio = prefix[j][i - 1] / suffix[j][i - 1] if suffix[j][i - 1] else math.inf
+                assert inst.mean_work_suffix[j][i - 1].hex() == mean.hex(), (j, i)
+                assert inst.flow_due_ratio[j][i - 1].hex() == ratio.hex(), (j, i)
+            # The release op has no work left: its ratio is inf.
+            assert inst.flow_due_ratio[j][m] == math.inf
+        assert [len(row) for row in inst.mean_work_suffix] == [m + 1] * inst.n
+        assert [len(row) for row in inst.flow_due_ratio] == [m + 1] * inst.n

@@ -1,5 +1,6 @@
 """Property tests over random instances and random valid decision sequences:
-the in-place and functional transitions agree, apply() never touches its
+the in-place and functional transitions agree, the in-place one agrees with
+a reference written from the semi-active rules, apply() never touches its
 parent, every rule schedule validates and every single-field change to it is
 reported, play() agrees with solve(), with run_episode() under a rule
 decider and, on X+RANDOM pairs, with a loop that draws each vehicle per
@@ -29,8 +30,10 @@ from hypothesis import strategies as st
 from helpers import (
     _reference_operation_line,
     micro_instance,
+    reference_advance,
     reference_play,
     reference_select_global_best,
+    reference_slots,
     reference_summarize_results,
 )
 from jsspt import bridge, rule_server
@@ -158,6 +161,21 @@ def test_advance_equals_apply_chain_at_every_step(data):
         in_place.advance(job, agv)
         assert snapshot(in_place) == snapshot(functional)
     assert in_place.makespan() == functional.makespan()
+
+
+@SETTINGS
+@given(st.data())
+def test_advance_equals_the_semi_active_reference_at_every_step(data):
+    # Times of at most 3 make ties common: between the predecessor's end and the
+    # vehicle's arrival, and between delivery and the machine's free time.
+    instance = data.draw(instances(max_time=3))
+    state = ScheduleState(instance)
+    expected = reference_slots(instance)
+    assert snapshot(state) == expected
+    for job, agv in random_actions(data, instance):
+        state.advance(job, agv)
+        reference_advance(instance, expected, job, agv)
+        assert snapshot(state) == expected
 
 
 @SETTINGS

@@ -133,6 +133,21 @@ def test_select_agv_invalid_job(i1):
         select_agv(AgvRule.SCTA, ScheduleState(i1), 3)
 
 
+def test_select_agv_names_why_it_cannot_move_a_job():
+    # Two ops of job 0 (n = 1, m = 1) leave it complete; the range check
+    # comes first, so -1 is out of range rather than read as the last job.
+    state = ScheduleState(micro_instance())
+    state.advance(0, 0)
+    state.advance(0, 0)
+    for rule in AgvRule:
+        rng = np.random.default_rng(0)
+        with pytest.raises(ActionError, match=r"^job 0 has no unscheduled operation$"):
+            select_agv(rule, state, 0, rng)
+        for job in (-1, 1):
+            with pytest.raises(ActionError, match=rf"^job index {job} out of range$"):
+                select_agv(rule, state, job, rng)
+
+
 def test_solve_micro_all_combos_force_ten():
     inst = micro_instance()
     assert sweep(inst, seed=0) == [10] * 40
@@ -352,6 +367,17 @@ def test_sweep_plays_each_decision_process_once(monkeypatch):
 
 def test_dispatch_table_holds_every_rule_but_random():
     assert set(rules._OPERATION_DISPATCH) == set(OperationRule) - {OperationRule.RANDOM}
+
+
+def test_rule_rows_are_built_only_by_the_rules_that_read_them():
+    # Grid plays SPT and MOR alone, so its instances never build the rows.
+    inst = generate_instance(GenerationConfig(n=5, m=4, k=3, seed=12))
+    sweep(inst, ("SPT+SCTA", "MOR+SCTA"))
+    assert "mean_work_suffix" not in inst.__dict__
+    assert "flow_due_ratio" not in inst.__dict__
+    rules.play(inst, OperationRule.SMPT, AgvRule.SPUT)
+    assert "mean_work_suffix" in inst.__dict__
+    assert "flow_due_ratio" not in inst.__dict__
 
 
 def test_string_and_enum_rules_choose_alike():
