@@ -271,7 +271,7 @@ def _without_possessive(pattern: str) -> str:
     """The pattern with plain repeats, for Python 3.10, which has no
     possessive ones. Each repeat here is followed by a character it cannot
     take, so the plain pattern accepts the same lines, only slower."""
-    return re.sub(r"([*+?])\+", r"\1", pattern)
+    return re.sub(r"([*+?}])\+", r"\1", pattern)
 
 
 def _full_match(pattern: str):
@@ -280,7 +280,11 @@ def _full_match(pattern: str):
     return re.compile(pattern).fullmatch
 
 
-_INT = "(?:0|[1-9][0-9]*+)"  # a non-negative JSON integer
+# A non-negative JSON integer: of any length where the server reads it (step,
+# selected_job: a named error), else no longer than int() converts.
+_READ_INT = "(?:0|[1-9][0-9]*+)"
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+_INT = f"(?:0|[1-9][0-9]{{0,{_DIGITS - 1}}}+)" if _DIGITS else _READ_INT
 # A scaled feature as _round6_text writes it: 0.0 to 1.0, or 1e-06 to 9.9e-05.
 _SCALED = r"[0-9](?:\.[0-9]++)?+(?:e-[0-9]++)?+"
 
@@ -289,7 +293,7 @@ def _list(item: str) -> str:
     return rf"\[(?:{item}(?:,{item})*+)?+\]"
 
 
-_OBSERVATION = rf'\{{"type":"observation","schema":{SCHEMA_VERSION},"step":({_INT}),'
+_OBSERVATION = rf'\{{"type":"observation","schema":{SCHEMA_VERSION},"step":({_READ_INT}),'
 _OPERATION_ROW = rf"\[{_INT},{_INT},{_INT},[01],{_INT},{_SCALED}\]"  # job,op,machine,s,raw,bound
 _MACHINE_ROW = rf"\[{_INT},0,{_SCALED}\]"  # machine, the flag 0, ratio
 _AGV_ROW = r"\[" + ",".join([_INT] * 7 + [_SCALED] * 6) + r"\]"  # vehicle, 6 raw, 6 scaled
@@ -300,7 +304,7 @@ match_operation_head = _full_match(
 )
 # Groups: step, selected_job.
 match_agv_line = _full_match(
-    rf'{_OBSERVATION}"phase":"{AGV_PHASE}","selected_job":({_INT}),'
+    rf'{_OBSERVATION}"phase":"{AGV_PHASE}","selected_job":({_READ_INT}),'
     rf'"mask":{_list(_INT)},"agvs":{_list(_AGV_ROW)}\}}'
 )
 

@@ -7,17 +7,20 @@ RANDOM rules consume the seeded stream. `play` draws every RANDOM vehicle of
 an X+RANDOM episode (X deterministic) in one sized call; RANDOM+Y pairs draw
 per step, since the operation draw's bound is the frontier's length.
 
-`select_operation` finds each non-RANDOM rule's scorer, and `min` or `max`,
-in one dispatch table, `_OPERATION_DISPATCH`; the other rule checks compare
-against module-level aliases, so no decision step loads an enum member. SMPT
-and FDD/MWR read their scores from the instance's lazily built float rows,
-`mean_work_suffix` and `flow_due_ratio`, so a step divides nothing.
-`select_agv` checks the job itself, without a helper call.
+`select_operation` finds each non-RANDOM rule's score row, and `min` or
+`max`, in `_OPERATION_DISPATCH`: a job's score is `row[j][next_op[j] - 1]`
+(FCFS reads the predecessor's end instead). A job's score changes only when
+that job advances, so `select_operation` keeps its last pick's scores: called
+on the same state and rule after exactly one `advance`, which moved that
+pick, it re-reads only the pick's score, or drops it when the job finished;
+any other call scores the frontier in full. Rule checks compare against
+module-level aliases, so no decision step loads an enum member.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -49,61 +52,40 @@ class AgvRule(str, Enum):
     SCPT = "SCPT"          # soonest completion of pending tasks: min release
 
 
-# The operation rules' scorers: one score per job in `state.frontier`.
+# Each rule's score row, read as row[j][next_op[j] - 1] (SMPT's and FDD/MWR's
+# are built on first use), and whether it takes the least or the greatest
+# score. FCFS (None) scores a job by its predecessor's end.
 
-def _processing_time(state) -> list:
-    times, nxt = state.instance.proc_times, state.next_op
-    return [times[j][nxt[j] - 1] for j in state.frontier]
-
-
-def _work_remaining(state) -> list:
-    suffix, nxt = state.instance.work_suffix, state.next_op
-    return [suffix[j][nxt[j] - 1] for j in state.frontier]
-
-
-def _mean_work_remaining(state) -> list:
-    rows, nxt = state.instance.mean_work_suffix, state.next_op
-    return [rows[j][nxt[j] - 1] for j in state.frontier]
-
-
-def _flow_due_ratio(state) -> list:
-    rows, nxt = state.instance.flow_due_ratio, state.next_op
-    return [rows[j][nxt[j] - 1] for j in state.frontier]
-
-
-def _operations_done(state) -> list:
+def _operation_numbers(inst: Instance) -> tuple:
     # Fewer ops done means more remaining: MOR takes the least next_op.
-    nxt = state.next_op
-    return [nxt[j] for j in state.frontier]
+    return (tuple(range(1, inst.m + 2)),) * inst.n
 
 
-def _predecessor_end(state) -> list:
-    # FCFS: the candidate whose predecessor finished first.
-    entries = state.entries
-    return [entries[j][-1].end if entries[j] else 0 for j in state.frontier]
-
-
-#: The dispatch table: each non-RANDOM operation rule's scorer and whether it
-#: takes the least (min) or the greatest (max) score.
 _OPERATION_DISPATCH = {
-    OperationRule.SPT: (_processing_time, min),
-    OperationRule.SMPT: (_mean_work_remaining, min),
-    OperationRule.LPT: (_processing_time, max),
-    OperationRule.MWR: (_work_remaining, max),
-    OperationRule.LWR: (_work_remaining, min),
-    OperationRule.FDD_MWR: (_flow_due_ratio, min),
-    OperationRule.MOR: (_operations_done, min),
-    OperationRule.LOR: (_operations_done, max),
-    OperationRule.FCFS: (_predecessor_end, min),
+    OperationRule.SPT: (attrgetter("proc_times"), min),
+    OperationRule.SMPT: (attrgetter("mean_work_suffix"), min),
+    OperationRule.LPT: (attrgetter("proc_times"), max),
+    OperationRule.MWR: (attrgetter("work_suffix"), max),
+    OperationRule.LWR: (attrgetter("work_suffix"), min),
+    OperationRule.FDD_MWR: (attrgetter("flow_due_ratio"), min),
+    OperationRule.MOR: (_operation_numbers, min),
+    OperationRule.LOR: (_operation_numbers, max),
+    OperationRule.FCFS: (None, min),
 }
 # Loading an enum member costs about ten times as much as loading a global.
 _RANDOM_OPERATION = OperationRule.RANDOM
 _RANDOM_AGV = AgvRule.RANDOM
 _SCPT = AgvRule.SCPT
 
+#: The last deterministic pick: (state, rule, state.steps, the pick's place in
+#: the frontier, the pick, its next_op, the rule's rows, the frontier's
+#: scores). It holds the state itself, so no other state can take its id.
+_last = (None,) * 8
+
 
 def select_operation(rule, state, rng: np.random.Generator | None = None) -> int:
     """Pick a job from the valid frontier according to `rule`."""
+    global _last
     rule = rule if type(rule) is OperationRule else OperationRule(rule)
     candidates = state.frontier
     if not candidates:
@@ -112,11 +94,30 @@ def select_operation(rule, state, rng: np.random.Generator | None = None) -> int
         if rng is None:
             raise ActionError("RANDOM operation rule needs a random generator")
         return candidates[int(rng.integers(len(candidates)))]
+    rows_of, pick = _OPERATION_DISPATCH[rule]
+    nxt = state.next_op
+    last, last_rule, steps, at, job, op, rows, scores = _last
+    if last is state and last_rule is rule and steps + 1 == state.steps and nxt[job] == op + 1:
+        # Exactly one advance ran since the last pick, and it moved the pick:
+        # only the pick's score changed, or it left the frontier.
+        if op > state.instance.m:
+            del scores[at]
+        elif rows is None:
+            scores[at] = state.entries[job][-1].end
+        else:
+            scores[at] = rows[job][op]
+    elif rows_of is None:
+        rows, entries = None, state.entries
+        scores = [entries[j][-1].end if entries[j] else 0 for j in candidates]
+    else:
+        rows = rows_of(state.instance)
+        scores = [rows[j][nxt[j] - 1] for j in candidates]
     # min, max and list.index all take the first extremum, so the lowest
     # index wins ties.
-    score, pick = _OPERATION_DISPATCH[rule]
-    scores = score(state)
-    return candidates[scores.index(pick(scores))]
+    at = scores.index(pick(scores))
+    job = candidates[at]
+    _last = (state, rule, state.steps, at, job, nxt[job], rows, scores)
+    return job
 
 
 def select_agv(rule, state, job: int, rng: np.random.Generator | None = None) -> int:

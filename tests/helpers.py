@@ -1,11 +1,13 @@
 """Shared builders for hand-crafted instances and random episodes, the
-reference rule episode loop, the reference engine transition, the reference
-operation-line encoder, a decider that records the protocol v1 lines it is
-sent, and the reference results reduction."""
+reference rule episode loop, the if-chain operation rule reference, the
+reference engine transition, the reference operation-line encoder, a decider
+that records the protocol v1 lines it is sent, and the reference results
+reduction."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -19,7 +21,7 @@ from jsspt.harness import PREFERRED_GLOBAL_BEST
 from jsspt.instances import LOAD, GenerationConfig, Instance, generate_instance
 from jsspt.metrics import ResultRecord, rpi, win
 from jsspt.regression import aggregate_ci
-from jsspt.rules import ALL_COMBOS, select_agv, select_operation, solve
+from jsspt.rules import ALL_COMBOS, OperationRule, select_agv, select_operation, solve
 
 
 # An integer text longer than this Python's int() limit: json.loads and int()
@@ -99,6 +101,47 @@ def reference_play(instance: Instance, op_rule, agv_rule, seed=0):
         state.advance(job, agv)
         decisions.append((job, agv))
     return state, decisions
+
+
+def _reference_operation_score(rule, state, j, i):
+    # Lower is better; max-type rules negate.
+    inst = state.instance
+    if rule is OperationRule.SPT:
+        return inst.proc_times[j][i - 1]
+    if rule is OperationRule.LPT:
+        return -inst.proc_times[j][i - 1]
+    remaining_ops = inst.m + 2 - i
+    if rule is OperationRule.SMPT:
+        return inst.work_suffix[j][i - 1] / remaining_ops
+    if rule is OperationRule.MWR:
+        return -inst.work_suffix[j][i - 1]
+    if rule is OperationRule.LWR:
+        return inst.work_suffix[j][i - 1]
+    if rule is OperationRule.FDD_MWR:
+        remaining = inst.work_suffix[j][i - 1]
+        if remaining == 0:
+            return math.inf
+        return inst.work_prefix[j][i - 1] / remaining
+    if rule is OperationRule.MOR:
+        return -remaining_ops
+    if rule is OperationRule.LOR:
+        return remaining_ops
+    if rule is OperationRule.FCFS:
+        return state.entries[j][-1].end if i > 1 else 0
+    raise AssertionError(f"unhandled rule {rule}")
+
+
+def reference_select_operation(rule, state):
+    """The job a deterministic operation rule picks, by an if-chain that
+    scores every unfinished job from scratch; the lowest index wins ties."""
+    candidates = [j for j, i in enumerate(state.next_op) if i <= state.instance.m + 1]
+    best_job = candidates[0]
+    best = _reference_operation_score(rule, state, best_job, state.next_op[best_job])
+    for j in candidates[1:]:
+        score = _reference_operation_score(rule, state, j, state.next_op[j])
+        if score < best:
+            best, best_job = score, j
+    return best_job
 
 
 def reference_slots(instance: Instance) -> dict:

@@ -1,8 +1,9 @@
 """Property tests over random instances and random valid decision sequences:
 the in-place and functional transitions agree, the in-place one agrees with
 a reference written from the semi-active rules, apply() never touches its
-parent, every rule schedule validates and every single-field change to it is
-reported, play() agrees with solve(), with run_episode() under a rule
+parent, select_operation on states stepped in place picks as the if-chain
+reference does, every rule schedule validates and every single-field change
+to it is reported, play() agrees with solve(), with run_episode() under a rule
 decider and, on X+RANDOM pairs, with a loop that draws each vehicle per
 step, sweep() agrees with solve(), scaling every time by c scales every
 combo's makespan by c and relabeling the machines changes none, every
@@ -33,6 +34,7 @@ from helpers import (
     reference_advance,
     reference_play,
     reference_select_global_best,
+    reference_select_operation,
     reference_slots,
     reference_summarize_results,
 )
@@ -80,7 +82,16 @@ from jsspt.instances import (
 from jsspt.metrics import ResultRecord
 from jsspt.rule_server import _read_canonical, serve
 from jsspt.oracle import brute_force_oracle
-from jsspt.rules import ALL_COMBOS, AgvRule, OperationRule, parse_combo, play, solve, sweep
+from jsspt.rules import (
+    ALL_COMBOS,
+    AgvRule,
+    OperationRule,
+    parse_combo,
+    play,
+    select_operation,
+    solve,
+    sweep,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -194,6 +205,49 @@ def test_apply_leaves_parent_untouched(data):
                 successor.advance(bad_job, bad_agv)
         assert snapshot(successor) == after
         state = successor
+
+
+DETERMINISTIC_OP_RULES = [r for r in OperationRule if r is not OperationRule.RANDOM]
+# What follows a pick: mostly the advance of the pick itself, which lets
+# select_operation re-score only that job; every other move must make it
+# score the frontier afresh.
+MOVES = ["pick"] * 4 + ["other", "two", "rule", "branch", "string"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), instances(max_n=8, max_time=3))
+def test_picks_on_states_stepped_in_place_equal_the_reference(data, instance):
+    # Two live episodes take the same actions in place, one on the instance
+    # and one on its mirror, whose jobs come in reverse order; either may
+    # make the next pick. After a pick, the advance may move another job
+    # than the pick, or another job too, the rule may change or come as its
+    # string, and a pick may be made on an apply() branch.
+    mirror = dataclasses.replace(
+        instance, routings=instance.routings[::-1], proc_times=instance.proc_times[::-1])
+    live = [ScheduleState(instance), ScheduleState(mirror)]
+    rule = name = OperationRule.SPT
+    while not live[0].is_terminal():
+        state = data.draw(st.sampled_from(live))
+        pick = select_operation(name, state)
+        assert pick == reference_select_operation(rule, state)
+        move = data.draw(st.sampled_from(MOVES))
+        others = [j for j in state.frontier if j != pick]
+        agv = data.draw(st.integers(0, instance.k - 1))
+        jobs = [pick]
+        if move == "other" and others:
+            jobs = [data.draw(st.sampled_from(others))]
+        elif move == "two" and others:
+            jobs = [data.draw(st.sampled_from(others)), pick]
+        elif move in ("rule", "string"):
+            rule = data.draw(st.sampled_from(DETERMINISTIC_OP_RULES))
+            name = rule.value if move == "string" else rule
+        elif move == "branch":
+            branch = state.apply(JointAction(pick, agv))
+            if not branch.is_terminal():
+                assert select_operation(name, branch) == reference_select_operation(rule, branch)
+        for job in jobs:
+            for episode in live:
+                episode.advance(job, agv)
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -279,6 +280,24 @@ def test_overlong_step_exits_5(tmp_path, monkeypatch, capsys, two_instances, pha
     assert err.startswith("jsspt: protocol error: ")
     if canonical:
         assert "observation step has 5000 digits" in err
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("spaced", [False, True], ids=["canonical", "spaced"])
+def test_overlong_mask_entry_exits_5(tmp_path, monkeypatch, capsys, spaced):
+    # The server never reads the mask, but a canonical line may not hold an
+    # integer json.loads rejects either: the grammar's digit bound hands it to
+    # the parse, which exits 5 as it does for the spaced line.
+    inst = generate_instance(GenerationConfig(n=4, m=3, k=2, seed=3))
+    save_instance(inst, tmp_path)
+    line = serialize_observation(ScheduleState(inst), AGV_PHASE, selected_op=0)
+    mask = '"mask": [' if spaced else '"mask":['
+    line = re.sub(r'"mask":\[[0-9]+', lambda _: mask + OVERLONG_INT, line, count=1)
+    assert OVERLONG_INT in line and match_agv_line(line) is None
+    lines = [hello_message(inst), line]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
+    assert main(["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)]) == 5
+    assert capsys.readouterr().err.startswith("jsspt: protocol error: ")
 
 
 # -- strict hello ----------------------------------------------------------------

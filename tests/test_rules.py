@@ -1,11 +1,16 @@
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
 
-from helpers import make_instance, micro_instance, random_small_instance, zero_transport
+from helpers import (
+    make_instance,
+    micro_instance,
+    random_small_instance,
+    reference_select_operation,
+    zero_transport,
+)
 from jsspt import harness, rules
 from jsspt.engine import JointAction, ScheduleState, lower_bound, result_to_document, validate_schedule
 from jsspt.errors import ActionError, StateError
@@ -222,46 +227,7 @@ def test_rule_choices_invariant_under_duration_doubling():
         assert select_agv(rule, state_a, job) == select_agv(rule, state_b, job)
 
 
-# -- reference scoring: the per-candidate if-chain and per-vehicle argmin ------
-
-def _reference_operation_score(rule, state, j, i):
-    # Lower is better; max-type rules negate.
-    inst = state.instance
-    if rule is OperationRule.SPT:
-        return inst.proc_times[j][i - 1]
-    if rule is OperationRule.LPT:
-        return -inst.proc_times[j][i - 1]
-    remaining_ops = inst.m + 2 - i
-    if rule is OperationRule.SMPT:
-        return inst.work_suffix[j][i - 1] / remaining_ops
-    if rule is OperationRule.MWR:
-        return -inst.work_suffix[j][i - 1]
-    if rule is OperationRule.LWR:
-        return inst.work_suffix[j][i - 1]
-    if rule is OperationRule.FDD_MWR:
-        remaining = inst.work_suffix[j][i - 1]
-        if remaining == 0:
-            return math.inf
-        return inst.work_prefix[j][i - 1] / remaining
-    if rule is OperationRule.MOR:
-        return -remaining_ops
-    if rule is OperationRule.LOR:
-        return remaining_ops
-    if rule is OperationRule.FCFS:
-        return state.entries[j][-1].end if i > 1 else 0
-    raise AssertionError(f"unhandled rule {rule}")
-
-
-def reference_select_operation(rule, state):
-    candidates = [j for j, i in enumerate(state.next_op) if i <= state.instance.m + 1]
-    best_job = candidates[0]
-    best = _reference_operation_score(rule, state, best_job, state.next_op[best_job])
-    for j in candidates[1:]:
-        score = _reference_operation_score(rule, state, j, state.next_op[j])
-        if score < best:
-            best, best_job = score, j
-    return best_job
-
+# -- reference scoring: the per-vehicle argmin (the if-chain is in helpers) -----
 
 def reference_select_agv(rule, state, job):
     inst = state.instance
