@@ -37,8 +37,6 @@ import sys
 from time import monotonic
 from typing import NamedTuple
 
-import numpy as np
-
 from .engine import ScheduleState, terminal_reward
 # Unused here; kept importable because the benchmark's traced run
 # (perfbench/spans.py) wraps `bridge.build_result`.
@@ -48,7 +46,6 @@ from .errors import ProtocolError, TransportError
 # below; the benchmark's tracer (perfbench/spans.py) wraps them here.
 from .features import _candidate_op, _open_offset, agv_features, build_graph  # noqa: F401
 from .instances import Instance
-from .rules import AgvRule, OperationRule, select_agv, select_operation
 
 PROTOCOL_VERSION = 1
 SCHEMA_VERSION = 1
@@ -375,45 +372,6 @@ def hello_message(instance: Instance) -> str:
 
 # -- deciders -----------------------------------------------------------------
 
-ROLE_OPERATION = "operation-policy"
-ROLE_AGV = "agv-policy"
-ROLE_JOINT = "joint-policy"
-
-
-class RulePolicy:
-    """In-process decider backed by dispatching rules."""
-
-    def __init__(self, op_rule=None, agv_rule=None, seed=0):
-        if op_rule is None and agv_rule is None:
-            raise ProtocolError("rule policy needs at least one rule")
-        self.op_rule = OperationRule(op_rule) if op_rule is not None else None
-        self.agv_rule = AgvRule(agv_rule) if agv_rule is not None else None
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def role(self) -> str:
-        if self.op_rule is not None and self.agv_rule is not None:
-            return ROLE_JOINT
-        return ROLE_OPERATION if self.op_rule is not None else ROLE_AGV
-
-    def begin_episode(self, instance: Instance) -> None:
-        self._rng = np.random.default_rng(self.seed)
-
-    def choose_operation(self, state: ScheduleState, message: str) -> int:
-        if self.op_rule is None:
-            raise ProtocolError("this policy does not select operations")
-        return select_operation(self.op_rule, state, self._rng)
-
-    def choose_agv(self, state: ScheduleState, job: int, message: str) -> int:
-        if self.agv_rule is None:
-            raise ProtocolError("this policy does not select AGVs")
-        return select_agv(self.agv_rule, state, job, self._rng)
-
-    def end_episode(self, message: str) -> None:
-        pass
-
-
 class ExternalPolicyClient:
     """Decider living in a child process that speaks protocol v1.
 
@@ -424,9 +382,8 @@ class ExternalPolicyClient:
     cannot answer a later exchange; the next send starts a fresh child.
     """
 
-    def __init__(self, command, role: str = ROLE_JOINT, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, command, timeout: float = DEFAULT_TIMEOUT):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
-        self.role = role
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._pending = b""  # bytes read past the last complete reply
@@ -521,15 +478,14 @@ class ExternalPolicyClient:
 # -- episode runner -----------------------------------------------------------
 
 def run_episode(instance: Instance, op_policy, agv_policy) -> tuple[ScheduleState, list]:
-    """Run one full episode, querying the operation decider and then the AGV
-    decider at every step; returns the terminal state and the decisions, as
-    rules.play does. Both deciders receive the terminal line with its reward.
-    A masked choice aborts the episode with a protocol error."""
-    if op_policy.role not in (ROLE_OPERATION, ROLE_JOINT):
-        raise ProtocolError(f"{op_policy.role} cannot act as the operation decider")
-    if agv_policy.role not in (ROLE_AGV, ROLE_JOINT):
-        raise ProtocolError(f"{agv_policy.role} cannot act as the AGV decider")
-
+    """Run one full episode, querying `op_policy` for the job and then
+    `agv_policy` for the vehicle at every step; returns the terminal state and
+    the decisions, as rules.play does. A decider has begin_episode(instance),
+    choose_operation(state, line), choose_agv(state, job, line) and
+    end_episode(line), and is asked only for the phase its position names;
+    one object in both positions is begun and ended once. Both deciders
+    receive the terminal line with its reward. A masked choice aborts the
+    episode with a protocol error."""
     policies = [op_policy] if op_policy is agv_policy else [op_policy, agv_policy]
     for policy in policies:
         policy.begin_episode(instance)

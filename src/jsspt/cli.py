@@ -65,15 +65,18 @@ def _parse_solvers(text: str) -> tuple[str, ...]:
 _PLAN_PARSERS = {"sizes": _parse_sizes, "rhos": _parse_rhos, "solvers": _parse_solvers}
 
 
-def _plan_from_args(plan_type, args):
-    """A plan from the options the user gave. Each plan field is the dest of
-    one option; the plan dataclass holds every default and the only check."""
+def _plan_from_args(base, args):
+    """`base` with each option the user gave in place of its field, once the
+    --jobs that bench and grid share is checked. Each plan field is the dest
+    of one option; the plan dataclass holds the plan's only check."""
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     given = {}
-    for field in dataclasses.fields(plan_type):
+    for field in dataclasses.fields(base):
         value = getattr(args, field.name)
         if value is not None:
             given[field.name] = _PLAN_PARSERS.get(field.name, lambda v: v)(value)
-    return plan_type(**given)
+    return dataclasses.replace(base, **given)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -117,12 +120,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.plan:
-        plan = harness.load_plan(args.plan)
-        if args.seed is not None:
-            plan = dataclasses.replace(plan, seed=args.seed)
-    else:
-        plan = _plan_from_args(harness.ExperimentPlan, args)
+    base = harness.load_plan(args.plan) if args.plan else harness.ExperimentPlan()
+    plan = _plan_from_args(base, args)
     out = _out_dir(args.out)
     records, summary, global_best = harness.run_bench(plan, jobs=args.jobs)
     results_path = out / "results.csv"
@@ -136,7 +135,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    plan = _plan_from_args(harness.GridPlan, args)
+    plan = _plan_from_args(harness.GridPlan(), args)
     out = _out_dir(args.out)
     records, cells, heatmap = harness.run_grid(plan, jobs=args.jobs)
     results_path = out / "grid_results.csv"

@@ -109,16 +109,6 @@ class ExperimentPlan(_Axes):
                 raise ConfigurationError(f"solver {ident!r} appears more than once in the plan")
 
 
-def plan_to_document(plan: ExperimentPlan) -> dict:
-    return {
-        "sizes": [list(s) for s in plan.sizes],
-        "rhos": list(plan.rhos),
-        "instances_per_config": plan.instances_per_config,
-        "solvers": list(plan.solvers),
-        "seed": plan.seed,
-    }
-
-
 def _plan_entries(values, kind, what: str, field: str) -> tuple:
     """The entries of a plan list, each of type `kind` and none a bool."""
     for i, value in enumerate(values):
@@ -129,9 +119,13 @@ def _plan_entries(values, kind, what: str, field: str) -> tuple:
 
 def plan_from_document(doc: dict) -> ExperimentPlan:
     """A plan from its document; fields left out keep the plan's defaults.
-    Values the plan cannot hold exactly are rejected, naming the field."""
+    Values the plan cannot hold exactly, and fields it does not have, are
+    rejected, naming the field."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"bad plan document: expected an object, got {type(doc).__name__}")
+    for field in doc:
+        if field not in ExperimentPlan.__dataclass_fields__:
+            raise ConfigurationError(f"bad plan document: unknown field {field!r}")
     try:
         given = {"sizes": tuple((n, m) for n, m in _document_table(doc["sizes"], "sizes"))}
         if "rhos" in doc:

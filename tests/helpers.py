@@ -1,8 +1,8 @@
-"""Shared builders for hand-crafted instances and random episodes, the
-reference rule episode loop, the if-chain operation rule reference, the
-reference engine transition, the reference operation-line encoder, a decider
-that records the protocol v1 lines it is sent, and the reference results
-reduction."""
+"""Shared builders for hand-crafted instances, random episodes and plan
+documents, the reference rule episode loop, the if-chain operation rule
+reference, the reference engine transition, the reference operation-line
+encoder, an in-process rule decider and one that records the protocol v1
+lines it is sent, and the reference results reduction."""
 
 from __future__ import annotations
 
@@ -13,15 +13,15 @@ import sys
 import numpy as np
 import pytest
 
-from jsspt.bridge import RulePolicy, encode_message
+from jsspt.bridge import encode_message
 from jsspt.engine import JointAction, ScheduleResult, ScheduleState
-from jsspt.errors import MetricError
+from jsspt.errors import MetricError, ProtocolError
 from jsspt.features import build_graph
-from jsspt.harness import PREFERRED_GLOBAL_BEST
+from jsspt.harness import PREFERRED_GLOBAL_BEST, ExperimentPlan
 from jsspt.instances import LOAD, GenerationConfig, Instance, generate_instance
 from jsspt.metrics import ResultRecord, rpi, win
 from jsspt.regression import aggregate_ci
-from jsspt.rules import ALL_COMBOS, OperationRule, select_agv, select_operation, solve
+from jsspt.rules import ALL_COMBOS, AgvRule, OperationRule, select_agv, select_operation, solve
 
 
 # An integer text longer than this Python's int() limit: json.loads and int()
@@ -80,6 +80,16 @@ def random_small_instance(rng: np.random.Generator) -> Instance:
     k = int(rng.integers(1, 6))
     config = GenerationConfig(n=n, m=m, k=k, seed=int(rng.integers(2**31 - 1)))
     return generate_instance(config)
+
+
+def plan_to_document(plan: ExperimentPlan) -> dict:
+    return {
+        "sizes": [list(s) for s in plan.sizes],
+        "rhos": list(plan.rhos),
+        "instances_per_config": plan.instances_per_config,
+        "solvers": list(plan.solvers),
+        "seed": plan.seed,
+    }
 
 
 def random_episode(instance: Instance, rng: np.random.Generator) -> ScheduleResult:
@@ -235,6 +245,34 @@ def _reference_operation_line(state):
         "precedence": [list(e) for e in graph.precedence_edges],
         "assignment": [list(e) for e in graph.assignment_edges],
     })
+
+
+class RulePolicy:
+    """In-process decider backed by dispatching rules."""
+
+    def __init__(self, op_rule=None, agv_rule=None, seed=0):
+        if op_rule is None and agv_rule is None:
+            raise ProtocolError("rule policy needs at least one rule")
+        self.op_rule = OperationRule(op_rule) if op_rule is not None else None
+        self.agv_rule = AgvRule(agv_rule) if agv_rule is not None else None
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
+
+    def begin_episode(self, instance: Instance) -> None:
+        self._rng = np.random.default_rng(self.seed)
+
+    def choose_operation(self, state: ScheduleState, message: str) -> int:
+        if self.op_rule is None:
+            raise ProtocolError("this policy does not select operations")
+        return select_operation(self.op_rule, state, self._rng)
+
+    def choose_agv(self, state: ScheduleState, job: int, message: str) -> int:
+        if self.agv_rule is None:
+            raise ProtocolError("this policy does not select AGVs")
+        return select_agv(self.agv_rule, state, job, self._rng)
+
+    def end_episode(self, message: str) -> None:
+        pass
 
 
 class RecordingPolicy(RulePolicy):

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     OVERLONG_INT,
     RecordingPolicy,
+    RulePolicy,
     _reference_operation_line,
     episode_digest,
     micro_instance,
@@ -21,7 +22,6 @@ from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
     ExternalPolicyClient,
-    RulePolicy,
     _round6_text,
     _scaled_texts,
     encode_message,
@@ -256,10 +256,6 @@ def test_hello_message_fields(i1):
 
 
 def test_rule_policy_roles():
-    joint = RulePolicy("SPT", "SCTA")
-    assert joint.role == "joint-policy"
-    assert RulePolicy(op_rule="SPT").role == "operation-policy"
-    assert RulePolicy(agv_rule="SCTA").role == "agv-policy"
     with pytest.raises(ProtocolError):
         RulePolicy()
 
@@ -365,7 +361,7 @@ def test_external_endpoint_factory(tmp_path):
     inst = generate_instance(GenerationConfig(n=2, m=2, k=1, seed=4))
     save_instance(inst, tmp_path)
     client = ExternalPolicyClient(
-        " ".join(rule_server_cmd(tmp_path, "LWR", "SCPT")), role="joint-policy", timeout=20
+        " ".join(rule_server_cmd(tmp_path, "LWR", "SCPT")), timeout=20
     )
     with client:
         state, _ = run_episode(inst, client, client)

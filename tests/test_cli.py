@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import micro_instance
+from jsspt import harness
 from jsspt.cli import main
 from jsspt.instances import instance_to_document, load_instance, save_instance
 
@@ -451,6 +452,9 @@ PLAN_FIELDS = {"sizes": [[2, 2]], "rhos": [0.5], "instances_per_config": 1,
         ("instances_per_config", 1.7, "instances_per_config: must be an integer, got 1.7"),
         ("solvers", [7], "solvers[0]: must be a string, got 7"),
         ("seed", "3", "seed: must be an integer, got '3'"),
+        # An option's name that is not a plan field, and a misspelled field.
+        ("instances", 3, "unknown field 'instances'"),
+        ("sead", 4, "unknown field 'sead'"),
     ],
 )
 def test_bench_plan_rejects_inexact_values(tmp_path, capsys, field, value, named):
@@ -460,6 +464,47 @@ def test_bench_plan_rejects_inexact_values(tmp_path, capsys, field, value, named
     assert code == 2
     assert f"jsspt: configuration error: bad plan document: {named}" in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option, field, value",
+    [
+        (("--sizes", "3x2"), "sizes", [[3, 2]]),
+        (("--rhos", "1.0"), "rhos", [1.0]),
+        (("--instances", "2"), "instances_per_config", 2),
+        (("--solvers", "MOR+SCPT,SPT+SCTA"), "solvers", ["MOR+SCPT", "SPT+SCTA"]),
+        (("--seed", "4"), "seed", 4),
+    ],
+    ids=["sizes", "rhos", "instances", "solvers", "seed"],
+)
+def test_bench_option_overrides_its_plan_field(tmp_path, capsys, option, field, value):
+    def results(name, *argv):
+        out = tmp_path / name
+        assert run_cli("bench", *argv, "--out", str(out)) == 0
+        return (out / "results.csv").read_bytes()
+
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(PLAN_FIELDS))
+    edited_path = tmp_path / "edited.json"
+    edited_path.write_text(json.dumps({**PLAN_FIELDS, field: value}))
+    overridden = results("option", "--plan", str(plan_path), *option)
+    assert overridden == results("edited", "--plan", str(edited_path))
+    assert overridden != results("plan", "--plan", str(plan_path))
+
+
+@pytest.mark.parametrize("command", [
+    ("bench", "--sizes", "3x2", "--rhos", "0.5", "--instances", "1"),
+    ("grid", "--sizes", "2x2", "--rhos", "0.5", "--instances-per-cell", "1"),
+], ids=["bench", "grid"])
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_1_exits_2_before_generating(tmp_path, capsys, monkeypatch, command, jobs):
+    def generate_instance(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(harness, "generate_instance", generate_instance)
+    assert run_cli(*command, "--jobs", jobs, "--out", str(tmp_path)) == 2
+    assert f"jsspt: configuration error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text, named", [("{bad", "not valid JSON"), ("[1]", "expected an object")])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import plan_to_document
 from jsspt.errors import ConfigurationError, DocumentError, MetricError
 from jsspt.harness import (
     DEFAULT_SIZES,
@@ -19,7 +20,6 @@ from jsspt.harness import (
     load_plan,
     nearest_rho,
     plan_from_document,
-    plan_to_document,
     records_from_csv,
     records_to_csv,
     run_bench,

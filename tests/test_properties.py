@@ -29,8 +29,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RulePolicy,
     _reference_operation_line,
     micro_instance,
+    plan_to_document,
     reference_advance,
     reference_play,
     reference_select_global_best,
@@ -42,7 +44,6 @@ from jsspt import bridge, rule_server
 from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
-    RulePolicy,
     encode_message,
     hello_message,
     run_episode,
@@ -60,7 +61,6 @@ from jsspt.errors import ActionError, MetricError
 from jsspt.harness import (
     ExperimentPlan,
     load_plan,
-    plan_to_document,
     read_records,
     records_from_csv,
     records_to_csv,
