@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ActionError, DocumentError, StateError
+from .errors import ActionError, DocumentError, StateError, naming_file
 from .instances import LOAD, Instance, _document_int, _document_table
 from .instances import read_document, write_text_atomic
 
@@ -247,7 +247,8 @@ def save_result(result: ScheduleResult, path: str | Path) -> Path:
 
 
 def load_result(path: str | Path) -> ScheduleResult:
-    return result_from_document(read_document(path))
+    with naming_file(path):
+        return result_from_document(read_document(path))
 
 
 # -- validation --------------------------------------------------------------

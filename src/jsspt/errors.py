@@ -5,6 +5,7 @@ server can map failure categories to exit codes without string matching.
 """
 
 import sys
+from contextlib import contextmanager
 
 
 class JssptError(Exception):
@@ -48,6 +49,16 @@ class TransportError(JssptError):
 
 class OracleLimitError(JssptError):
     """The exhaustive oracle refused an instance above its search limits."""
+
+
+@contextmanager
+def naming_file(path):
+    """Append the file a document or plan error was raised for to its
+    message: `id: missing required field (in runs/a.json)`."""
+    try:
+        yield
+    except (DocumentError, ConfigurationError) as exc:
+        raise type(exc)(f"{exc} (in {path})") from exc
 
 
 # (error type, exit code, category), first match wins.

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import ExternalPolicyClient, run_episode
-from .errors import ActionError, ConfigurationError, DocumentError, MetricError
+from .errors import ActionError, ConfigurationError, DocumentError, MetricError, naming_file
 from .instances import (
     GRID_BINS,
     GenerationConfig,
@@ -142,11 +142,12 @@ def plan_from_document(doc: dict) -> ExperimentPlan:
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"bad plan document: not valid JSON ({exc})") from exc
-    return plan_from_document(doc)
+    with naming_file(path):
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"bad plan document: not valid JSON ({exc})") from exc
+        return plan_from_document(doc)
 
 
 def generate_bench_instances(plan: ExperimentPlan) -> list[Instance]:
@@ -395,7 +396,7 @@ def _cell(row: dict, column: str, kind: type, line: int):
 
 def read_records(path: str | Path) -> list[ResultRecord]:
     # Untranslated newlines, so that a quoted carriage return reads back as one.
-    with open(path, encoding="utf-8", newline="") as f:
+    with naming_file(path), open(path, encoding="utf-8", newline="") as f:
         return records_from_csv(f.read())
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DocumentError
+from .errors import ConfigurationError, DocumentError, naming_file
 
 # Transport-matrix indices of the two anchor machines.
 LOAD = 0
@@ -29,6 +29,10 @@ UNLOAD = 1
 # from sub-ranges of [TIME_MIN, TIME_MAX]).
 TIME_MIN = 1
 TIME_MAX = 100
+
+# The largest n, m and k a document may carry; the paper's largest plan is
+# 30 jobs on 10 machines with 36 vehicles.
+SIZE_MAX = 1000
 
 # The ten consecutive decade bins [1,10], [11,20], ..., [91,100].
 GRID_BINS: tuple[tuple[int, int], ...] = tuple(
@@ -304,11 +308,13 @@ def instance_from_document(doc: dict) -> Instance:
     if not plain_file_stem(doc["id"]):
         raise DocumentError(f"id: must be a plain file stem on one line, got {doc['id']!r}")
     try:
+        sizes = {field: _document_int(doc[field], field) for field in ("n", "m", "k")}
+        for field, size in sizes.items():
+            if size > SIZE_MAX:
+                raise DocumentError(f"{field}: must be <= {SIZE_MAX}, got {size}")
         inst = Instance(
             id=doc["id"],
-            n=_document_int(doc["n"], "n"),
-            m=_document_int(doc["m"], "m"),
-            k=_document_int(doc["k"], "k"),
+            **sizes,
             routings=_document_table(doc["routings"], "routings"),
             proc_times=_document_table(doc["proc_times"], "proc_times"),
             transport=_document_table(doc["transport"], "transport"),
@@ -333,7 +339,8 @@ def save_instance(inst: Instance, path: str | Path) -> Path:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_document(read_document(path))
+    with naming_file(path):
+        return instance_from_document(read_document(path))
 
 
 def write_text_atomic(path: Path, text: str) -> None:

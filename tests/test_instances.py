@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from jsspt.errors import ConfigurationError, DocumentError
 from jsspt.harness import DEFAULT_SIZES, GridPlan, generate_grid_instances
 from jsspt.instances import (
     GRID_BINS,
+    SIZE_MAX,
     GenerationConfig,
     generate_instance,
     instance_from_document,
@@ -311,13 +313,50 @@ def test_zero_transport_document_is_rejected(tmp_path):
     # document, the instance lies outside the domain the metrics accept.
     inst = make_instance([[0, 1], [1, 0]], [[3, 100], [1, 2]], zero_transport(2), k=1)
     path = save_instance(inst, tmp_path)
-    with pytest.raises(DocumentError, match=r"^transport\[0\]\[1\]: must be >= 1, got 0$"):
+    named = rf"^transport\[0\]\[1\]: must be >= 1, got 0 \(in {re.escape(str(path))}\)$"
+    with pytest.raises(DocumentError, match=named):
         load_instance(path)
     for a, b in itertools.permutations(range(4), 2):  # each single zero leg of m = 2
         doc = _small_document()
         doc["transport"][a][b] = 0
         with pytest.raises(DocumentError, match=rf"^transport\[{a}\]\[{b}\]: must be >= 1, got 0$"):
             instance_from_document(doc)
+
+
+_LEGS = [[0 if a == b else 3 for b in range(4)] for a in range(4)]  # m = 2
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("n", 0, "n: must be >= 1, got 0"),
+        ("m", 0, "m: must be >= 1, got 0"),
+        ("k", 0, "k: must be >= 1, got 0"),
+        ("k", -2, "k: must be >= 1, got -2"),
+        ("routings", [[0, 1]], "routings: expected 2 rows, got 1"),
+        ("proc_times", [[5, 7, 0]], "proc_times: expected 2 rows, got 1"),
+        ("proc_times", [[5, 7, 0], [5, 7]], "proc_times[1]: expected 3 entries, got 2"),
+        ("proc_times", [[5, 7, 4], [5, 7, 0]], "proc_times[0][2]: final release must take time 0, got 4"),
+        ("transport", _LEGS[:3], "transport: expected 4 rows, got 3"),
+        ("transport", _LEGS[:2] + [[3, 3, 0], _LEGS[3]], "transport[2]: expected 4 entries, got 3"),
+        ("n", SIZE_MAX + 1, f"n: must be <= {SIZE_MAX}, got {SIZE_MAX + 1}"),
+        ("m", 10**30, f"m: must be <= {SIZE_MAX}, got {10**30}"),
+        ("k", 10**30, f"k: must be <= {SIZE_MAX}, got {10**30}"),
+    ],
+)
+def test_load_names_the_field_and_the_file(tmp_path, field, value, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(_small_document(), **{field: value})), encoding="utf-8")
+    with pytest.raises(DocumentError) as raised:
+        load_instance(path)
+    assert str(raised.value) == f"{named} (in {path})"
+
+
+def test_a_document_at_the_size_bound_loads():
+    # The bound admits every default size, with up to SIZE_MAX vehicles.
+    largest = max(n for n, _ in DEFAULT_SIZES), max(m for _, m in DEFAULT_SIZES)
+    doc = instance_to_document(generate_instance(GenerationConfig(*largest, k=SIZE_MAX, seed=3)))
+    assert instance_from_document(doc).k == SIZE_MAX
 
 
 def test_mean_durations():

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from jsspt.errors import MetricError
 from jsspt.metrics import bottleneck_features
-from jsspt.regression import aggregate_ci, ols_fit, vif, z_normalize
+from jsspt.regression import _fdtrc, _stdtr, _stdtrit, aggregate_ci, ols_fit, vif, z_normalize
 
 RHO_AXIS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
 TAU_AXIS = tuple(round(-1.0 + 0.1 * i, 1) for i in range(21))
@@ -175,9 +177,10 @@ def test_import_leaves_scipy_stats_out():
 
 # One fresh interpreter against this checkout's src/: the imports every
 # command makes and an in-process `jsspt solve --all-combos` load no scipy and
-# no process pool; the first confidence interval loads scipy.special.
+# no process pool, and bench and grid, then regress, load no scipy either.
 COLD_START = """
 import json, sys
+from pathlib import Path
 import jsspt, jsspt.cli, jsspt.harness, jsspt.rule_server
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
 
@@ -185,12 +188,20 @@ def loaded():
     return sorted(m for m in sys.modules
                   if m.startswith("scipy") or m == "concurrent.futures.process")
 
-path = save_instance(generate_instance(GenerationConfig(n=4, m=3, k=2, seed=1)), sys.argv[1])
+root = Path(sys.argv[1])
+path = save_instance(generate_instance(GenerationConfig(n=4, m=3, k=2, seed=1)), root)
 code = jsspt.cli.main(["solve", "--instance", str(path), "--all-combos"])
 report = {"code": code, "after_solve": loaded()}
+report["codes"] = [jsspt.cli.main(argv) for argv in (
+    ["bench", "--sizes", "3x2", "--rhos", "0.5", "--instances", "3", "--out", str(root / "b")],
+    ["grid", "--sizes", "3x2", "--rhos", "0.4,0.8", "--instances-per-cell", "1",
+     "--seed", "4", "--out", str(root / "g")],
+    ["regress", "--results", str(root / "g" / "grid_results.csv"), "--solver", "SPT+SCTA",
+     "--baseline", "MOR+SCTA", "--out", str(root / "regress.txt")],
+)]
 values = [3.0, 1.5, 4.25, 2.0, 7.5]
 report["ci"] = jsspt.aggregate_ci(values)
-report["after_ci"] = loaded()
+report["after_regress"] = loaded()
 from scipy import stats
 import numpy as np
 half = stats.t.ppf(0.975, len(values) - 1) * np.std(values, ddof=1) / np.sqrt(len(values))
@@ -214,27 +225,98 @@ def test_cold_start_loads_no_scipy_and_no_process_pool(cold_start):
     assert cold_start["after_solve"] == []
 
 
-def test_first_interval_loads_scipy_special(cold_start):
-    assert "scipy.special" in cold_start["after_ci"]
-    assert "concurrent.futures.process" not in cold_start["after_ci"]
-    assert cold_start["ci"] == cold_start["expected_ci"]
+def test_bench_and_regress_load_no_scipy(cold_start):
+    assert cold_start["codes"] == [0, 0, 0]
+    assert cold_start["after_regress"] == []
+    # scipy's t quantile may differ from the package's in the last bits.
+    assert cold_start["ci"] == pytest.approx(cold_start["expected_ci"], rel=1e-14)
 
 
-def test_special_tails_equal_scipy_stats():
-    from scipy import special, stats
+def _printed(value: float, spec: str) -> str:
+    """`value` as the tables print it; a quantile too large for `.6f` to stay
+    within a double's 17 digits is compared at 12 significant digits."""
+    return format(value, ".12e" if spec == ".6f" and abs(value) >= 1e6 else spec)
 
-    dofs = [1, 2, 3, 7, 30, 121, 1000]
-    xs = np.array([0.0, 1e-9, 0.3, 1.0, 1.96, 4.5, 40.0, 1e6, np.inf, np.nan])
-    qs = np.array([1e-12, 0.025, 0.3, 0.5, 0.5125, 0.95, 0.975, 0.995, 1 - 1e-12])
+
+def test_tails_equal_scipy_special_at_printed_precision():
+    # The t tails as ols_fit prints them (.6f, also two-sided and complemented),
+    # the quantiles behind every interval (.6f) and the F tails (.6e), against
+    # scipy.special, for up to 200,000 degrees of freedom and with |t| < 0.01,
+    # where the tail's logarithm cancels at large df. Below about 1e-280
+    # scipy's F tails lose digits or flush to 0, as its routines underflow
+    # inside; test_f_tail_underflow_equals_the_exact_sum covers that range.
+    from scipy import special
+
+    dofs = [1, 2, 3, 4, 7, 30, 121, 1000, 12_345, 96_000, 100_000, 150_000, 200_000]
+    ts = np.concatenate([[0.0, 1e-9, 1e-4, 3e-3, 9.9e-3], np.geomspace(0.01, 500, 40)])
+    ps = [1e-12, 0.025, 0.3, 0.5, 0.5125, 0.95, 0.975, 0.995, 1 - 1e-12]
+    fs = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 40)])
+    compared = 0
     for dof in dofs:
-        for x in xs:
-            np.testing.assert_array_equal(special.stdtr(dof, -abs(x)), stats.t.sf(abs(x), dof))
-        np.testing.assert_array_equal(special.stdtr(dof, -np.abs(xs)), stats.t.sf(np.abs(xs), dof))
-        np.testing.assert_array_equal(special.stdtrit(dof, qs), stats.t.ppf(qs, dof))
-        for d1 in (1, 2, 3, 9):
-            np.testing.assert_array_equal(
-                special.fdtrc(d1, dof, np.abs(xs)), stats.f.sf(np.abs(xs), d1, dof)
-            )
+        for t in ts:
+            mine, theirs = _stdtr(dof, -t), float(special.stdtr(dof, -t))
+            for a, b in ((mine, theirs), (2 * mine, 2 * theirs), (1 - mine, 1 - theirs)):
+                assert _printed(a, ".6f") == _printed(b, ".6f"), (dof, t)
+        for p in ps:
+            assert _printed(_stdtrit(dof, p), ".6f") == _printed(float(special.stdtrit(dof, p)), ".6f")
+        for d1 in (1, 2, 3, 9, 40):
+            for f in fs:
+                theirs = float(special.fdtrc(d1, dof, f))
+                if theirs >= 1e-280:
+                    assert _printed(_fdtrc(d1, dof, f), ".6e") == _printed(theirs, ".6e"), (d1, dof, f)
+                    compared += 1
+    assert compared > 2000
+    for dof in (1, 96_000):
+        assert _stdtr(dof, -np.inf) == 0.0 and _stdtr(dof, np.inf) == 1.0
+        assert np.isnan(_stdtr(dof, np.nan)) and np.isnan(_fdtrc(3, dof, np.nan))
+        assert _fdtrc(3, dof, np.inf) == 0.0 == float(special.fdtrc(3, dof, np.inf))
+
+
+def _exact_f_tail(d1: int, d2: int, f: float) -> Fraction:
+    """P(F > f) exactly, for even d1 and d2: I_x(a, b) with integers a = d2/2
+    and b = d1/2 is x**a times the first b terms of the negative binomial
+    series in y = 1 - x, at the exact x = d2 / (d2 + d1 f)."""
+    a, b = d2 // 2, d1 // 2
+    x = Fraction(d2) / (d2 + d1 * Fraction(f))
+    return x**a * sum(math.comb(a + j - 1, j) * (1 - x) ** j for j in range(b))
+
+
+@pytest.mark.parametrize("d2", [40, 96_000])
+def test_f_tails_are_within_1e_12_of_the_exact_sum(d2):
+    # The paper-scale regression has about 96,000 residual degrees of freedom,
+    # where a log-beta from lgamma alone is off by about 3e-11.
+    for d1 in (2, 4, 6):
+        for f in (0.25, 0.5, 1.0, 1.5, 2.0, 5.0, 20.0):
+            assert _fdtrc(d1, d2, f) == pytest.approx(float(_exact_f_tail(d1, d2, f)), rel=1e-12)
+
+
+def test_t_tails_are_within_1e_13_of_the_closed_forms():
+    # df = 1 is Cauchy's; for df = 2, P(T < -t) = 1 / ((s + t) s) with s = sqrt(2 + t*t).
+    for t in np.concatenate([[1e-12, 1e-9, 1e-4], np.geomspace(0.01, 1e6, 30)]):
+        s = math.sqrt(2.0 + t * t)
+        assert _stdtr(1, -t) == pytest.approx(math.atan2(1.0, t) / math.pi, rel=1e-13)
+        assert _stdtr(2, -t) == pytest.approx(1.0 / ((s + t) * s), rel=1e-13)
+
+
+def _log10(value: Fraction) -> float:
+    return math.log10(value.numerator) - math.log10(value.denominator)
+
+
+@pytest.mark.parametrize(("d1", "d2"), [(2, 4), (2, 40), (4, 10), (6, 300), (20, 94), (40, 200)])
+def test_f_tail_underflow_equals_the_exact_sum(d1, d2):
+    # Tails from 1e-250 down through the subnormals to 0 are one rounding of
+    # the exact value (float() of a Fraction rounds correctly).
+    def f_at(log10_tail):  # bisection on log f
+        lo, hi = 0.0, 300.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _log10(_exact_f_tail(d1, d2, 10.0**mid)) > log10_tail else (lo, mid)
+        return 10.0**lo
+
+    for f in np.geomspace(f_at(-250), f_at(-326), 40):
+        exact = float(_exact_f_tail(d1, d2, float(f)))
+        assert format(_fdtrc(d1, d2, float(f)), ".6e") == format(exact, ".6e"), f
+    assert exact == 0.0
 
 
 def test_noisy_recovery_within_three_se():
