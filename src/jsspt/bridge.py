@@ -263,24 +263,10 @@ def _agv_line(state: ScheduleState, job: int) -> str:
 # plain repeats the external benchmark's step took 1.17x as long
 # (BENCH_12.json).
 
-
-def _without_possessive(pattern: str) -> str:
-    """The pattern with plain repeats, for Python 3.10, which has no
-    possessive ones. Each repeat here is followed by a character it cannot
-    take, so the plain pattern accepts the same lines, only slower."""
-    return re.sub(r"([*+?}])\+", r"\1", pattern)
-
-
-def _full_match(pattern: str):
-    if sys.version_info < (3, 11):
-        pattern = _without_possessive(pattern)
-    return re.compile(pattern).fullmatch
-
-
 # A non-negative JSON integer: of any length where the server reads it (step,
 # selected_job: a named error), else no longer than int() converts.
 _READ_INT = "(?:0|[1-9][0-9]*+)"
-_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+_DIGITS = sys.get_int_max_str_digits()  # 0: no limit
 _INT = f"(?:0|[1-9][0-9]{{0,{_DIGITS - 1}}}+)" if _DIGITS else _READ_INT
 # A scaled feature as _round6_text writes it: 0.0 to 1.0, or 1e-06 to 9.9e-05.
 _SCALED = r"[0-9](?:\.[0-9]++)?+(?:e-[0-9]++)?+"
@@ -295,15 +281,15 @@ _OPERATION_ROW = rf"\[{_INT},{_INT},{_INT},[01],{_INT},{_SCALED}\]"  # job,op,ma
 _MACHINE_ROW = rf"\[{_INT},0,{_SCALED}\]"  # machine, the flag 0, ratio
 _AGV_ROW = r"\[" + ",".join([_INT] * 7 + [_SCALED] * 6) + r"\]"  # vehicle, 6 raw, 6 scaled
 # Groups: step.
-match_operation_head = _full_match(
+match_operation_head = re.compile(
     rf'{_OBSERVATION}"phase":"{OPERATION_PHASE}","mask":{_list(_INT)},'
     rf'"operations":{_list(_OPERATION_ROW)},"machines":{_list(_MACHINE_ROW)}'
-)
+).fullmatch
 # Groups: step, selected_job.
-match_agv_line = _full_match(
+match_agv_line = re.compile(
     rf'{_OBSERVATION}"phase":"{AGV_PHASE}","selected_job":({_READ_INT}),'
     rf'"mask":{_list(_INT)},"agvs":{_list(_AGV_ROW)}\}}'
-)
+).fullmatch
 
 
 def serialize_observation(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness
 from .engine import save_result
-from .errors import ConfigurationError, JssptError, report_error
+from .errors import ConfigurationError, DocumentError, JssptError, report_error
 from .instances import (
     GenerationConfig,
     check_seed,
@@ -177,7 +177,14 @@ def _cmd_eval_external(args) -> int:
             paths.append(p)
     if not paths:
         raise ConfigurationError("no instance documents found")
-    instances = [load_instance(p) for p in paths]
+    instances, files = [], {}
+    for p in paths:
+        instance = load_instance(p)
+        # A results table holds one row per (instance, solver).
+        if instance.id in files:
+            raise DocumentError(f"instance id {instance.id!r} in {p} repeats {files[instance.id]}")
+        files[instance.id] = p
+        instances.append(instance)
     records = harness.run_external_eval(
         instances, args.cmd, label=args.label, timeout=args.timeout
     )

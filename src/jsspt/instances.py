@@ -248,6 +248,10 @@ class GenerationConfig:
                 )
         elif self.k < 1:
             raise ConfigurationError(f"need k >= 1, got {self.k}")
+        # The loader's bound: a generated instance must fit in a document.
+        for name, size in (("n", self.n), ("m", self.m), ("k", self.k)):
+            if size is not None and size > SIZE_MAX:
+                raise ConfigurationError(f"{name} must be <= {SIZE_MAX}, got {size}")
         check_seed(self.seed)
 
 

@@ -28,7 +28,7 @@ from jsspt.rules import ALL_COMBOS, AgvRule, OperationRule, select_agv, select_o
 # raise a plain ValueError on it. A Python without the limit reads it.
 OVERLONG_INT = "1" * 5000
 needs_int_digit_limit = pytest.mark.skipif(
-    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(OVERLONG_INT),
+    not 0 < sys.get_int_max_str_digits() < len(OVERLONG_INT),
     reason="this Python converts integers of any length",
 )
 

@@ -90,6 +90,7 @@ def _run_commands(root, capsys, monkeypatch) -> None:
     serve_main('{"type":"hello","instance":"missing"}')
     serve_main('{"type":"hello","schema":1,"version":7,"instance":"4x3x2-seed1","n":4,"m":3,"k":2}')
     cli("gen", "--n", 4, "--m", 3, "--k", 2, "--seed", -1, "--out", smoke, code=2)
+    cli("gen", "--n", 1001, "--m", 1, "--k", 1, "--out", smoke, code=2)
     cli("bench", "--sizes", "4x3", "--rhos", 0.5, "--instances", 1, "--seed", -1,
         "--out", root / "b", code=2)
     cli("bench", "--sizes", "4x3", "--rhos", 0.5, "--instances", 1, "--jobs", 0,

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -56,6 +57,38 @@ def test_negative_seed_or_zero_count_exits_2_before_writing(tmp_path, capsys, ar
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert f"jsspt: configuration error: {named}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("gen", "--n", "1001", "--m", "1", "--k", "1", "--seed", "1"), "n must be <= 1000, got 1001"),
+        (("gen", "--n", "4", "--m", "1001", "--k", "2"), "m must be <= 1000, got 1001"),
+        (("gen", "--n", "4", "--m", "3", "--k", "1001"), "k must be <= 1000, got 1001"),
+        (("bench", "--sizes", "1001x1", "--rhos", "0.5", "--instances", "1"),
+         "n must be <= 1000, got 1001"),
+        # fleet_size(300, 4) = 1200 vehicles.
+        (("bench", "--sizes", "4x3", "--rhos", "300", "--instances", "1"),
+         "k must be <= 1000, got 1200"),
+        (("grid", "--sizes", "3x1001", "--instances-per-cell", "1"), "m must be <= 1000, got 1001"),
+    ],
+    ids=["gen-n", "gen-m", "gen-k", "bench-n", "bench-fleet", "grid-m"],
+)
+def test_a_size_no_document_can_hold_exits_2_before_writing(tmp_path, capsys, argv, named):
+    # The loader bounds n, m and k at 1000; without the same bound, gen wrote
+    # a document that solve refused, and bench ran on an instance no
+    # document can hold.
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"jsspt: configuration error: {named}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_at_the_size_bound_writes_a_document_solve_reads(tmp_path, capsys):
+    assert run_cli("gen", "--n", "1000", "--m", "1", "--k", "1", "--seed", "1",
+                   "--out", str(tmp_path)) == 0
+    path = tmp_path / "1000x1x1-seed1.json"
+    assert load_instance(path).n == 1000
+    assert run_cli("solve", "--instance", str(path), "--op-rule", "SPT", "--agv-rule", "SCTA") == 0
 
 
 @pytest.mark.parametrize("combos", [(), ("--all-combos",)])
@@ -432,6 +465,27 @@ def test_eval_external_cli(tmp_path, capsys):
     rows = out_file.read_text().splitlines()
     assert len(rows) == 3
     assert all("LPT+SCPT" in row for row in rows[1:])
+
+
+@pytest.mark.parametrize("copy", [True, False], ids=["copied-document", "directory-twice"])
+def test_eval_external_rejects_a_repeated_instance_id_before_spawning(tmp_path, capsys, copy):
+    # Two rows for one (instance, solver) pair made a table read_records
+    # refuses, after every episode had run.
+    (tmp_path / "d1").mkdir()
+    first = repeated = save_instance(micro_instance(idle_leg=1), tmp_path / "d1")
+    if copy:
+        repeated = tmp_path / "d2" / "copy.json"
+        repeated.parent.mkdir()
+        repeated.write_bytes(first.read_bytes())
+    out_file = tmp_path / "out.csv"
+    with mock.patch("jsspt.bridge.subprocess.Popen") as popen:
+        code = run_cli("eval-external", "--instances", str(first.parent), str(repeated.parent),
+                       "--cmd", "unused", "--out", str(out_file))
+    assert code == 3
+    named = f"jsspt: document error: instance id 'micro' in {repeated} repeats {first}\n"
+    assert capsys.readouterr().err == named
+    popen.assert_not_called()
+    assert not out_file.exists()
 
 
 def test_eval_external_unreachable(tmp_path, capsys):

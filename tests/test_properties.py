@@ -7,10 +7,9 @@ to it is reported, play() agrees with solve(), with run_episode() under a rule
 decider and, on X+RANDOM pairs, with a loop that draws each vehicle per
 step, sweep() agrees with solve(), scaling every time by c scales every
 combo's makespan by c and relabeling the machines changes none, every
-operation line equals the
-reference encoder's in any encoding order, the canonical-line grammars read
-every encoder line as json.loads does, also in the form Python 3.10
-compiles, and never change what a line gets,
+operation line equals the reference encoder's in any encoding order, the
+canonical-line grammars read every encoder line as json.loads does and never
+change what a line gets,
 documents load back equal, the oracle bounds every combo, the results
 reduction gives the reference's global best and summary, and a results table
 reads back the records it was written from, carriage returns included."""
@@ -19,7 +18,6 @@ import copy
 import dataclasses
 import io
 import json
-import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -463,18 +461,6 @@ def served(instances_dir, lines, fast=True):
     return out.getvalue(), None
 
 
-# The grammars as Python 3.10 compiles them, with plain repeats.
-PLAIN_GRAMMARS = {
-    name: re.compile(bridge._without_possessive(getattr(bridge, name).__self__.pattern)).fullmatch
-    for name in ("match_operation_head", "match_agv_line")
-}
-
-
-def read_without_possessive(line, tail):
-    with mock.patch.multiple(rule_server, **PLAIN_GRAMMARS):
-        return _read_canonical(line, tail)
-
-
 def fields(line) -> tuple:
     msg = json.loads(line)
     return msg["type"], msg.get("phase"), msg["step"], msg.get("selected_job")
@@ -491,7 +477,6 @@ def test_canonical_lines_take_the_fast_path(data):
     for line in lines[1:-1]:
         kind, phase, step, job = fields(line)
         assert (kind, *_read_canonical(line, tail)) == ("observation", phase, step, job)
-        assert read_without_possessive(line, tail) == _read_canonical(line, tail)
     parsed = []
     with tempfile.TemporaryDirectory() as tmp:
         save_instance(instance, tmp)
@@ -552,7 +537,6 @@ def test_edited_lines_get_what_the_parser_gives(data):
             canonical = _read_canonical(line, tail)
             if canonical is not None:
                 assert fields(line) == ("observation", *canonical)
-            assert read_without_possessive(line, tail) == canonical
             prefix = [lines[0], lines[1]]
             assert served(Path(tmp), prefix + [line]) == served(Path(tmp), prefix + [line], fast=False)
 
