@@ -7,7 +7,6 @@ and the experiment harness (benchmarks, duration grid, sensitivity regression).
 """
 
 from .engine import (
-    JointAction,
     OpRow,
     OpSchedule,
     ScheduleResult,

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen, solve, bench, grid, regress, eval-external, oracle.
-The default output directory is taken from --out, falling back to the
-JSSPT_OUT environment variable, then the working directory. Failures exit
+Output goes to --out if given, else to the working directory. Failures exit
 nonzero with a category prefix on stderr.
 """
 
@@ -12,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 from pathlib import Path
 
 from . import harness
@@ -29,11 +27,9 @@ from .instances import (
 from .oracle import brute_force_oracle
 from .rules import ALL_COMBOS, parse_combo, solve, sweep
 
-ENV_OUT_DIR = "JSSPT_OUT"
-
 
 def _out_dir(value: str | None) -> Path:
-    path = Path(value or os.environ.get(ENV_OUT_DIR) or ".")
+    path = Path(value or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 

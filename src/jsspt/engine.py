@@ -15,13 +15,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ActionError, DocumentError, StateError, naming_file
-from .instances import LOAD, Instance, _document_int, _document_table
-from .instances import read_document, write_text_atomic
-
-
-class JointAction(NamedTuple):
-    job: int
-    agv: int
+from .instances import LOAD, Instance, _document_int, _document_list, _document_table
+from .instances import plain_file_stem, read_document, write_text_atomic
 
 
 class OpSchedule(NamedTuple):
@@ -72,7 +67,7 @@ class ScheduleState:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.next_op = [1] * instance.n
-        # Unfinished jobs, ascending; replaced (never mutated) when one ends.
+        # Unfinished jobs, ascending.
         self.frontier = list(range(instance.n))
         self.entries: list[list[OpSchedule]] = [[] for _ in range(instance.n)]
         self.machine_free = [0] * (instance.m + 2)
@@ -98,20 +93,20 @@ class ScheduleState:
 
     # -- transition --------------------------------------------------------
 
-    def apply(self, action: JointAction) -> "ScheduleState":
+    def apply(self, job: int, agv: int) -> "ScheduleState":
         """Schedule the job's next operation with the chosen AGV; returns the
         successor state and leaves this one untouched."""
         new = ScheduleState.__new__(ScheduleState)
         new.instance = self.instance
         new.next_op = list(self.next_op)
-        new.frontier = self.frontier
+        new.frontier = list(self.frontier)
         new.entries = [list(ent) for ent in self.entries]
         new.machine_free = list(self.machine_free)
         new.machine_ops = list(self.machine_ops)
         new.agv_location = list(self.agv_location)
         new.agv_free = list(self.agv_free)
         new.steps = self.steps
-        new.advance(*action)
+        new.advance(job, agv)
         return new
 
     def advance(self, job: int, agv: int) -> None:
@@ -146,8 +141,7 @@ class ScheduleState:
             end = start + inst.proc_times[job][op - 1]
         else:
             start = end = t_end
-            # Replaced, not mutated: apply() shares the list with the parent.
-            self.frontier = [j for j in self.frontier if j != job]
+            self.frontier.remove(job)
 
         self.next_op[job] = op + 1
         # tuple.__new__ skips the Python-level __new__ that NamedTuple
@@ -174,14 +168,12 @@ def lower_bound(instance: Instance) -> int:
     return max(row[0] for row in instance.path_suffix)
 
 
-def terminal_reward(state: ScheduleState, scale: float = 5.0) -> float:
-    """Sparse episode reward: -makespan / (lower_bound * scale) once the
-    schedule is complete, 0 before that."""
-    if scale <= 0:
-        raise StateError(f"reward scale must be > 0, got {scale}")
+def terminal_reward(state: ScheduleState) -> float:
+    """Sparse episode reward: -makespan / (5 * lower_bound) once the schedule
+    is complete, 0 before that."""
     if not state.is_terminal():
         return 0.0
-    return -state.makespan() / (lower_bound(state.instance) * scale)
+    return -state.makespan() / (lower_bound(state.instance) * 5.0)
 
 
 # -- schedule results -------------------------------------------------------
@@ -228,16 +220,34 @@ def result_to_document(result: ScheduleResult) -> dict:
 
 
 def result_from_document(doc: dict) -> ScheduleResult:
-    try:
-        return ScheduleResult(
-            instance_id=str(doc["instance"]),
-            solver_id=str(doc["solver"]),
-            makespan=_document_int(doc["makespan"], "makespan"),
-            rows=tuple(OpRow(*r) for r in _document_table(doc["rows"], "rows")),
-            decisions=tuple((a, b) for a, b in _document_table(doc["decisions"], "decisions")),
+    """The result a schedule document holds; a field it cannot hold exactly
+    is rejected, naming the field."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document: expected an object")
+    for field in ("instance", "solver", "makespan", "rows", "decisions"):
+        if field not in doc:
+            raise DocumentError(f"{field}: missing required field")
+    # The rule an instance's id follows, so that the id names its instance.
+    if not plain_file_stem(doc["instance"]):
+        raise DocumentError(
+            f"instance: must be a plain file stem on one line, got {doc['instance']!r}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"schedule document: malformed ({exc})") from exc
+    if not isinstance(doc["solver"], str):
+        raise DocumentError(f"solver: must be a string, got {doc['solver']!r}")
+    return ScheduleResult(
+        instance_id=doc["instance"],
+        solver_id=doc["solver"],
+        makespan=_document_int(doc["makespan"], "makespan"),
+        rows=tuple(OpRow(*r) for r in _document_rows(doc, "rows", len(OpRow._fields))),
+        decisions=_document_rows(doc, "decisions", 2),
+    )
+
+
+def _document_rows(doc: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
+    """The integer table `doc[field]`, each of whose rows has `width` entries."""
+    rows = _document_list(doc, field, f"a list of {width} integers",
+                          lambda row: isinstance(row, list) and len(row) == width)
+    return _document_table(rows, field)
 
 
 def save_result(result: ScheduleResult, path: str | Path) -> Path:

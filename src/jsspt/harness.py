@@ -26,6 +26,7 @@ from .instances import (
     GenerationConfig,
     Instance,
     _document_int,
+    _document_list,
     _document_table,
     check_seed,
     generate_instance,
@@ -82,13 +83,9 @@ class _Axes:
             except (ActionError, AttributeError) as exc:  # AttributeError: not a str
                 raise ConfigurationError(f"unknown solver in plan: {ident!r}") from exc
 
-    def configs(self) -> list[tuple[int, int, int, float]]:
-        """(n, m, k, nominal rho) per configuration, size-major."""
-        return [
-            (n, m, fleet_size(r, n), r)
-            for n, m in self.sizes
-            for r in self.rhos
-        ]
+    def configs(self) -> list[tuple[int, int, int]]:
+        """(n, m, k) per configuration, size-major."""
+        return [(n, m, fleet_size(r, n)) for n, m in self.sizes for r in self.rhos]
 
 
 @dataclass(frozen=True)
@@ -109,34 +106,35 @@ class ExperimentPlan(_Axes):
                 raise ConfigurationError(f"solver {ident!r} appears more than once in the plan")
 
 
-def _plan_entries(values, kind, what: str, field: str) -> tuple:
-    """The entries of a plan list, each of type `kind` and none a bool."""
-    for i, value in enumerate(values):
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise DocumentError(f"{field}[{i}]: must be {what}, got {value!r}")
-    return tuple(values)
+def _is_number(value) -> bool:
+    # A bool is an int to Python, and an int too long for a float has no rho.
+    return type(value) is float or type(value) is int and abs(value) <= 2**1023
 
 
 def plan_from_document(doc: dict) -> ExperimentPlan:
-    """A plan from its document; fields left out keep the plan's defaults.
-    Values the plan cannot hold exactly, and fields it does not have, are
-    rejected, naming the field."""
+    """A plan from its document; `sizes` is required, and the other fields
+    left out keep the plan's defaults. Values the plan cannot hold exactly,
+    and fields it does not have, are rejected, naming the field."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"bad plan document: expected an object, got {type(doc).__name__}")
     for field in doc:
         if field not in ExperimentPlan.__dataclass_fields__:
             raise ConfigurationError(f"bad plan document: unknown field {field!r}")
     try:
-        given = {"sizes": tuple((n, m) for n, m in _document_table(doc["sizes"], "sizes"))}
+        if "sizes" not in doc:
+            raise DocumentError("sizes: missing required field")
+        pairs = _document_list(doc, "sizes", "an [n, m] pair",
+                               lambda v: isinstance(v, list) and len(v) == 2)
+        given = {"sizes": _document_table(pairs, "sizes")}
         if "rhos" in doc:
-            rhos = _plan_entries(doc["rhos"], (int, float), "a number", "rhos")
-            given["rhos"] = tuple(map(float, rhos))
+            given["rhos"] = tuple(map(float, _document_list(doc, "rhos", "a number", _is_number)))
         if doc.get("solvers", "all") != "all":
-            given["solvers"] = _plan_entries(doc["solvers"], str, "a string", "solvers")
+            given["solvers"] = _document_list(doc, "solvers", "a string",
+                                              lambda v: isinstance(v, str), 'a list or "all"')
         for field in ("instances_per_config", "seed"):
             if field in doc:
                 given[field] = _document_int(doc[field], field)
-    except (DocumentError, KeyError, TypeError, ValueError) as exc:
+    except DocumentError as exc:
         raise ConfigurationError(f"bad plan document: {exc}") from exc
     return ExperimentPlan(**given)
 
@@ -154,7 +152,7 @@ def generate_bench_instances(plan: ExperimentPlan) -> list[Instance]:
     """All benchmark instances in plan order, seeds drawn from one stream."""
     seed_rng = np.random.default_rng(plan.seed)
     out = []
-    for n, m, k, _ in plan.configs():
+    for n, m, k in plan.configs():
         child_seeds = seed_rng.integers(0, 2**31 - 1, size=plan.instances_per_config)
         for child in child_seeds:
             config = GenerationConfig(n=n, m=m, k=k, seed=int(child))
@@ -461,7 +459,7 @@ def generate_grid_instances(plan: GridPlan) -> tuple[list[Instance], list[str]]:
     for proc_bin in GRID_BINS:
         for transport_bin in GRID_BINS:
             label = _cell_label(proc_bin, transport_bin)
-            for n, m, k, _ in plan.configs():
+            for n, m, k in plan.configs():
                 child = np.random.default_rng(int(seed_rng.integers(0, 2**31 - 1)))
                 seeds = child.integers(0, 2**31 - 1, size=plan.instances_per_cell).tolist()
                 for idx, seed in enumerate(seeds):

@@ -380,6 +380,18 @@ def _document_int(value, field: str, *index: int) -> int:
     raise DocumentError(f"{name}: must be an integer, got {value!r}")
 
 
+def _document_list(doc: dict, field: str, what: str, fits, listed: str = "a list") -> tuple:
+    """The entries of the list `doc[field]`, each one that `fits`; an error
+    names the field, or the entry and what it must be."""
+    values = doc[field]
+    if not isinstance(values, list):
+        raise DocumentError(f"{field}: must be {listed}, got {values!r}")
+    for i, value in enumerate(values):
+        if not fits(value):
+            raise DocumentError(f"{field}[{i}]: must be {what}, got {value!r}")
+    return tuple(values)
+
+
 def _document_table(rows, field: str) -> tuple[tuple[int, ...], ...]:
     # Plain ints (type(True) is bool, not int) skip the call: a 15x10
     # instance document holds about 460 of them.

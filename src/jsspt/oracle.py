@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import JointAction, ScheduleState
+from .engine import ScheduleState
 from .errors import OracleLimitError
 from .instances import Instance
 
@@ -70,7 +70,7 @@ def brute_force_oracle(instance: Instance, limit: int = 8) -> OracleResult:
             continue
         for j in reversed(state.valid_operations()):
             for u in range(k - 1, -1, -1):
-                stack.append((state.apply(JointAction(j, u)), trail + ((j, u),)))
+                stack.append((state.apply(j, u), trail + ((j, u),)))
 
     assert best_makespan is not None
     return OracleResult(best_makespan, best_trace, explored)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from jsspt.bridge import encode_message
-from jsspt.engine import JointAction, ScheduleResult, ScheduleState
+from jsspt.engine import ScheduleResult, ScheduleState
 from jsspt.errors import MetricError, ProtocolError
 from jsspt.features import build_graph
 from jsspt.harness import PREFERRED_GLOBAL_BEST, ExperimentPlan
@@ -208,7 +208,7 @@ def all_decision_sequences(instance: Instance):
             return
         for job in state.valid_operations():
             for agv in range(instance.k):
-                yield from expand(state.apply(JointAction(job, agv)), trail + ((job, agv),))
+                yield from expand(state.apply(job, agv), trail + ((job, agv),))
 
     yield from expand(ScheduleState(instance), ())
 

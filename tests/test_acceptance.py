@@ -14,7 +14,6 @@ from helpers import micro_instance, random_episode, random_small_instance
 from jsspt.bridge import ExternalPolicyClient, run_episode
 from jsspt.cli import main as cli_main
 from jsspt.engine import (
-    JointAction,
     ScheduleState,
     lower_bound,
     terminal_reward,
@@ -50,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
         assert min(sweep(instance, seed=checked)) >= oracle.makespan
         state = ScheduleState(instance)
         for job, agv in oracle.decisions:
-            state = state.apply(JointAction(job, agv))
+            state = state.apply(job, agv)
         assert state.makespan() == oracle.makespan  # tolerance 0
         checked += 1
     elapsed = time.perf_counter() - started
@@ -74,14 +73,14 @@ def test_criterion_2_schedule_validity():
 def test_criterion_3_worked_micro_instance():
     instance = micro_instance()
     state = ScheduleState(instance)
-    state = state.apply(JointAction(0, 0))
-    state = state.apply(JointAction(0, 0))
+    state = state.apply(0, 0)
+    state = state.apply(0, 0)
     first, second = state.entries[0]
     assert (first.transport_start, first.transport_end, first.start, first.end) == (0, 2, 2, 7)
     assert (second.transport_start, second.transport_end, second.start, second.end) == (7, 10, 10, 10)
     assert state.makespan() == 10
     assert lower_bound(instance) == 10
-    assert abs(terminal_reward(state, 5.0) - (-0.2)) <= 1e-12
+    assert abs(terminal_reward(state) - (-0.2)) <= 1e-12
     _report(3, "schedule (0,2,2,7)/(7,10,10,10), makespan 10, bound 10, reward -0.2")
 
 

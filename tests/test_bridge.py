@@ -31,7 +31,7 @@ from jsspt.bridge import (
     run_episode,
     serialize_observation,
 )
-from jsspt.engine import JointAction, ScheduleState, lower_bound
+from jsspt.engine import ScheduleState, lower_bound
 from jsspt.errors import ProtocolError, TransportError
 from jsspt.features import agv_features
 from jsspt.instances import GenerationConfig, Instance, generate_instance, save_instance
@@ -105,7 +105,7 @@ def test_operation_lines_match_reference_encoder():
             assert line == _reference_operation_line(state)
             jobs = state.valid_operations()
             job = jobs[int(rng.integers(len(jobs)))]
-            state = state.apply(JointAction(job, int(rng.integers(inst.k))))
+            state = state.apply(job, int(rng.integers(inst.k)))
 
 
 def test_lines_never_hash_the_instance(monkeypatch):
@@ -327,9 +327,20 @@ class _MaskedChooser(RulePolicy):
         return 99
 
 
+class _NoSuchVehicle(RulePolicy):
+    def __init__(self):
+        super().__init__("SPT", "SCTA")
+
+    def choose_agv(self, state, job, message):
+        return state.instance.k
+
+
 def test_masked_choice_aborts(i1):
     bad = _MaskedChooser()
     with pytest.raises(ProtocolError, match="masked"):
+        run_episode(i1, bad, bad)
+    bad = _NoSuchVehicle()
+    with pytest.raises(ProtocolError, match=r"^agv decider chose invalid vehicle 1 \(k=1\)$"):
         run_episode(i1, bad, bad)
 
 
@@ -515,8 +526,11 @@ def test_two_replies_in_one_read_are_returned_in_order(tmp_path, i1):
     [
         ("sys.stdout.write('{\"type\":\"ready\"')", TransportError, "closed its output"),
         ("sys.stdout.buffer.write(b'\\xff\\n')", ProtocolError, "not UTF-8"),
+        ("reply({'type': 'decision', 'step': 0, 'choice': 0})", ProtocolError,
+         "^expected ready after handshake, got 'decision'$"),
+        ("reply({'type': 'ready', 'version': 2})", ProtocolError, "^protocol version mismatch: 2$"),
     ],
-    ids=["eof-mid-line", "not-utf8"],
+    ids=["eof-mid-line", "not-utf8", "not-ready", "other-version"],
 )
 def test_bad_reply_bytes(tmp_path, i1, write, error, message):
     cmd = _write_server_script(tmp_path, f"    {write}\n    sys.stdout.flush()\n    break\n")
@@ -543,6 +557,29 @@ def test_close_kills_stalled_child_and_closes_pipes(tmp_path, monkeypatch):
         monkeypatch.setattr(proc, "wait", stalled_wait)
     assert proc.stdin.closed and proc.stdout.closed
     assert proc.returncode is not None and proc.returncode < 0  # killed
+
+
+def test_child_that_exited_fails_the_next_send(tmp_path, i1):
+    script = tmp_path / "exit.py"
+    script.write_text("raise SystemExit(3)\n", encoding="utf-8")
+    with ExternalPolicyClient([sys.executable, str(script)], timeout=5) as client:
+        client._proc.wait()
+        with pytest.raises(TransportError, match="^policy process exited with code 3$"):
+            client.begin_episode(i1)
+        assert client._proc is None
+
+
+def test_child_that_closed_its_input_fails_the_send(tmp_path, i1):
+    # The child closes its stdin, says so, and lives on for a second: the
+    # hello then meets a pipe with no reader.
+    script = tmp_path / "deaf.py"
+    script.write_text("import os, time\nos.close(0)\nprint('closed', flush=True)\ntime.sleep(1)\n",
+                      encoding="utf-8")
+    with ExternalPolicyClient([sys.executable, str(script)], timeout=5) as client:
+        assert client._proc.stdout.readline() == b"closed\n"
+        with pytest.raises(TransportError, match="^policy channel closed while sending: "):
+            client.begin_episode(i1)
+        assert client._proc is None
 
 
 def test_unreachable_endpoint(i1):

@@ -95,8 +95,10 @@ def _run_commands(root, capsys, monkeypatch) -> None:
         "--out", root / "b", code=2)
     cli("bench", "--sizes", "4x3", "--rhos", 0.5, "--instances", 1, "--jobs", 0,
         "--out", root / "b", code=2)
-    (smoke / "plan.json").write_text('{"sizes":[[4,3]],"sead":4}')
-    cli("bench", "--plan", smoke / "plan.json", "--out", root / "b", code=2)
+    for text in ('{"sizes":[[4,3]],"sead":4}', '{"sizes":[4,3]}',
+                 '{"sizes":[[4,3]],"solvers":"SPT+SCTA"}'):
+        (smoke / "plan.json").write_text(text)
+        cli("bench", "--plan", smoke / "plan.json", "--out", root / "b", code=2)
     # The other subcommands.
     plan = root / "plan.json"
     plan.write_text(json.dumps({"sizes": [[3, 2]], "rhos": [0.5, 1.0], "seed": 2}))

@@ -11,7 +11,7 @@ from helpers import micro_instance
 from jsspt import harness
 from jsspt.cli import main
 from jsspt.engine import load_result
-from jsspt.errors import ConfigurationError, DocumentError
+from jsspt.errors import ConfigurationError, DocumentError, JssptError, report_error
 from jsspt.instances import instance_to_document, load_instance, save_instance
 
 
@@ -81,6 +81,26 @@ def test_a_size_no_document_can_hold_exits_2_before_writing(tmp_path, capsys, ar
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"jsspt: configuration error: {named}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("bench", "--sizes", "3by2"), "cannot parse sizes '3by2' (want e.g. 15x10,10x10)"),
+        (("grid", "--sizes", "3x2x1"), "cannot parse sizes '3x2x1' (want e.g. 15x10,10x10)"),
+        (("bench", "--sizes", "3x2", "--rhos", "0.5,x"), "cannot parse scarcity list '0.5,x'"),
+    ],
+    ids=["bench-sizes", "grid-sizes", "bench-rhos"],
+)
+def test_unparsable_sizes_or_rhos_exit_2_before_writing(tmp_path, capsys, argv, named):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"jsspt: configuration error: {named}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_uncategorized_error_exits_1(capsys):
+    assert report_error(JssptError("no category")) == 1
+    assert capsys.readouterr().err == "jsspt: error: no category\n"
 
 
 def test_gen_at_the_size_bound_writes_a_document_solve_reads(tmp_path, capsys):
@@ -217,7 +237,7 @@ def test_every_document_error_names_its_file(tmp_path):
     bad = tmp_path / "bad.json"
     named = re.escape(f" (in {bad})") + "$"
     bad.write_text('{"instance": "x"}', encoding="utf-8")
-    with pytest.raises(DocumentError, match=r"^schedule document: malformed .*" + named):
+    with pytest.raises(DocumentError, match=r"^solver: missing required field" + named):
         load_result(bad)
     bad.write_text('{"sizes": [[4, 3]], "sead": 4}', encoding="utf-8")
     with pytest.raises(ConfigurationError, match=r"^bad plan document: unknown field 'sead'" + named):
@@ -351,6 +371,14 @@ def test_regress_cli(tmp_path, capsys):
     text = report_path.read_text()
     assert text.count("model,") == 5
     assert "R2," in text and "VIF" in text
+    # Without --out the report goes to stdout.
+    capsys.readouterr()
+    code = run_cli(
+        "regress", "--results", str(tmp_path / "grid_results.csv"),
+        "--solver", "SPT+SCTA", "--baseline", "MOR+SCTA",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == text
 
 
 @pytest.mark.parametrize(
@@ -488,6 +516,16 @@ def test_eval_external_rejects_a_repeated_instance_id_before_spawning(tmp_path, 
     assert not out_file.exists()
 
 
+def test_eval_external_over_a_directory_without_documents_exits_2(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    with mock.patch("jsspt.bridge.subprocess.Popen") as popen:
+        code = run_cli("eval-external", "--instances", str(tmp_path / "empty"), "--cmd", "unused",
+                       "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == "jsspt: configuration error: no instance documents found\n"
+    popen.assert_not_called()
+
+
 def test_eval_external_unreachable(tmp_path, capsys):
     path = save_instance(micro_instance(idle_leg=1), tmp_path)
     out_file = tmp_path / "external.csv"
@@ -523,13 +561,6 @@ def test_eval_external_rejects_bad_timeout_and_label(tmp_path, capsys, option, n
     assert not out_file.exists()
 
 
-def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("JSSPT_OUT", str(tmp_path / "from-env"))
-    code = run_cli("gen", "--n", "3", "--m", "2", "--k", "1", "--seed", "0")
-    assert code == 0
-    assert list((tmp_path / "from-env").glob("*.json"))
-
-
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "jsspt.cli", "gen", "--n", "2", "--m", "2",
@@ -557,11 +588,23 @@ PLAN_FIELDS = {"sizes": [[2, 2]], "rhos": [0.5], "instances_per_config": 1,
         # An option's name that is not a plan field, and a misspelled field.
         ("instances", 3, "unknown field 'instances'"),
         ("sead", 4, "unknown field 'sead'"),
+        # Each list field is a list, and each size a pair; sizes is required.
+        ("sizes", None, "sizes: missing required field"),
+        ("sizes", 5, "sizes: must be a list, got 5"),
+        ("sizes", [4, 3], "sizes[0]: must be an [n, m] pair, got 4"),
+        ("sizes", [[4, 3, 2]], "sizes[0]: must be an [n, m] pair, got [4, 3, 2]"),
+        ("rhos", 0.5, "rhos: must be a list, got 0.5"),
+        ("rhos", "0.5", "rhos: must be a list, got '0.5'"),
+        ("rhos", [10**400], "rhos[0]: must be a number, got 10000000000"),
+        ("solvers", 5, 'solvers: must be a list or "all", got 5'),
+        ("solvers", "SPT+SCTA", "solvers: must be a list or \"all\", got 'SPT+SCTA'"),
     ],
 )
 def test_bench_plan_rejects_inexact_values(tmp_path, capsys, field, value, named):
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps({**PLAN_FIELDS, field: value}))
+    # None leaves the field out.
+    doc = {**PLAN_FIELDS, field: value}
+    plan_path.write_text(json.dumps({f: v for f, v in doc.items() if v is not None}))
     code = run_cli("bench", "--plan", str(plan_path), "--out", str(tmp_path))
     assert code == 2
     assert f"jsspt: configuration error: bad plan document: {named}" in capsys.readouterr().err

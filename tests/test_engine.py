@@ -1,11 +1,11 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 
 from helpers import make_instance, random_episode, random_small_instance, zero_transport
 from jsspt.engine import (
-    JointAction,
     ScheduleResult,
     ScheduleState,
     build_result,
@@ -16,14 +16,14 @@ from jsspt.engine import (
     terminal_reward,
     validate_schedule,
 )
-from jsspt.errors import ActionError, DocumentError, StateError
+from jsspt.errors import ActionError, DocumentError, StateError, report_error
 from jsspt.instances import LOAD
 
 
 def run_sequence(instance, decisions):
     state = ScheduleState(instance)
     for job, agv in decisions:
-        state = state.apply(JointAction(job, agv))
+        state = state.apply(job, agv)
     return state
 
 
@@ -50,21 +50,21 @@ def test_valid_operations_counts():
     )
     state = ScheduleState(inst)
     assert state.valid_operations() == [0, 1]
-    state = state.apply(JointAction(0, 0))
+    state = state.apply(0, 0)
     assert state.valid_operations() == [0, 1]  # job 0 still has ops left
     while not state.is_terminal():
-        state = state.apply(JointAction(state.valid_operations()[0], 0))
+        state = state.apply(state.valid_operations()[0], 0)
     assert state.valid_operations() == []
 
 
 def test_micro_instance_worked_schedule(i1):
     state = ScheduleState(i1)
-    state = state.apply(JointAction(0, 0))
+    state = state.apply(0, 0)
     first = state.entries[0][0]
     assert (first.transport_start, first.transport_end, first.start, first.end) == (0, 2, 2, 7)
     assert state.agv_location == [2]  # at M1
     assert state.agv_free == [2]     # released at delivery
-    state = state.apply(JointAction(0, 0))
+    state = state.apply(0, 0)
     second = state.entries[0][1]
     assert (second.transport_start, second.transport_end, second.start, second.end) == (7, 10, 10, 10)
     assert state.is_terminal()
@@ -75,17 +75,17 @@ def test_apply_rejects_invalid_actions(i1):
     state = ScheduleState(i1)
     before = list(state.next_op)
     with pytest.raises(ActionError):
-        state.apply(JointAction(1, 0))
+        state.apply(1, 0)
     with pytest.raises(ActionError):
-        state.apply(JointAction(0, 1))
+        state.apply(0, 1)
     done = run_sequence(i1, [(0, 0), (0, 0)])
     with pytest.raises(ActionError):
-        done.apply(JointAction(0, 0))
+        done.apply(0, 0)
     assert state.next_op == before  # rejection leaves the state untouched
 
 
 def test_advance_rejection_leaves_every_field_unchanged():
-    # Job 0 is complete, job 1 is halfway, so the frontier has been replaced.
+    # Job 0 is complete, job 1 is halfway, so the frontier has lost job 0.
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [2, 5]], zero_transport(2), k=2)
     state = ScheduleState(inst)
     for job, agv in [(0, 1), (1, 0), (0, 0), (0, 1)]:
@@ -103,7 +103,7 @@ def test_advance_rejection_leaves_every_field_unchanged():
 
 def test_apply_is_functional(i1):
     state = ScheduleState(i1)
-    successor = state.apply(JointAction(0, 0))
+    successor = state.apply(0, 0)
     assert state.steps == 0
     assert successor.steps == 1
     assert state.entries[0] == []
@@ -113,6 +113,8 @@ def test_makespan_requires_terminal(i1):
     state = ScheduleState(i1)
     with pytest.raises(StateError):
         state.makespan()
+    with pytest.raises(StateError, match="^cannot build a result from a partial schedule$"):
+        build_result(state.apply(0, 0), "SPT+SCTA", [(0, 0)])
 
 
 def test_makespan_is_max_over_jobs():
@@ -138,7 +140,7 @@ def test_terminal_reward(i1):
     state = ScheduleState(i1)
     assert terminal_reward(state) == 0.0
     state = run_sequence(i1, [(0, 0), (0, 0)])
-    assert terminal_reward(state, 5.0) == pytest.approx(-0.2, abs=1e-12)
+    assert terminal_reward(state) == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_reward_at_twice_the_bound():
@@ -147,7 +149,7 @@ def test_reward_at_twice_the_bound():
     state = run_sequence(inst, [(0, 0), (1, 0), (0, 0), (1, 0)])
     assert lower_bound(inst) == 5
     assert state.makespan() == 10
-    assert terminal_reward(state, 5.0) == pytest.approx(-0.4, abs=1e-12)
+    assert terminal_reward(state) == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_episode_length_equals_total_ops():
@@ -243,7 +245,7 @@ def test_monotone_clocks():
             jobs = state.valid_operations()
             job = jobs[int(rng.integers(len(jobs)))]
             agv = int(rng.integers(inst.k))
-            state = state.apply(JointAction(job, agv))
+            state = state.apply(job, agv)
             entry = state.entries[job][-1]
             assert 0 <= entry.transport_start <= entry.transport_end <= entry.start <= entry.end
             agv_frees[agv].append(state.agv_free[agv])
@@ -291,6 +293,56 @@ def test_schedule_document_rejects_string_integers(i1):
     doc["rows"][1][4] = "7"
     with pytest.raises(DocumentError, match=r"^rows\[1\]\[4\]: must be an integer, got '7'$"):
         result_from_document(doc)
+
+
+def _drop(field):
+    def mangle(doc):
+        del doc[field]
+    return mangle
+
+
+def _set(value, *at):
+    def mangle(doc):
+        place = doc
+        for key in at[:-1]:
+            place = place[key]
+        place[at[-1]] = value
+    return mangle
+
+
+@pytest.mark.parametrize(
+    "mangle, named",
+    [
+        (_drop("rows"), "rows: missing required field"),
+        (_drop("instance"), "instance: missing required field"),
+        (_set(None, "instance"), "instance: must be a plain file stem on one line, got None"),
+        (_set("runs/i1", "instance"), "instance: must be a plain file stem on one line, got 'runs/i1'"),
+        (_set(["x"], "solver"), "solver: must be a string, got ['x']"),
+        (_set(5, "rows"), "rows: must be a list, got 5"),
+        (_set([0, 1, 2], "rows", 1), "rows[1]: must be a list of 8 integers, got [0, 1, 2]"),
+        (_set(7, "rows", 0), "rows[0]: must be a list of 8 integers, got 7"),
+        (_set([0, 0, 0], "decisions", 1), "decisions[1]: must be a list of 2 integers, got [0, 0, 0]"),
+        (_set({"job": 0}, "decisions", 0), "decisions[0]: must be a list of 2 integers, got {'job': 0}"),
+    ],
+    ids=["no-rows", "no-instance", "null-instance", "path-instance", "list-solver", "rows-int",
+         "short-row", "int-row", "long-decision", "object-decision"],
+)
+def test_schedule_document_names_the_field_and_the_file(i1, tmp_path, mangle, named):
+    doc = _schedule_document(i1)
+    mangle(doc)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DocumentError) as raised:
+        load_result(path)
+    assert str(raised.value) == f"{named} (in {path})"
+    assert report_error(raised.value) == 3
+
+
+def test_schedule_document_must_be_an_object(tmp_path):
+    path = tmp_path / "schedule.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(DocumentError, match=r"^document: expected an object \(in "):
+        load_result(path)
 
 
 def test_identical_action_sequences_identical_schedules():

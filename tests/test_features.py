@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_instance, random_small_instance, zero_transport
-from jsspt.engine import JointAction, ScheduleState
+from jsspt.engine import ScheduleState
 from jsspt.errors import ActionError, StateError
 from jsspt.features import agv_features, build_graph, op_lower_bound
 from jsspt.instances import LOAD
@@ -15,12 +15,12 @@ def test_op_lower_bound_at_reset(i1):
 
 
 def test_op_lower_bound_after_step(i1):
-    state = ScheduleState(i1).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(0, 0)
     assert op_lower_bound(state, 0, 2) == 7  # completion 7 plus zero-time release
 
 
 def test_op_lower_bound_of_scheduled_op_is_its_completion(i1):
-    state = ScheduleState(i1).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(0, 0)
     assert op_lower_bound(state, 0, 1) == state.entries[0][0].end == 7
 
 
@@ -40,7 +40,7 @@ def test_op_lower_bound_telescopes_to_completions():
         while not state.is_terminal():
             jobs = state.valid_operations()
             job = jobs[int(rng.integers(len(jobs)))]
-            state = state.apply(JointAction(job, int(rng.integers(inst.k))))
+            state = state.apply(job, int(rng.integers(inst.k)))
         for j in range(inst.n):
             for i in range(1, inst.m + 2):
                 assert op_lower_bound(state, j, i) == state.entries[j][i - 1].end
@@ -86,13 +86,13 @@ def test_bounds_and_edges_match_direct_construction():
                 break
             jobs = state.valid_operations()
             job = jobs[int(rng.integers(len(jobs)))]
-            state = state.apply(JointAction(job, int(rng.integers(inst.k))))
+            state = state.apply(job, int(rng.integers(inst.k)))
 
 
 def test_machine_ratio(i1):
     state = ScheduleState(i1)
     assert build_graph(state).machine_ratio == (0.0, 0.0, 0.0)
-    stepped = state.apply(JointAction(0, 0))
+    stepped = state.apply(0, 0)
     assert build_graph(stepped).machine_ratio[2] == 1.0  # the single job hit M1
 
 
@@ -100,7 +100,7 @@ def test_machine_ratio_fraction():
     inst = make_instance([[0]] * 10, [[3]] * 10, zero_transport(1), k=1)
     state = ScheduleState(inst)
     for j in range(4):
-        state = state.apply(JointAction(j, 0))
+        state = state.apply(j, 0)
     assert build_graph(state).machine_ratio[2] == pytest.approx(0.4)
 
 
@@ -129,7 +129,7 @@ def test_graph_edges_fixed_across_episode():
     state = ScheduleState(inst)
     initial = build_graph(state)
     assert len(initial.precedence_edges) == inst.n * inst.m  # job-chain arcs
-    state = state.apply(JointAction(0, 0)).apply(JointAction(1, 1))
+    state = state.apply(0, 0).apply(1, 1)
     later = build_graph(state)
     assert initial.precedence_edges == later.precedence_edges
     assert initial.assignment_edges == later.assignment_edges
@@ -140,7 +140,7 @@ def test_fully_scheduled_bookkeeping():
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [2, 2]], zero_transport(2), k=1)
     state = ScheduleState(inst)
     while not state.is_terminal():
-        state = state.apply(JointAction(state.valid_operations()[0], 0))
+        state = state.apply(state.valid_operations()[0], 0)
     graph = build_graph(state)
     assert all(s == 1 for s in graph.op_scheduled)
     assert sum(graph.machine_ratio) == pytest.approx(inst.m + 1)
@@ -174,7 +174,7 @@ def test_agv_feature_identities_random():
                     f.empty_travel_scaled, f.arrival_scaled, f.task_finish_scaled,
                 ):
                     assert 0.0 <= scaled <= 1.0
-            state = state.apply(JointAction(job, int(rng.integers(inst.k))))
+            state = state.apply(job, int(rng.integers(inst.k)))
 
 
 def test_minmax_scaling_endpoints():
@@ -202,9 +202,7 @@ def test_scaling_preserves_argmin():
         steps = int(rng.integers(0, min(6, inst.total_ops)))
         for _ in range(steps):
             jobs = state.valid_operations()
-            state = state.apply(
-                JointAction(jobs[int(rng.integers(len(jobs)))], int(rng.integers(inst.k)))
-            )
+            state = state.apply(jobs[int(rng.integers(len(jobs)))], int(rng.integers(inst.k)))
         job = state.valid_operations()[0]
         vecs = agv_features(state, job)
         raw_finish = [f.task_finish for f in vecs]
@@ -218,7 +216,7 @@ def test_pickup_ready_scaled_against_frontier():
     transport[LOAD][2] = 1
     transport[LOAD][3] = 1
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [1, 2]], transport, k=2)
-    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
+    state = ScheduleState(inst).apply(0, 0).apply(1, 1)
     assert state.entries[0][0].end == 4
     assert state.entries[1][0].end == 2
     assert agv_features(state, 0)[0].pickup_ready_scaled == 1.0
@@ -232,7 +230,7 @@ def test_machine_ready_scaled_against_frontier_targets():
     transport[LOAD][2] = 1
     transport[LOAD][3] = 1
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [1, 2]], transport, k=2)
-    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
+    state = ScheduleState(inst).apply(0, 0).apply(1, 1)
     assert state.machine_free[3] == 2  # M2, job 1's first stop
     assert state.machine_free[2] == 4  # M1, job 0's first stop
     assert agv_features(state, 0)[0].machine_ready_scaled == 0.0  # job 0 -> M2
@@ -240,6 +238,9 @@ def test_machine_ready_scaled_against_frontier_targets():
 
 
 def test_agv_features_rejects_finished_job(i1):
-    state = ScheduleState(i1).apply(JointAction(0, 0)).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(0, 0).apply(0, 0)
     with pytest.raises(ActionError):
         agv_features(state, 0)
+    # A job that does not exist is refused as well.
+    with pytest.raises(ActionError, match="^job index 1 out of range$"):
+        agv_features(ScheduleState(i1), 1)

@@ -15,6 +15,7 @@ from jsspt.harness import (
     format_regression_suite,
     generate_bench_instances,
     generate_grid_instances,
+    grid_cell_table,
     grid_cells_to_csv,
     heatmap_to_csv,
     load_plan,
@@ -97,6 +98,10 @@ def test_plan_validation():
         ExperimentPlan(solvers=("BOGUS",))
     with pytest.raises(ConfigurationError):
         plan_from_document({"sizes": "nope"})
+    with pytest.raises(ConfigurationError, match="^instances_per_config must be >= 1$"):
+        ExperimentPlan(instances_per_config=0)
+    with pytest.raises(ConfigurationError, match="^plan needs at least one solver$"):
+        ExperimentPlan(solvers=())
 
 
 def test_grid_plan_validation():
@@ -107,7 +112,7 @@ def test_grid_plan_validation():
             GridPlan(rhos=rhos)
     with pytest.raises(ConfigurationError, match="unknown solver"):
         GridPlan(solver_b="SPT+BOGUS")
-    assert GridPlan(sizes=((3, 2),), rhos=(0.4,)).configs() == [(3, 2, 1, 0.4)]
+    assert GridPlan(sizes=((3, 2),), rhos=(0.4,)).configs() == [(3, 2, 1)]
 
 
 def test_bench_row_counts_and_cardinality():
@@ -252,6 +257,11 @@ def test_grid_row_counts_and_cells():
     assert len(heatmap) == len(TAU_BINS)
     csv_text = grid_cells_to_csv(cells)
     assert csv_text.splitlines()[0].startswith("proc_bin,transport_bin")
+    # A cell without pairs has no row, and a table without pairs is an error.
+    kept = [r for r in records if r.cell_id == "p1_t11"]
+    assert [c["cell"] for c in grid_cell_table(kept, "SPT+SCTA", "MOR+SCTA")] == ["p1_t11"]
+    with pytest.raises(MetricError, match="^no rows found for solvers 'LPT\\+SCTA' / 'LPT\\+SCPT'$"):
+        grid_cell_table(records, "LPT+SCTA", "LPT+SCPT")
 
 
 def test_grid_symmetric_cells_have_small_mean_tau():

@@ -241,6 +241,11 @@ def test_load_rejects_bad_routing_and_missing_field():
     del doc2["transport"]
     with pytest.raises(DocumentError, match="transport"):
         instance_from_document(doc2)
+    with pytest.raises(DocumentError, match="^document: expected an object$"):
+        instance_from_document([doc])
+    doc["routings"] = 5
+    with pytest.raises(DocumentError, match=r"^document: malformed field value \("):
+        instance_from_document(doc)
 
 
 def test_load_rejects_garbage_file(tmp_path):

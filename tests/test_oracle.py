@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import all_decision_sequences, micro_instance
-from jsspt.engine import JointAction, ScheduleState
+from jsspt.engine import ScheduleState
 from jsspt.errors import OracleLimitError
 from jsspt.instances import GenerationConfig, generate_instance
 from jsspt.oracle import brute_force_oracle
@@ -44,7 +44,7 @@ def test_witness_replays_to_the_optimum():
         oracle = brute_force_oracle(inst)
         state = ScheduleState(inst)
         for job, agv in oracle.decisions:
-            state = state.apply(JointAction(job, agv))
+            state = state.apply(job, agv)
         assert state.makespan() == oracle.makespan
 
 

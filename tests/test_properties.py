@@ -48,7 +48,6 @@ from jsspt.bridge import (
     serialize_observation,
 )
 from jsspt.engine import (
-    JointAction,
     OpRow,
     ScheduleState,
     load_result,
@@ -139,7 +138,7 @@ def trace_states(data, instance) -> list[ScheduleState]:
     """Every state along one random decision trace, built with apply()."""
     states = [ScheduleState(instance)]
     for job, agv in random_actions(data, instance):
-        states.append(states[-1].apply(JointAction(job, agv)))
+        states.append(states[-1].apply(job, agv))
     return states
 
 
@@ -166,7 +165,7 @@ def test_advance_equals_apply_chain_at_every_step(data):
     functional = ScheduleState(instance)
     in_place = ScheduleState(instance)
     for job, agv in random_actions(data, instance):
-        functional = functional.apply(JointAction(job, agv))
+        functional = functional.apply(job, agv)
         in_place.advance(job, agv)
         assert snapshot(in_place) == snapshot(functional)
     assert in_place.makespan() == functional.makespan()
@@ -194,7 +193,7 @@ def test_apply_leaves_parent_untouched(data):
     state = ScheduleState(instance)
     for job, agv in random_actions(data, instance):
         before = snapshot(state)
-        successor = state.apply(JointAction(job, agv))
+        successor = state.apply(job, agv)
         assert snapshot(state) == before
         # advance() rejects an invalid action without touching the state.
         after = snapshot(successor)
@@ -240,7 +239,7 @@ def test_picks_on_states_stepped_in_place_equal_the_reference(data, instance):
             rule = data.draw(st.sampled_from(DETERMINISTIC_OP_RULES))
             name = rule.value if move == "string" else rule
         elif move == "branch":
-            branch = state.apply(JointAction(pick, agv))
+            branch = state.apply(pick, agv)
             if not branch.is_terminal():
                 assert select_operation(name, branch) == reference_select_operation(rule, branch)
         for job in jobs:

@@ -150,6 +150,16 @@ def test_main_maps_bad_hello_and_job_to_exit_5(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("jsspt: protocol error: selected_job 99 ")
 
 
+def test_main_skips_blank_lines_and_exits_0_at_end_of_input(tmp_path, monkeypatch, capsys):
+    hello = json.dumps(_hello(tmp_path))
+    op = json.dumps(_observation(0, "operation"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"\n{hello}\n  \n\n{op}\n"))
+    assert main(["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"type":"ready","version":1}\n{"type":"decision","step":0,"choice":0}\n'
+    )
+
+
 def test_main_rejects_a_negative_seed_before_serving(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_hello(tmp_path)) + "\n"))
     argv = ["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)]

@@ -12,7 +12,7 @@ from helpers import (
     zero_transport,
 )
 from jsspt import harness, rules
-from jsspt.engine import JointAction, ScheduleState, lower_bound, result_to_document, validate_schedule
+from jsspt.engine import ScheduleState, lower_bound, result_to_document, validate_schedule
 from jsspt.errors import ActionError, StateError
 from jsspt.instances import LOAD, GenerationConfig, generate_instance
 from jsspt.rules import (
@@ -54,7 +54,7 @@ def test_mwr_tie_breaks_lowest_index():
 def test_smpt_uses_mean_remaining():
     # Job 0: remaining {9, 0} mean 3.0; job 1: remaining {4, 0} mean 2.0.
     inst = make_instance([[0, 1], [1, 0]], [[9, 9], [4, 4]], zero_transport(2), k=1)
-    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 0))
+    state = ScheduleState(inst).apply(0, 0).apply(1, 0)
     assert select_operation(OperationRule.SMPT, state) == 1
 
 
@@ -66,7 +66,7 @@ def test_fdd_mwr_ratio():
 
 def test_mor_and_lor():
     inst = make_instance([[0, 1], [1, 0]], [[3, 3], [3, 3]], zero_transport(2), k=1)
-    state = ScheduleState(inst).apply(JointAction(0, 0))
+    state = ScheduleState(inst).apply(0, 0)
     # Job 0 has 2 ops left, job 1 has 3.
     assert select_operation(OperationRule.MOR, state) == 1
     assert select_operation(OperationRule.LOR, state) == 0
@@ -78,7 +78,7 @@ def test_fcfs_picks_earliest_ready():
     transport[LOAD][2] = 1
     transport[LOAD][3] = 1
     inst = make_instance([[0, 1], [1, 0]], [[3, 4], [1, 2]], transport, k=2)
-    state = ScheduleState(inst).apply(JointAction(0, 0)).apply(JointAction(1, 1))
+    state = ScheduleState(inst).apply(0, 0).apply(1, 1)
     assert state.entries[0][0].end == 4
     assert state.entries[1][0].end == 2
     assert select_operation(OperationRule.FCFS, state) == 1
@@ -95,7 +95,7 @@ def test_random_rule_needs_rng_and_stays_in_mask():
 
 
 def test_select_operation_terminal_errors(i1):
-    state = ScheduleState(i1).apply(JointAction(0, 0)).apply(JointAction(0, 0))
+    state = ScheduleState(i1).apply(0, 0).apply(0, 0)
     with pytest.raises(StateError):
         select_operation(OperationRule.SPT, state)
 
@@ -105,6 +105,8 @@ def test_agv_rules_single_vehicle(i1):
     for rule in (AgvRule.SPUT, AgvRule.SCTA, AgvRule.SCPT):
         assert select_agv(rule, state, 0) == 0
     assert select_agv(AgvRule.RANDOM, state, 0, np.random.default_rng(0)) == 0
+    with pytest.raises(ActionError, match="^RANDOM agv rule needs a random generator$"):
+        select_agv(AgvRule.RANDOM, state, 0)
 
 
 def test_sput_vs_scpt_divergence():
@@ -205,7 +207,7 @@ def test_replaying_decisions_reproduces_schedule():
     result = solve(inst, "FDD/MWR", "SPUT", seed=0)
     state = ScheduleState(inst)
     for job, agv in result.decisions:
-        state = state.apply(JointAction(job, agv))
+        state = state.apply(job, agv)
     assert state.makespan() == result.makespan
 
 
@@ -261,7 +263,7 @@ def episode_states(instance, rng):
         yield state
         jobs = state.valid_operations()
         job = jobs[int(rng.integers(len(jobs)))]
-        state = state.apply(JointAction(job, int(rng.integers(instance.k))))
+        state = state.apply(job, int(rng.integers(instance.k)))
 
 
 def differential_instances():
