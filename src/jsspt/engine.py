@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ActionError, DocumentError, StateError, naming_file
-from .instances import LOAD, Instance, _document_int, _document_list, _document_table
+from .instances import LOAD, Instance, _document_fields, _document_int, _document_table
 from .instances import plain_file_stem, read_document, write_text_atomic
 
 
@@ -222,11 +222,7 @@ def result_to_document(result: ScheduleResult) -> dict:
 def result_from_document(doc: dict) -> ScheduleResult:
     """The result a schedule document holds; a field it cannot hold exactly
     is rejected, naming the field."""
-    if not isinstance(doc, dict):
-        raise DocumentError("document: expected an object")
-    for field in ("instance", "solver", "makespan", "rows", "decisions"):
-        if field not in doc:
-            raise DocumentError(f"{field}: missing required field")
+    _document_fields(doc, ("instance", "solver", "makespan", "rows", "decisions"))
     # The rule an instance's id follows, so that the id names its instance.
     if not plain_file_stem(doc["instance"]):
         raise DocumentError(
@@ -238,16 +234,9 @@ def result_from_document(doc: dict) -> ScheduleResult:
         instance_id=doc["instance"],
         solver_id=doc["solver"],
         makespan=_document_int(doc["makespan"], "makespan"),
-        rows=tuple(OpRow(*r) for r in _document_rows(doc, "rows", len(OpRow._fields))),
-        decisions=_document_rows(doc, "decisions", 2),
+        rows=tuple(OpRow(*r) for r in _document_table(doc, "rows", len(OpRow._fields))),
+        decisions=_document_table(doc, "decisions", 2),
     )
-
-
-def _document_rows(doc: dict, field: str, width: int) -> tuple[tuple[int, ...], ...]:
-    """The integer table `doc[field]`, each of whose rows has `width` entries."""
-    rows = _document_list(doc, field, f"a list of {width} integers",
-                          lambda row: isinstance(row, list) and len(row) == width)
-    return _document_table(rows, field)
 
 
 def save_result(result: ScheduleResult, path: str | Path) -> Path:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -23,13 +22,17 @@ from .bridge import ExternalPolicyClient, run_episode
 from .errors import ActionError, ConfigurationError, DocumentError, MetricError, naming_file
 from .instances import (
     GRID_BINS,
+    SIZE_MAX,
     GenerationConfig,
     Instance,
+    _document_fields,
     _document_int,
     _document_list,
     _document_table,
     check_seed,
+    check_size,
     generate_instance,
+    read_document,
 )
 from .metrics import ResultRecord, bottleneck_features, make_record, rpi, win
 from .regression import RegressionReport, aggregate_ci, ols_fit, z_normalize
@@ -61,8 +64,9 @@ def fleet_size(rho_value: float, n: int) -> int:
 
 
 class _Axes:
-    """The sizes x scarcity axes both experiment plans sweep, and the one
-    check of a plan's axes, instance count and solvers."""
+    """The sizes x scarcity axes both experiment plans sweep, the one check
+    of a plan's axes, instance count and solvers, and the configurations
+    they give."""
 
     def _check(self, count_field: str, solvers) -> None:
         if not self.sizes:
@@ -84,8 +88,20 @@ class _Axes:
                 raise ConfigurationError(f"unknown solver in plan: {ident!r}") from exc
 
     def configs(self) -> list[tuple[int, int, int]]:
-        """(n, m, k) per configuration, size-major."""
-        return [(n, m, fleet_size(r, n)) for n, m in self.sizes for r in self.rhos]
+        """(n, m, k) per configuration, size-major. bench and grid take them
+        before they generate an instance, so an n, m or k above the loader's
+        bound SIZE_MAX is a ConfigurationError naming it before anything
+        runs; n and the scarcity values are bounded first, so that
+        fleet_size's product is a float."""
+        for n, m in self.sizes:
+            check_size("n", n)
+            check_size("m", m)
+        if max(self.rhos) > SIZE_MAX:
+            raise ConfigurationError(f"scarcity values must be <= {SIZE_MAX}, got {max(self.rhos)}")
+        configs = [(n, m, fleet_size(r, n)) for n, m in self.sizes for r in self.rhos]
+        for _, _, k in configs:
+            check_size("k", k)
+        return configs
 
 
 @dataclass(frozen=True)
@@ -117,15 +133,9 @@ def plan_from_document(doc: dict) -> ExperimentPlan:
     and fields it does not have, are rejected, naming the field."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"bad plan document: expected an object, got {type(doc).__name__}")
-    for field in doc:
-        if field not in ExperimentPlan.__dataclass_fields__:
-            raise ConfigurationError(f"bad plan document: unknown field {field!r}")
     try:
-        if "sizes" not in doc:
-            raise DocumentError("sizes: missing required field")
-        pairs = _document_list(doc, "sizes", "an [n, m] pair",
-                               lambda v: isinstance(v, list) and len(v) == 2)
-        given = {"sizes": _document_table(pairs, "sizes")}
+        _document_fields(doc, ("sizes",), tuple(ExperimentPlan.__dataclass_fields__))
+        given = {"sizes": _document_table(doc, "sizes", 2, "an [n, m] pair")}
         if "rhos" in doc:
             given["rhos"] = tuple(map(float, _document_list(doc, "rhos", "a number", _is_number)))
         if doc.get("solvers", "all") != "all":
@@ -142,9 +152,9 @@ def plan_from_document(doc: dict) -> ExperimentPlan:
 def load_plan(path: str | Path) -> ExperimentPlan:
     with naming_file(path):
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"bad plan document: not valid JSON ({exc})") from exc
+            doc = read_document(path)
+        except DocumentError as exc:
+            raise ConfigurationError(f"bad plan {exc}") from exc
         return plan_from_document(doc)
 
 
@@ -337,8 +347,9 @@ def records_to_csv(records: list[ResultRecord]) -> str:
 def records_from_csv(text: str) -> list[ResultRecord]:
     """The records of a results table. A missing column, a short or long
     row, a cell that is not a number of its column's type, a number that is
-    not finite or a repeated (instance, solver) pair raises DocumentError
-    naming the line, as does text the csv module cannot read."""
+    not finite, a makespan, rho or tau outside its range or a repeated
+    (instance, solver) pair raises DocumentError naming the line, as does
+    text the csv module cannot read."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         return _read_records(reader)
@@ -367,6 +378,19 @@ def _read_records(reader: csv.DictReader) -> list[ResultRecord]:
             )
         lines[pair] = line
         cells = {field: _cell(row, header, kind, line) for header, field, kind in _RESULT_SCHEMA}
+        # The documented ranges: tau is an index on [-1, 1], rho = k/n with
+        # k <= SIZE_MAX, and a makespan up to 2**53 stays exact in the
+        # summary's float means.
+        for column, fits, bounds in (
+            ("makespan", 1 <= cells["makespan"] <= 2**53, "[1, 2**53]"),
+            ("rho", 0 < cells["rho"] <= SIZE_MAX, f"(0, {SIZE_MAX}]"),
+            ("tau", -1 <= cells["tau"] <= 1, "[-1, 1]"),
+        ):
+            if not fits:
+                raise DocumentError(
+                    f"results table line {line}, column {column!r}: must be in {bounds}, "
+                    f"got {row[column]!r}"
+                )
         records.append(ResultRecord(**cells))
     return records
 
@@ -393,9 +417,15 @@ def _cell(row: dict, column: str, kind: type, line: int):
 
 
 def read_records(path: str | Path) -> list[ResultRecord]:
-    # Untranslated newlines, so that a quoted carriage return reads back as one.
-    with naming_file(path), open(path, encoding="utf-8", newline="") as f:
-        return records_from_csv(f.read())
+    # Decoded bytes keep their newlines, so a quoted carriage return reads back as one.
+    with naming_file(path):
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DocumentError(f"results table line {line}: not UTF-8 ({exc.reason})") from None
+        return records_from_csv(text)
 
 
 def _table_to_csv(columns: tuple[str, ...], rows: list[dict]) -> str:

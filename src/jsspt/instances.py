@@ -46,6 +46,12 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise ConfigurationError(f"{name} must be >= 0, got {seed}")
 
 
+def check_size(name: str, size: int) -> None:
+    """The loader's bound: a generated instance must fit in a document."""
+    if size > SIZE_MAX:
+        raise ConfigurationError(f"{name} must be <= {SIZE_MAX}, got {size}")
+
+
 def plain_file_stem(name) -> bool:
     """Whether `name` can name <name>.json directly in a directory, on one
     line: a non-empty string without NUL, line breaks or a directory part."""
@@ -248,10 +254,9 @@ class GenerationConfig:
                 )
         elif self.k < 1:
             raise ConfigurationError(f"need k >= 1, got {self.k}")
-        # The loader's bound: a generated instance must fit in a document.
         for name, size in (("n", self.n), ("m", self.m), ("k", self.k)):
-            if size is not None and size > SIZE_MAX:
-                raise ConfigurationError(f"{name} must be <= {SIZE_MAX}, got {size}")
+            if size is not None:
+                check_size(name, size)
         check_seed(self.seed)
 
 
@@ -302,32 +307,22 @@ def instance_to_document(inst: Instance) -> dict:
 
 
 def instance_from_document(doc: dict) -> Instance:
-    if not isinstance(doc, dict):
-        raise DocumentError("document: expected an object")
-    required = ("id", "n", "m", "k", "routings", "proc_times", "transport", "seed")
-    for field in required:
-        if field not in doc:
-            raise DocumentError(f"{field}: missing required field")
+    _document_fields(doc, ("id", "n", "m", "k", "routings", "proc_times", "transport", "seed"))
     # The id names the instance's file and its results-table rows.
     if not plain_file_stem(doc["id"]):
         raise DocumentError(f"id: must be a plain file stem on one line, got {doc['id']!r}")
-    try:
-        sizes = {field: _document_int(doc[field], field) for field in ("n", "m", "k")}
-        for field, size in sizes.items():
-            if size > SIZE_MAX:
-                raise DocumentError(f"{field}: must be <= {SIZE_MAX}, got {size}")
-        inst = Instance(
-            id=doc["id"],
-            **sizes,
-            routings=_document_table(doc["routings"], "routings"),
-            proc_times=_document_table(doc["proc_times"], "proc_times"),
-            transport=_document_table(doc["transport"], "transport"),
-            seed=_document_int(doc["seed"], "seed"),
-        )
-    except DocumentError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"document: malformed field value ({exc})") from exc
+    sizes = {field: _document_int(doc[field], field) for field in ("n", "m", "k")}
+    for field, size in sizes.items():
+        if size > SIZE_MAX:
+            raise DocumentError(f"{field}: must be <= {SIZE_MAX}, got {size}")
+    inst = Instance(
+        id=doc["id"],
+        **sizes,
+        routings=_document_table(doc, "routings"),
+        proc_times=_document_table(doc, "proc_times"),
+        transport=_document_table(doc, "transport"),
+        seed=_document_int(doc["seed"], "seed"),
+    )
     _check_time_bounds(inst)
     return inst
 
@@ -359,10 +354,11 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 
 def read_document(path: str | Path):
-    """The JSON value of a UTF-8 document; DocumentError if it is not JSON."""
+    """The JSON value of a UTF-8 document. DocumentError if the file is not
+    UTF-8 or not JSON, or holds an integer too long for int()."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise DocumentError(f"document: not valid JSON ({exc})") from exc
 
 
@@ -380,6 +376,20 @@ def _document_int(value, field: str, *index: int) -> int:
     raise DocumentError(f"{name}: must be an integer, got {value!r}")
 
 
+def _document_fields(doc, required: tuple[str, ...], allowed: tuple[str, ...] = ()) -> None:
+    """Check that `doc` is an object with every `required` field and no
+    field outside `required` and `allowed`. A missing field is named before
+    an unknown one, so another kind of document reads as missing a field."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document: expected an object")
+    for field in required:
+        if field not in doc:
+            raise DocumentError(f"{field}: missing required field")
+    for field in doc:
+        if field not in required and field not in allowed:
+            raise DocumentError(f"unknown field {field!r}")
+
+
 def _document_list(doc: dict, field: str, what: str, fits, listed: str = "a list") -> tuple:
     """The entries of the list `doc[field]`, each one that `fits`; an error
     names the field, or the entry and what it must be."""
@@ -392,7 +402,12 @@ def _document_list(doc: dict, field: str, what: str, fits, listed: str = "a list
     return tuple(values)
 
 
-def _document_table(rows, field: str) -> tuple[tuple[int, ...], ...]:
+def _document_table(doc: dict, field: str, width: int = 0, what: str = "") -> tuple:
+    """The integer table `doc[field]`: a list of lists, each of `width`
+    entries if given; an error names the field, the row or the entry."""
+    what = what or (f"a list of {width} integers" if width else "a list of integers")
+    rows = _document_list(doc, field, what,
+                          lambda row: isinstance(row, list) and (not width or len(row) == width))
     # Plain ints (type(True) is bool, not int) skip the call: a 15x10
     # instance document holds about 460 of them.
     return tuple(

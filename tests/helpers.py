@@ -1,11 +1,13 @@
 """Shared builders for hand-crafted instances, random episodes and plan
-documents, the reference rule episode loop, the if-chain operation rule
-reference, the reference engine transition, the reference operation-line
-encoder, an in-process rule decider and one that records the protocol v1
-lines it is sent, and the reference results reduction."""
+documents, a mutator of JSON values, the reference rule episode loop, the
+if-chain operation rule reference, the reference engine transition, the
+reference operation-line encoder, an in-process rule decider and one that
+records the protocol v1 lines it is sent, and the reference results
+reduction."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import sys
@@ -90,6 +92,62 @@ def plan_to_document(plan: ExperimentPlan) -> dict:
         "solvers": list(plan.solvers),
         "seed": plan.seed,
     }
+
+
+# -- mutated documents -------------------------------------------------------------
+
+#: What `mutate` puts in a field or entry: other types, values at and past
+#: the documented bounds, and numbers that no float or no size can hold.
+MUTANT_VALUES = (
+    0, -1, 1, 2, 3, 100, 101, 1001, 1.5, 2.0, True, None, "2", "", [], [1], [[1]], {},
+    1e300, 1e308, -1e308, 10**400, math.nan, math.inf,
+)
+
+
+def _places(value, out: list) -> list:
+    """Append (container, key) of every field and entry of a JSON value to
+    `out`, depth first."""
+    if isinstance(value, dict):
+        keys = list(value)
+    else:
+        keys = range(len(value)) if isinstance(value, list) else ()
+    for key in keys:
+        out.append((value, key))
+        _places(value[key], out)
+    return out
+
+
+def _retyped(value) -> list:
+    """`value` as other JSON types: wrapped in a list or an object, as text,
+    and an integer as a float."""
+    out = [[value], {"value": value}, str(value)]
+    if type(value) is int and value.bit_length() <= 1000:
+        out.append(float(value))
+    return out
+
+
+def mutate(value, choose):
+    """A copy of the JSON value `value` with one edit: a field or entry, or
+    the whole value, replaced by one of MUTANT_VALUES, retyped or deleted, or
+    an unknown field added to an object. `choose(options)` picks one of a
+    sequence, e.g. `lambda xs: data.draw(st.sampled_from(xs))`."""
+    root = [copy.deepcopy(value)]
+    places = _places(root, [])
+    objects = [c[k] for c, k in places if isinstance(c[k], dict)]
+    edits = ["replace", "retype"] + ["delete"] * (len(places) > 1) + ["add"] * bool(objects)
+    edit = choose(edits)
+    if edit == "add":
+        choose(objects)["unknown"] = copy.deepcopy(choose(MUTANT_VALUES))
+        return root[0]
+    # The whole value, places[0], may be replaced or retyped, not deleted.
+    container, key = choose(places[1:] if edit == "delete" else places)
+    if edit == "replace":
+        container[key] = copy.deepcopy(choose(MUTANT_VALUES))
+    elif edit == "retype":
+        container[key] = choose(_retyped(container[key]))
+    else:
+        del container[key]
+    return root[0]
 
 
 def random_episode(instance: Instance, rng: np.random.Generator) -> ScheduleResult:

@@ -5,7 +5,7 @@ The commands are those CI runs as its smoke steps (.github/workflows/tests.yml)
 and the subcommands they leave out, run in process under sys.setprofile:
 - the smoke steps: gen, solve --all-combos, solve with RANDOM vehicles and
   --out, the load_result + validate_schedule snippet, the two bad hellos
-  through rule_server.main, and the exit-2 cases through main;
+  through rule_server.main, and the exit-2 and exit-3 cases through main;
 - bench --plan with --solvers; grid, then regress on its table;
 - eval-external against a rule_server child; oracle;
 - one whole episode served by rule_server.serve from a recorded transcript
@@ -99,6 +99,13 @@ def _run_commands(root, capsys, monkeypatch) -> None:
                  '{"sizes":[[4,3]],"solvers":"SPT+SCTA"}'):
         (smoke / "plan.json").write_text(text)
         cli("bench", "--plan", smoke / "plan.json", "--out", root / "b", code=2)
+    cli("bench", "--sizes", "3x2", "--rhos", "1e308", "--instances", 1, "--out", root / "b", code=2)
+    (smoke / "bad.json").write_bytes(b"\xff\xfe{}")
+    cli("solve", "--instance", smoke / "bad.json", code=3)
+    (smoke / "bad.json").write_text(json.dumps({**json.loads(instance.read_text()), "routings": 5}))
+    capsys.readouterr()
+    cli("solve", "--instance", smoke / "bad.json", code=3)
+    assert "jsspt: document error: routings: " in capsys.readouterr().err
     # The other subcommands.
     plan = root / "plan.json"
     plan.write_text(json.dumps({"sizes": [[3, 2]], "rhos": [0.5, 1.0], "seed": 2}))

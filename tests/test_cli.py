@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from helpers import micro_instance
+from helpers import OVERLONG_INT, micro_instance, needs_int_digit_limit
 from jsspt import harness
 from jsspt.cli import main
 from jsspt.engine import load_result
@@ -71,16 +71,27 @@ def test_negative_seed_or_zero_count_exits_2_before_writing(tmp_path, capsys, ar
         (("bench", "--sizes", "4x3", "--rhos", "300", "--instances", "1"),
          "k must be <= 1000, got 1200"),
         (("grid", "--sizes", "3x1001", "--instances-per-cell", "1"), "m must be <= 1000, got 1001"),
+        # fleet_size overflowed: rho * n was not a finite float, or n too long for one.
+        (("bench", "--sizes", "3x2", "--rhos", "1e308", "--instances", "1"),
+         "scarcity values must be <= 1000, got 1e+308"),
+        (("grid", "--sizes", "3x2", "--rhos", "1e308", "--instances-per-cell", "1"),
+         "scarcity values must be <= 1000, got 1e+308"),
+        (("bench", "--plan", {"sizes": [[10**400, 2]]}), f"n must be <= 1000, got {10**400}"),
     ],
-    ids=["gen-n", "gen-m", "gen-k", "bench-n", "bench-fleet", "grid-m"],
+    ids=["gen-n", "gen-m", "gen-k", "bench-n", "bench-fleet", "grid-m", "bench-rho", "grid-rho",
+         "plan-n"],
 )
 def test_a_size_no_document_can_hold_exits_2_before_writing(tmp_path, capsys, argv, named):
     # The loader bounds n, m and k at 1000; without the same bound, gen wrote
     # a document that solve refused, and bench ran on an instance no
-    # document can hold.
+    # document can hold. A plan document is written next to the output.
+    plan = tmp_path / "plan.json"
+    if isinstance(argv[-1], dict):
+        plan.write_text(json.dumps(argv[-1]), encoding="utf-8")
+        argv = (*argv[:-1], str(plan))
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"jsspt: configuration error: {named}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == sorted(tmp_path.glob("plan.json"))
 
 
 @pytest.mark.parametrize(
@@ -249,6 +260,37 @@ def test_every_document_error_names_its_file(tmp_path):
         harness.read_records(table)
 
 
+@pytest.mark.parametrize(
+    "argv, code, category",
+    [
+        (("solve", "--instance"), 3, "document error: document"),
+        (("eval-external", "--cmd", "unused", "--instances"), 3, "document error: document"),
+        (("bench", "--plan"), 2, "configuration error: bad plan document"),
+    ],
+    ids=["solve", "eval-external", "bench-plan"],
+)
+def test_a_file_that_is_not_utf8_exits_naming_it(tmp_path, capsys, argv, code, category):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run_cli(*argv, str(bad), "--out", str(tmp_path / "out")) == code
+    named = (f"jsspt: {category}: not valid JSON ('utf-8' codec can't decode byte 0xff in "
+             f"position 0: invalid start byte) (in {bad})\n")
+    assert capsys.readouterr().err == named
+    if code == 3:
+        with pytest.raises(DocumentError, match="^document: not valid JSON"):
+            load_result(bad)
+
+
+@needs_int_digit_limit
+def test_an_integer_too_long_to_read_exits_3_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    bad.write_text(f'{{"id": "x", "n": {OVERLONG_INT}}}', encoding="utf-8")
+    assert run_cli("solve", "--instance", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("jsspt: document error: document: not valid JSON (Exceeds the limit")
+    assert err.endswith(f"(in {bad})\n")
+
+
 def test_bench_cli(tmp_path, capsys):
     code = run_cli(
         "bench", "--sizes", "3x2", "--rhos", "0.4,1.0", "--instances", "2",
@@ -391,9 +433,20 @@ def test_regress_cli(tmp_path, capsys):
         ("repeat-row", "instance", "line 3: instance '{0}', solver '{1}' repeats line 2"),
         ("set-nan", "tau", "line 2, column 'tau': must be finite, got 'nan'"),
         ("set-inf", "rho", "line 2, column 'rho': must be finite, got 'inf'"),
+        # Finite values outside the documented ranges; the first three ended
+        # in OverflowError.
+        ("set-1e300", "tau", "line 2, column 'tau': must be in [-1, 1], got '1e300'"),
+        ("set-1e300", "rho", "line 2, column 'rho': must be in (0, 1000], got '1e300'"),
+        ("set-1" + "0" * 400, "makespan",
+         f"line 2, column 'makespan': must be in [1, 2**53], got '{10**400}'"),
+        ("set--1.5", "tau", "line 2, column 'tau': must be in [-1, 1], got '-1.5'"),
+        ("set-0", "rho", "line 2, column 'rho': must be in (0, 1000], got '0'"),
+        ("set-0", "makespan", "line 2, column 'makespan': must be in [1, 2**53], got '0'"),
+        ("latin-1", "instance", "line 2: not UTF-8 (invalid continuation byte)"),
     ],
     ids=["float-makespan", "no-seed-column", "short-row", "long-row", "repeated-pair",
-         "nan-tau", "inf-rho"],
+         "nan-tau", "inf-rho", "huge-tau", "huge-rho", "huge-makespan", "low-tau", "zero-rho",
+         "zero-makespan", "latin-1"],
 )
 def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, column, named):
     code = run_cli(
@@ -412,9 +465,12 @@ def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, colum
         rows[1] = rows[1] + ["7"]
     elif mangle == "repeat-row":
         rows[2] = rows[1]
+    elif mangle == "latin-1":
+        rows[1][at] += "\xe9"
     else:
         rows[1][at] = mangle.removeprefix("set-")
-    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    encoding = "latin-1" if mangle == "latin-1" else "utf-8"
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding=encoding)
     capsys.readouterr()
     code = run_cli(
         "regress", "--results", str(path), "--solver", "SPT+SCTA", "--baseline", "MOR+SCTA",

@@ -323,9 +323,10 @@ def _set(value, *at):
         (_set(7, "rows", 0), "rows[0]: must be a list of 8 integers, got 7"),
         (_set([0, 0, 0], "decisions", 1), "decisions[1]: must be a list of 2 integers, got [0, 0, 0]"),
         (_set({"job": 0}, "decisions", 0), "decisions[0]: must be a list of 2 integers, got {'job': 0}"),
+        (_set("hi", "comment"), "unknown field 'comment'"),
     ],
     ids=["no-rows", "no-instance", "null-instance", "path-instance", "list-solver", "rows-int",
-         "short-row", "int-row", "long-decision", "object-decision"],
+         "short-row", "int-row", "long-decision", "object-decision", "unknown-field"],
 )
 def test_schedule_document_names_the_field_and_the_file(i1, tmp_path, mangle, named):
     doc = _schedule_document(i1)

@@ -244,7 +244,7 @@ def test_load_rejects_bad_routing_and_missing_field():
     with pytest.raises(DocumentError, match="^document: expected an object$"):
         instance_from_document([doc])
     doc["routings"] = 5
-    with pytest.raises(DocumentError, match=r"^document: malformed field value \("):
+    with pytest.raises(DocumentError, match=r"^routings: must be a list, got 5$"):
         instance_from_document(doc)
 
 
@@ -347,6 +347,11 @@ _LEGS = [[0 if a == b else 3 for b in range(4)] for a in range(4)]  # m = 2
         ("n", SIZE_MAX + 1, f"n: must be <= {SIZE_MAX}, got {SIZE_MAX + 1}"),
         ("m", 10**30, f"m: must be <= {SIZE_MAX}, got {10**30}"),
         ("k", 10**30, f"k: must be <= {SIZE_MAX}, got {10**30}"),
+        # A table is a list of lists, and a document holds only its eight fields.
+        ("routings", 5, "routings: must be a list, got 5"),
+        ("proc_times", [[5, 7, 0], 3], "proc_times[1]: must be a list of integers, got 3"),
+        ("transport", [1, 2, 3, 4], "transport[0]: must be a list of integers, got 1"),
+        ("comment", "hi", "unknown field 'comment'"),
     ],
 )
 def test_load_names_the_field_and_the_file(tmp_path, field, value, named):

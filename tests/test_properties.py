@@ -67,6 +67,7 @@ from jsspt.harness import (
 )
 from jsspt.instances import (
     LOAD,
+    SIZE_MAX,
     UNLOAD,
     GenerationConfig,
     Instance,
@@ -600,9 +601,12 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @SETTINGS
 @given(st.lists(
-    st.builds(ResultRecord, instance_id=_CELL_TEXT, solver_id=_CELL_TEXT, makespan=st.integers(),
-              n=st.integers(), m=st.integers(), k=st.integers(), p_raw=_FINITE, t_raw=_FINITE,
-              rho=_FINITE, tau=_FINITE, regime=_CELL_TEXT, cell_id=_CELL_TEXT, seed=st.integers()),
+    # makespan, rho and tau within the ranges a table holds, rho at least
+    # 1e-6 so that it stays above 0 at 6 decimals.
+    st.builds(ResultRecord, instance_id=_CELL_TEXT, solver_id=_CELL_TEXT,
+              makespan=st.integers(1, 2**53), n=st.integers(), m=st.integers(), k=st.integers(),
+              p_raw=_FINITE, t_raw=_FINITE, rho=st.floats(1e-6, SIZE_MAX), tau=st.floats(-1, 1),
+              regime=_CELL_TEXT, cell_id=_CELL_TEXT, seed=st.integers()),
     unique_by=lambda r: (r.instance_id, r.solver_id), max_size=8))
 @example([_record("a\rb", "SPT+SCTA", 3), _record("a", "SPT+SCTA", 3)])
 def test_results_table_round_trips(records):
