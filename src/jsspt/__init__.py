@@ -4,6 +4,12 @@ A deterministic construction environment for the transport-extended job shop,
 the classic dispatching-rule solvers, a line protocol for evaluating external
 agents (`jsspt.features` is the reference its encoders are tested against),
 and the experiment harness (benchmarks, duration grid, sensitivity regression).
+
+numpy serves only to generate instances, to draw for a RANDOM rule and to
+fit the regressions (`jsspt.harness`, behind the bench, grid and regress
+tables, imports it). `import jsspt`, and a policy process serving a
+deterministic rule pair, load none of it; the regression names below load
+`jsspt.regression` on first use.
 """
 
 from .engine import (
@@ -53,7 +59,6 @@ from .metrics import (
     win,
 )
 from .oracle import OracleResult, brute_force_oracle
-from .regression import RegressionReport, aggregate_ci, ols_fit, vif, z_normalize
 from .rules import (
     ALL_COMBOS,
     AgvRule,
@@ -68,3 +73,15 @@ from .rules import (
 )
 
 __version__ = "0.1.0"
+
+_REGRESSION = ("RegressionReport", "aggregate_ci", "ols_fit", "vif", "z_normalize")
+
+
+def __getattr__(name: str):
+    # import_module, not `from . import`: that would look the name up here again.
+    if name == "regression" or name in _REGRESSION:
+        from importlib import import_module
+
+        regression = import_module(".regression", __name__)
+        return regression if name == "regression" else getattr(regression, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

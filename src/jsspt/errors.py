@@ -34,7 +34,7 @@ class StateError(JssptError):
 
 class MetricError(JssptError):
     """Domain error in a metric or statistics routine (bad denominator,
-    undefined dominance, zero variance, singular design, ...)."""
+    mean durations outside the time bounds, zero variance, singular design, ...)."""
 
 
 class ProtocolError(JssptError):

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigurationError, DocumentError, naming_file
 
 # Transport-matrix indices of the two anchor machines.
@@ -266,6 +264,8 @@ def generate_instance(config: GenerationConfig, *, id_override: str | None = Non
     then k. Each table is one sized draw: numpy's bounded integer stream makes
     a duration table equal to one scalar draw per entry, and permuting the n
     rows of a tiled 0..m-1 along axis 1 equal to n calls of permutation(m)."""
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     n, m = config.n, config.m
     routings = tuple(map(tuple, rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1).tolist()))

@@ -45,7 +45,9 @@ class Dominance(NamedTuple):
 def temporal_dominance(p_raw: float, t_raw: float) -> Dominance:
     """Balance of processing vs transport durations on the symmetric scale
     [-1, 1] (positive: processing dominates). Both averages are first mapped
-    from the global time bounds [1, 100] onto [0, 1]."""
+    from the global time bounds [1, 100] onto [0, 1]. Both at the lower bound
+    give share 0.5 and index 0, the limit along p_norm = t_norm: neither
+    duration dominates."""
     for name, v in (("p_raw", p_raw), ("t_raw", t_raw)):
         if not TIME_MIN <= v <= TIME_MAX:
             raise MetricError(
@@ -55,9 +57,7 @@ def temporal_dominance(p_raw: float, t_raw: float) -> Dominance:
     p_norm = (p_raw - TIME_MIN) / span
     t_norm = (t_raw - TIME_MIN) / span
     total = p_norm + t_norm
-    if total == 0:
-        raise MetricError("temporal dominance undefined: both averages at the lower bound")
-    share = p_norm / total
+    share = p_norm / total if total else 0.5
     return Dominance(p_norm, t_norm, share, 2.0 * share - 1.0)
 
 

@@ -16,8 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bridge import (
     PROTOCOL_VERSION,
     SCHEMA_VERSION,
@@ -98,8 +96,9 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
     stdout = stdout or sys.stdout
     op_rule = OperationRule(op_rule)
     agv_rule = AgvRule(agv_rule)
-    state = None
-    rng = np.random.default_rng(seed)
+    state = rng = None
+    # Only the RANDOM rules draw, so no other pair loads numpy.
+    draws = op_rule is OperationRule.RANDOM or agv_rule is AgvRule.RANDOM
 
     def decide(step: int, choice: int) -> None:
         # The same text as encode_message: json.dumps writes an int as str().
@@ -122,7 +121,10 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
                 _check_hello(msg, instance)
                 state = ScheduleState(instance)
                 tail = operation_tail(instance)
-                rng = np.random.default_rng(seed)
+                if draws:
+                    import numpy as np
+
+                    rng = np.random.default_rng(seed)
                 stdout.write(encode_message({"type": "ready", "version": PROTOCOL_VERSION}) + "\n")
                 stdout.flush()
                 continue

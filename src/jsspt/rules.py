@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .engine import ScheduleResult, ScheduleState, build_result
 from .errors import ActionError, StateError
@@ -30,6 +29,9 @@ from .errors import ActionError, StateError
 # (perfbench/spans.py) wraps `rules.raw_transport_times`.
 from .features import raw_transport_times  # noqa: F401
 from .instances import LOAD, Instance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OperationRule(str, Enum):
@@ -176,6 +178,8 @@ def play(instance: Instance, op_rule, agv_rule, seed=0) -> tuple[ScheduleState, 
     # Only the RANDOM rules draw, so no other pair pays for a generator.
     rng = vehicles = None
     if op_rule is _RANDOM_OPERATION or agv_rule is _RANDOM_AGV:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         if op_rule is not _RANDOM_OPERATION:
             vehicles = rng.integers(instance.k, size=instance.total_ops).tolist()

@@ -9,7 +9,9 @@ documented error:
 - every configuration of a plan document builds a GenerationConfig, or the
   plan raises ConfigurationError;
 - read_records and then the summary, grid-cell, heatmap and regression
-  tables raise nothing but JssptError.
+  tables raise nothing but JssptError, and every record read holds a
+  makespan, rho and tau within range; one draw in four puts one such cell
+  out of range.
 """
 
 import csv
@@ -130,14 +132,40 @@ def _table_text(rows) -> str:
     return buf.getvalue()
 
 
+# Cells just past and far past the documented ranges: makespan in
+# [1, 2**53], rho in (0, 1000], tau in [-1, 1].
+OUT_OF_RANGE = {
+    "makespan": ("0", "-1", str(2**53 + 1), str(10**20)),
+    "rho": ("0.000000", "-0.5", "1000.000001", "1e300"),
+    "tau": ("-1.000001", "1.000001", "2", "-1e300"),
+}
+
+
+def _out_of_range(data, rows):
+    """`rows` with one makespan, rho or tau cell outside its range."""
+    rows = [list(row) for row in rows]
+    column = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    row = rows[data.draw(st.integers(1, len(rows) - 1))]
+    row[rows[0].index(column)] = data.draw(st.sampled_from(OUT_OF_RANGE[column]))
+    return rows
+
+
 @settings(max_examples=800, deadline=None)
 @given(data=st.data())
 def test_a_mutated_results_table_reduces_or_raises_a_jsspt_error(results_table, data):
     path, rows = results_table
-    # One edit: a second one would most often stop the read before the tables.
-    path.write_text(_table_text(_mutant(data, rows, max_edits=1)), encoding="utf-8")
+    # One draw in four puts one cell out of range (its 144 placements make
+    # about one distinct example in six); the others make one edit: a second
+    # one would most often stop the read before the tables.
+    if data.draw(st.integers(0, 3)) == 0:
+        rows = _out_of_range(data, rows)
+    else:
+        rows = _mutant(data, rows, max_edits=1)
+    path.write_text(_table_text(rows), encoding="utf-8")
     try:
         records = read_records(path)
+        for r in records:
+            assert 1 <= r.makespan <= 2**53 and 0 < r.rho <= 1000 and -1 <= r.tau <= 1, r
         summarize_results(records)
         grid_cell_table(records, SOLVER_A, SOLVER_B)
         heatmap_table(records, SOLVER_A, SOLVER_B, (0.4, 0.8))

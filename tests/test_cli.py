@@ -215,6 +215,25 @@ def test_eval_external_rejects_zero_transport_document(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_eval_external_scores_an_instance_whose_times_are_all_1(tmp_path, capsys):
+    # Both mean durations at the lower bound: tau is 0, not a metric error
+    # (exit 4) after the policy has played the episode.
+    docs = tmp_path / "docs"
+    assert run_cli("gen", "--n", "3", "--m", "2", "--k", "2", "--proc", "1", "1",
+                   "--transport", "1", "1", "--out", str(docs)) == 0
+    server = (
+        f"{sys.executable} -m jsspt.rule_server --op-rule SPT --agv-rule SCTA "
+        f"--instances-dir {docs}"
+    )
+    out_file = tmp_path / "out.csv"
+    code = run_cli("eval-external", "--instances", str(docs), "--cmd", server,
+                   "--timeout", "20", "--out", str(out_file))
+    assert code == 0, capsys.readouterr().err
+    header, row = out_file.read_text(encoding="utf-8").splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    assert (record["p_raw"], record["t_raw"], record["tau"]) == ("1.000000", "1.000000", "0.000000")
+
+
 @pytest.mark.parametrize("field", ["m", "k"])
 def test_solve_rejects_a_huge_size_naming_the_field(tmp_path, capsys, field):
     # m = 10**30 overflowed range(m) while loading; k = 10**30 loaded, then

@@ -62,6 +62,12 @@ def test_temporal_dominance_symmetry_and_bounds():
     assert bottom.index == -1.0
 
 
+def test_both_means_at_the_lower_bound_dominate_neither():
+    # The limit of 2p/(p+t) - 1 along p = t, as p and t go to 0.
+    assert temporal_dominance(1, 1) == (0.0, 0.0, 0.5, 0.0)
+    assert temporal_dominance(1 + 1e-12, 1 + 1e-12).index == 0.0
+
+
 def test_temporal_dominance_worked_values():
     d = temporal_dominance(55, 15.5)
     assert d.p_norm == pytest.approx(0.545455, abs=1e-6)
@@ -71,8 +77,6 @@ def test_temporal_dominance_worked_values():
 
 
 def test_temporal_dominance_errors():
-    with pytest.raises(MetricError):
-        temporal_dominance(1, 1)  # both at the lower bound
     with pytest.raises(MetricError):
         temporal_dominance(0.5, 50)
     with pytest.raises(MetricError):

@@ -6,7 +6,8 @@ reference does, every rule schedule validates and every single-field change
 to it is reported, play() agrees with solve(), with run_episode() under a rule
 decider and, on X+RANDOM pairs, with a loop that draws each vehicle per
 step, sweep() agrees with solve(), scaling every time by c scales every
-combo's makespan by c and relabeling the machines changes none, every
+combo's makespan by c and relabeling the machines changes none (under sweep,
+and for a rule decider both in process and served by rule_server), every
 operation line equals the reference encoder's in any encoding order, the
 canonical-line grammars read every encoder line as json.loads does and never
 change what a line gets,
@@ -27,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RecordingPolicy,
     RulePolicy,
     _reference_operation_line,
     micro_instance,
@@ -77,7 +79,7 @@ from jsspt.instances import (
     save_instance,
     write_text_atomic,
 )
-from jsspt.metrics import ResultRecord
+from jsspt.metrics import ResultRecord, make_record
 from jsspt.rule_server import _read_canonical, serve
 from jsspt.oracle import brute_force_oracle
 from jsspt.rules import (
@@ -312,44 +314,107 @@ def test_sweep_agrees_with_solve_for_every_combo(instance, seed):
 
 # Metamorphic relations: each changes the instance in a way that must change
 # every combo's makespan in a known way. The RANDOM pairs are included, as
-# their draws depend only on the frontier's length and on k.
+# their draws depend only on the frontier's length and on k. Each holds for
+# sweep, and for a rule decider both in process (run_episode) and served over
+# protocol v1 (rule_server.serve).
 
-@SETTINGS
-@given(instances(min_leg=1, max_time=33), st.sampled_from([2, 3]),
-       st.integers(0, 2**32 - 1))
-def test_scaling_every_time_scales_every_makespan(instance, c, seed):
-    # Times in [1, 33] stay within TIME_MAX = 100 when tripled.
-    scaled = dataclasses.replace(
+def scaled(instance: Instance, c: int) -> Instance:
+    """Every processing and transport time multiplied by c."""
+    return dataclasses.replace(
         instance,
         proc_times=tuple(tuple(c * p for p in row) for row in instance.proc_times),
         transport=tuple(tuple(c * t for t in row) for row in instance.transport),
     )
-    assert sweep(scaled, seed=seed) == [c * x for x in sweep(instance, seed=seed)]
 
 
-@SETTINGS
-@given(st.data(), instances(max_n=6, max_m=5, max_k=6, max_time=3), st.integers(0, 2**32 - 1))
-def test_relabeling_the_machines_keeps_every_makespan(data, instance, seed):
-    # Processing machine r becomes perm[r], in the routings and in the
-    # transport matrix; load and unload keep their indices. No rule breaks a
-    # tie by machine index, so every decision stays the same too. Times in
-    # [1, 3] make the ties common.
-    perm = data.draw(st.permutations(range(instance.m)))
+def relabeled(instance: Instance, perm) -> Instance:
+    """Processing machine r becomes perm[r], in the routings and in the
+    transport matrix; load and unload keep their indices."""
     index = (LOAD, UNLOAD) + tuple(machine_index(r) for r in perm)
     size = instance.m + 2
     transport = [[0] * size for _ in range(size)]
     for a, row in enumerate(instance.transport):
         for b, t in enumerate(row):
             transport[index[a]][index[b]] = t
-    relabeled = dataclasses.replace(
+    return dataclasses.replace(
         instance,
         routings=tuple(tuple(perm[r] for r in row) for row in instance.routings),
         transport=tuple(map(tuple, transport)),
     )
-    assert sweep(relabeled, seed=seed) == sweep(instance, seed=seed)
+
+
+def decider_episodes(data, original: Instance, changed: Instance, seed):
+    """For a drawn combo and a drawn RANDOM combo: the combo, then the
+    makespans and decisions of a RulePolicy on `original` and on `changed`
+    (run_episode), then the decisions rule_server.serve sends over the
+    transcript a RecordingPolicy of the same combo records on `changed`."""
+    random_combos = [c for c in ALL_COMBOS if "RANDOM" in c]
+    for combo in (data.draw(st.sampled_from(ALL_COMBOS)), data.draw(st.sampled_from(random_combos))):
+        op_rule, agv_rule = parse_combo(combo)
+        policy = RulePolicy(op_rule, agv_rule, seed)
+        state, decisions = run_episode(original, policy, policy)
+        recorder = RecordingPolicy(op_rule, agv_rule, seed)
+        changed_state, changed_decisions = run_episode(changed, recorder, recorder)
+        lines = [hello_message(changed), *recorder.lines, recorder.terminal]
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            save_instance(changed, Path(tmp))
+            serve(op_rule, agv_rule, Path(tmp), seed,
+                  stdin=io.StringIO("".join(line + "\n" for line in lines)), stdout=out)
+        ready, *replies = out.getvalue().splitlines()
+        assert json.loads(ready)["type"] == "ready"
+        choices = [json.loads(line)["choice"] for line in replies]
+        served = list(zip(choices[::2], choices[1::2]))
+        yield (combo, (state.makespan(), decisions),
+               (changed_state.makespan(), changed_decisions), served)
+
+
+@SETTINGS
+@given(instances(min_leg=1, max_time=33), st.sampled_from([2, 3]),
+       st.integers(0, 2**32 - 1))
+def test_scaling_every_time_scales_every_makespan(instance, c, seed):
+    # Times in [1, 33] stay within TIME_MAX = 100 when tripled.
+    assert sweep(scaled(instance, c), seed=seed) == [c * x for x in sweep(instance, seed=seed)]
+
+
+@SETTINGS
+@given(st.data(), instances(min_leg=1, max_time=33), st.sampled_from([2, 3]),
+       st.integers(0, 2**32 - 1))
+def test_scaling_every_time_scales_a_rule_deciders_episode(data, instance, c, seed):
+    # Every comparison a rule makes scales with the times, so the decisions
+    # stay the same, in process and served.
+    for combo, (makespan, decisions), changed, served in decider_episodes(
+            data, instance, scaled(instance, c), seed):
+        assert changed == (c * makespan, decisions), combo
+        assert served == decisions, combo
+    # Of a record's coupling factors, rho stays and the mean times scale;
+    # tau, normalized against the global time bounds, moves.
+    record, scaled_record = (make_record(i, "SPT+SCTA", 1) for i in (instance, scaled(instance, c)))
+    assert scaled_record.rho == record.rho
+    assert (scaled_record.p_raw, scaled_record.t_raw) == pytest.approx(
+        (c * record.p_raw, c * record.t_raw), rel=1e-12)
+
+
+@SETTINGS
+@given(st.data(), instances(max_n=6, max_m=5, max_k=6, max_time=3), st.integers(0, 2**32 - 1))
+def test_relabeling_the_machines_keeps_every_makespan(data, instance, seed):
+    # No rule breaks a tie by machine index, so every decision stays the
+    # same too. Times in [1, 3] make the ties common.
+    changed = relabeled(instance, data.draw(st.permutations(range(instance.m))))
+    assert sweep(changed, seed=seed) == sweep(instance, seed=seed)
     for combo in ALL_COMBOS:
         pair = parse_combo(combo)
-        assert play(relabeled, *pair, seed)[1] == play(instance, *pair, seed)[1], combo
+        assert play(changed, *pair, seed)[1] == play(instance, *pair, seed)[1], combo
+
+
+@SETTINGS
+@given(st.data(), instances(max_n=6, max_m=5, max_k=6, min_leg=1, max_time=3),
+       st.integers(0, 2**32 - 1))
+def test_relabeling_the_machines_keeps_a_rule_deciders_episode(data, instance, seed):
+    changed = relabeled(instance, data.draw(st.permutations(range(instance.m))))
+    for combo, original, changed_episode, served in decider_episodes(data, instance, changed, seed):
+        assert changed_episode == original, combo
+        assert served == original[1], combo
 
 
 @SETTINGS

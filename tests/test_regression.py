@@ -183,15 +183,6 @@ def test_aggregate_ci_needs_two_values():
         aggregate_ci([1.0])
 
 
-def test_import_leaves_scipy_stats_out():
-    # A fresh interpreter: this test process may have scipy.stats loaded.
-    code = "import sys, jsspt; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
-
-
 # One fresh interpreter against this checkout's src/: the imports every
 # command makes and an in-process `jsspt solve --all-combos` load no scipy and
 # no process pool, and bench and grid, then regress, load no scipy either.
