@@ -6,10 +6,9 @@ agents (`jsspt.features` is the reference its encoders are tested against),
 and the experiment harness (benchmarks, duration grid, sensitivity regression).
 
 numpy serves only to generate instances, to draw for a RANDOM rule and to
-fit the regressions (`jsspt.harness`, behind the bench, grid and regress
-tables, imports it). `import jsspt`, and a policy process serving a
-deterministic rule pair, load none of it; the regression names below load
-`jsspt.regression` on first use.
+fit the regressions, and each of those imports it where it runs.
+`import jsspt`, and a policy process serving a deterministic rule pair, load
+none of it; the regression names below load `jsspt.regression` on first use.
 """
 
 from .engine import (
@@ -74,7 +73,7 @@ from .rules import (
 
 __version__ = "0.1.0"
 
-_REGRESSION = ("RegressionReport", "aggregate_ci", "ols_fit", "vif", "z_normalize")
+_REGRESSION = ("RegressionReport", "aggregate_ci", "ols_fit", "z_normalize")
 
 
 def __getattr__(name: str):

@@ -404,8 +404,9 @@ class ExternalPolicyClient:
         fd = self._proc.stdout.fileno()
         deadline = monotonic() + self.timeout
         while (end := self._pending.find(b"\n")) < 0:
-            ready, _, _ = select.select([fd], [], [], max(deadline - monotonic(), 0.0))
-            if not ready:
+            # Checked on every pass, so output that never ends a line cannot hold the read.
+            remaining = deadline - monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
                 raise TransportError(f"policy did not answer within {self.timeout:.0f}s")
             chunk = os.read(fd, 65536)
             if not chunk:

@@ -14,6 +14,7 @@ import math
 from pathlib import Path
 
 from . import harness
+from .bridge import DEFAULT_TIMEOUT
 from .engine import save_result
 from .errors import ConfigurationError, DocumentError, JssptError, report_error
 from .instances import (
@@ -24,7 +25,7 @@ from .instances import (
     save_instance,
     write_text_atomic,
 )
-from .oracle import brute_force_oracle
+from .oracle import DEFAULT_LIMIT, brute_force_oracle
 from .rules import ALL_COMBOS, parse_combo, solve, sweep
 
 
@@ -261,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", nargs="+", required=True, help="instance files or directories")
     p.add_argument("--cmd", required=True, help="command line of the policy process")
     p.add_argument("--label", default="external")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval_external)
 
     p = sub.add_parser("oracle", help="exact optimum of a small instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--limit", type=int, default=8)
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -16,9 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .bridge import ExternalPolicyClient, run_episode
+from .bridge import DEFAULT_TIMEOUT, ExternalPolicyClient, run_episode
 from .errors import ActionError, ConfigurationError, DocumentError, MetricError, naming_file
 from .instances import (
     GRID_BINS,
@@ -81,11 +79,15 @@ class _Axes:
         check_seed(self.seed)
         if not solvers:
             raise ConfigurationError("plan needs at least one solver")
-        for ident in solvers:
+        for i, ident in enumerate(solvers):
             try:
                 parse_combo(ident)
             except (ActionError, AttributeError) as exc:  # AttributeError: not a str
                 raise ConfigurationError(f"unknown solver in plan: {ident!r}") from exc
+            # A repeated id would count each instance twice in its summary
+            # row, or pair each grid row with itself.
+            if ident in solvers[:i]:
+                raise ConfigurationError(f"solver {ident!r} appears more than once in the plan")
 
     def configs(self) -> list[tuple[int, int, int]]:
         """(n, m, k) per configuration, size-major. bench and grid take them
@@ -116,10 +118,6 @@ class ExperimentPlan(_Axes):
 
     def __post_init__(self) -> None:
         self._check("instances_per_config", self.solvers)
-        # A repeated id would count each instance twice in its summary row.
-        for i, ident in enumerate(self.solvers):
-            if ident in self.solvers[:i]:
-                raise ConfigurationError(f"solver {ident!r} appears more than once in the plan")
 
 
 def _is_number(value) -> bool:
@@ -160,6 +158,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 
 def generate_bench_instances(plan: ExperimentPlan) -> list[Instance]:
     """All benchmark instances in plan order, seeds drawn from one stream."""
+    import numpy as np
+
     seed_rng = np.random.default_rng(plan.seed)
     out = []
     for n, m, k in plan.configs():
@@ -483,6 +483,8 @@ def generate_grid_instances(plan: GridPlan) -> tuple[list[Instance], list[str]]:
     """Instances for every (cell, base config) pair plus their cell ids. The
     plan stream gives each pair a child seed, in cell-major order; the child
     stream gives that pair's instance seeds."""
+    import numpy as np
+
     seed_rng = np.random.default_rng(plan.seed)
     instances: list[Instance] = []
     cell_ids: list[str] = []
@@ -515,6 +517,8 @@ def run_grid(plan: GridPlan, jobs: int = 1):
 
 def _pair_records(records, solver_a: str, solver_b: str):
     """Join the two solvers' rows by instance; every instance needs both."""
+    if solver_a == solver_b:
+        raise MetricError(f"cannot pair solver {solver_a!r} with itself")
     rows_a = {r.instance_id: r for r in records if r.solver_id == solver_a}
     rows_b = {r.instance_id: r for r in records if r.solver_id == solver_b}
     if set(rows_a) != set(rows_b):
@@ -628,6 +632,8 @@ def run_regression_suite(
     """Fit the single-, two- and three-feature models of the coupling-factor
     regression: improvement of `solver` over `baseline` explained by the
     z-normalized bottleneck features."""
+    import numpy as np
+
     pairs = _pair_records(records, solver, baseline)
     y = np.array([rpi(a.makespan, b.makespan) for a, b in pairs])
     # The (bm, jbn, abn) members of each row's BottleneckFeatures.
@@ -651,7 +657,7 @@ def run_external_eval(
     instances: list[Instance],
     command,
     label: str = "external",
-    timeout: float = 30.0,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> list[ResultRecord]:
     """Evaluate one external joint policy over an instance set; rows use the
     same schema as rule-combo rows, so rankings and regressions apply as-is."""

@@ -22,7 +22,10 @@ class OracleResult:
     explored: int
 
 
-def brute_force_oracle(instance: Instance, limit: int = 8) -> OracleResult:
+DEFAULT_LIMIT = 8
+
+
+def brute_force_oracle(instance: Instance, limit: int = DEFAULT_LIMIT) -> OracleResult:
     """Minimum makespan over every valid (operation, AGV) sequence, plus one
     witness trace (the first optimal sequence in lexicographic decision order).
 

@@ -13,15 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import MetricError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def z_normalize(columns: np.ndarray, names: list[str] | None = None) -> np.ndarray:
     """Standardize each column to mean 0 and population standard deviation 1.
     A zero-variance column is an error naming the column."""
+    import numpy as np
+
     x = np.asarray(columns, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -82,6 +86,8 @@ def ols_fit(
 ) -> RegressionReport:
     """Fit response = design @ beta + error. The design includes its intercept
     column; rows must exceed columns and the columns must be independent."""
+    import numpy as np
+
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     if x.ndim != 2:
@@ -101,8 +107,8 @@ def ols_fit(
     rss = float(resid @ resid)
     dof = rows - cols
     sigma2 = rss / dof
-    cov = sigma2 * np.linalg.inv(x.T @ x)
-    std_errors = np.sqrt(np.diag(cov))
+    xtx_inv = np.linalg.inv(x.T @ x)
+    std_errors = np.sqrt(sigma2 * np.diag(xtx_inv))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(std_errors > 0, coef / std_errors, np.inf * np.sign(coef))
@@ -133,7 +139,11 @@ def ols_fit(
         names = ["const"] + [f"x{i}" for i in range(1, cols)]
     vif_values: tuple[float, ...] = ()
     if cols >= 3:
-        vif_values = tuple(vif(x[:, 1:], names=list(names[1:])))
+        # VIF_j = 1 / (1 - R2_j) = [(X'X)^-1]_jj * n var(x_j) (Belsley, Kuh and Welsch 1980).
+        vif_values = tuple(map(float, np.diag(xtx_inv)[1:] * x[:, 1:].var(axis=0) * rows))
+        for name, value in zip(names[1:], vif_values):
+            if not 0 < value < 1e12:  # R2_j >= 1 - 1e-12, or X'X too near singular to invert
+                raise MetricError(f"perfect collinearity: VIF of {name} is infinite")
 
     return RegressionReport(
         names=tuple(names),
@@ -153,35 +163,10 @@ def ols_fit(
     )
 
 
-def vif(regressors: np.ndarray, names: list[str] | None = None) -> list[float]:
-    """Variance inflation factor of each regressor: 1 / (1 - R2) from the
-    auxiliary regression of that column on all others plus an intercept.
-    The intercept column must NOT be part of `regressors`."""
-    x = np.asarray(regressors, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise MetricError("VIF needs at least two regressor columns")
-    rows = x.shape[0]
-    out = []
-    for idx in range(x.shape[1]):
-        label = names[idx] if names else f"column {idx}"
-        target = x[:, idx]
-        others = np.column_stack([np.ones(rows), np.delete(x, idx, axis=1)])
-        coef, _, rank, _ = np.linalg.lstsq(others, target, rcond=None)
-        if rank < others.shape[1]:
-            raise MetricError(f"VIF undefined: auxiliary design for {label} is singular")
-        resid = target - others @ coef
-        tss = float(((target - target.mean()) ** 2).sum())
-        if tss == 0:
-            raise MetricError(f"VIF undefined: {label} is constant")
-        r2_aux = 1.0 - float(resid @ resid) / tss
-        if r2_aux >= 1.0 - 1e-12:
-            raise MetricError(f"perfect collinearity: VIF of {label} is infinite")
-        out.append(1.0 / (1.0 - r2_aux))
-    return out
-
-
 def aggregate_ci(values) -> tuple[float, float]:
     """Mean and Student-t half-width of a 95% confidence interval."""
+    import numpy as np
+
     vals = np.asarray(list(values), dtype=float)
     if vals.size < 2:
         raise MetricError(f"confidence interval needs >= 2 values, got {vals.size}")

@@ -2,8 +2,8 @@
 documents, a mutator of JSON values, the reference rule episode loop, the
 if-chain operation rule reference, the reference engine transition, the
 reference operation-line encoder, an in-process rule decider and one that
-records the protocol v1 lines it is sent, and the reference results
-reduction."""
+records the protocol v1 lines it is sent, the reference results
+reduction, and variance inflation factors by their definition."""
 
 from __future__ import annotations
 
@@ -455,3 +455,18 @@ def _reference_half_width(values) -> float:
     if len(values) < 2:
         return 0.0
     return aggregate_ci(values)[1]
+
+
+def reference_vif(regressors) -> list[float]:
+    """Each regressor's variance inflation factor by its definition,
+    1 / (1 - R2) = TSS / RSS of the least-squares fit of that column on the
+    others plus an intercept. `regressors` holds no intercept column."""
+    x = np.asarray(regressors, dtype=float)
+    out = []
+    for j in range(x.shape[1]):
+        target = x[:, j]
+        others = np.column_stack([np.ones(len(x)), np.delete(x, j, axis=1)])
+        resid = target - others @ np.linalg.lstsq(others, target, rcond=None)[0]
+        centered = target - target.mean()
+        out.append(float(centered @ centered / (resid @ resid)))
+    return out

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,6 +540,56 @@ def test_bad_reply_bytes(tmp_path, i1, write, error, message):
         with pytest.raises(error, match=message):
             client.begin_episode(i1)
         assert client._proc is None
+
+
+# Writes output without end and never a newline, and leaves at end of input.
+FLOOD = """
+import os, select
+os.set_blocking(1, False)
+while True:
+    readable, writable, _ = select.select([0], [1], [])
+    if readable and not os.read(0, 65536):
+        break
+    if writable:
+        try:
+            os.write(1, b"x" * 65536)
+        except BlockingIOError:
+            pass
+"""
+
+# An episode against the flood, timed; run in its own interpreter.
+FLOODED_EPISODE = """
+import json, sys, time
+from jsspt.bridge import ExternalPolicyClient, run_episode
+from jsspt.errors import TransportError
+from jsspt.instances import GenerationConfig, generate_instance
+
+instance = generate_instance(GenerationConfig(n=2, m=2, k=1, seed=0))
+start = time.monotonic()
+try:
+    with ExternalPolicyClient([sys.executable, sys.argv[1]], timeout=1.0) as client:
+        run_episode(instance, client, client)
+    error = None
+except TransportError as exc:
+    error = str(exc)
+print(json.dumps({"error": error, "seconds": time.monotonic() - start}))
+"""
+
+
+def test_a_flood_without_newline_ends_at_the_timeout(tmp_path):
+    # Every read pass checks the deadline, not only a pass with nothing to
+    # read. The client runs in its own interpreter, so a read that never
+    # ends fails the test at the watchdog instead of hanging it.
+    flood = tmp_path / "flood.py"
+    flood.write_text(FLOOD, encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", FLOODED_EPISODE, str(flood)], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=20,
+    ).stdout
+    report = json.loads(out)
+    assert report["error"] == "policy did not answer within 1s"
+    assert 1.0 <= report["seconds"] < 3.0
 
 
 def test_close_kills_stalled_child_and_closes_pipes(tmp_path, monkeypatch):

@@ -100,6 +100,8 @@ def _run_commands(root, capsys, monkeypatch) -> None:
         (smoke / "plan.json").write_text(text)
         cli("bench", "--plan", smoke / "plan.json", "--out", root / "b", code=2)
     cli("bench", "--sizes", "3x2", "--rhos", "1e308", "--instances", 1, "--out", root / "b", code=2)
+    cli("grid", "--sizes", "3x2", "--rhos", "0.5,1.0", "--instances-per-cell", 1,
+        "--solver-a", "SPT+SCTA", "--solver-b", "SPT+SCTA", "--out", root / "g", code=2)
     (smoke / "bad.json").write_bytes(b"\xff\xfe{}")
     cli("solve", "--instance", smoke / "bad.json", code=3)
     (smoke / "bad.json").write_text(json.dumps({**json.loads(instance.read_text()), "routings": 5}))

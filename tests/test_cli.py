@@ -8,8 +8,8 @@ from unittest import mock
 import pytest
 
 from helpers import OVERLONG_INT, micro_instance, needs_int_digit_limit
-from jsspt import harness
-from jsspt.cli import main
+from jsspt import bridge, harness, oracle
+from jsspt.cli import build_parser, main
 from jsspt.engine import load_result
 from jsspt.errors import ConfigurationError, DocumentError, JssptError, report_error
 from jsspt.instances import instance_to_document, load_instance, save_instance
@@ -527,6 +527,39 @@ def test_regress_join_error(tmp_path, capsys):
     )
     assert code == 4
     assert "compute error" in capsys.readouterr().err
+
+
+def test_a_solver_compared_with_itself_is_refused(tmp_path, capsys):
+    code = run_cli(
+        "grid", "--sizes", "3x2", "--rhos", "0.5,1.0", "--instances-per-cell", "1",
+        "--solver-a", "SPT+SCTA", "--solver-b", "SPT+SCTA", "--out", str(tmp_path / "grid"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "jsspt: configuration error: solver 'SPT+SCTA' appears more than once in the plan\n"
+    )
+    assert not (tmp_path / "grid" / "grid_results.csv").exists()
+    assert run_cli("bench", "--sizes", "3x2", "--rhos", "0.5,1.0", "--instances", "2",
+                   "--solvers", "SPT+SCTA,MOR+SCTA", "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    code = run_cli("regress", "--results", str(tmp_path / "results.csv"),
+                   "--solver", "SPT+SCTA", "--baseline", "SPT+SCTA")
+    assert code == 4
+    assert capsys.readouterr() == (
+        "", "jsspt: compute error: cannot pair solver 'SPT+SCTA' with itself\n"
+    )
+
+
+def test_each_default_has_one_home():
+    # The channel timeout and the oracle limit are each written once; the
+    # options and the functions take their defaults from that constant.
+    parser = build_parser()
+    timeout = parser.parse_args(["eval-external", "--instances", "i", "--cmd", "c"]).timeout
+    limit = parser.parse_args(["oracle", "--instance", "i"]).limit
+    assert timeout is bridge.DEFAULT_TIMEOUT == 30.0
+    assert harness.run_external_eval.__defaults__[-1] is bridge.DEFAULT_TIMEOUT
+    assert bridge.ExternalPolicyClient.__init__.__defaults__ == (bridge.DEFAULT_TIMEOUT,)
+    assert limit == oracle.brute_force_oracle.__defaults__[0] == oracle.DEFAULT_LIMIT == 8
 
 
 def test_oracle_cli(tmp_path, capsys):

@@ -17,6 +17,7 @@ from jsspt.harness import (
     generate_grid_instances,
     grid_cell_table,
     grid_cells_to_csv,
+    heatmap_table,
     heatmap_to_csv,
     load_plan,
     nearest_rho,
@@ -278,17 +279,18 @@ def test_grid_symmetric_cells_have_small_mean_tau():
         assert abs(np.mean(taus)) < 0.05
 
 
-def test_grid_identical_solvers_give_zero_rpi():
-    plan = GridPlan(
-        sizes=((2, 2),), rhos=(0.5,), instances_per_cell=1,
-        solver_a="SPT+SCTA", solver_b="SPT+SCTA", seed=5,
-    )
-    _, cells, heatmap = run_grid(plan)
-    assert all(cell["mean_rpi"] == 0.0 for cell in cells)
-    for row in heatmap:
-        for key, value in row.items():
-            if key != "tau" and value is not None:
-                assert value == 0.0
+def test_grid_refuses_identical_solvers():
+    # Compared with itself, a solver would pair each row with itself: the
+    # plan refuses it before anything runs, and so does every pairing.
+    with pytest.raises(ConfigurationError,
+                       match="^solver 'SPT\\+SCTA' appears more than once in the plan$"):
+        GridPlan(sizes=((2, 2),), rhos=(0.5,), instances_per_cell=1,
+                 solver_a="SPT+SCTA", solver_b="SPT+SCTA", seed=5)
+    records, _, _ = run_bench(ExperimentPlan(sizes=((3, 2),), rhos=(0.5, 1.0), instances_per_config=2,
+                                             solvers=("SPT+SCTA", "MOR+SCTA"), seed=5))
+    for pairing in (grid_cell_table, heatmap_table, run_regression_suite):
+        with pytest.raises(MetricError, match="^cannot pair solver 'SPT\\+SCTA' with itself$"):
+            pairing(records, "SPT+SCTA", "SPT+SCTA")
 
 
 def test_tau_bin_and_nearest_rho():

@@ -3,8 +3,9 @@ RANDOM rule's draws and the regression fits. Each check runs in a fresh
 interpreter against this checkout's src/, since this test process has numpy
 loaded: `import jsspt` loads neither numpy nor scipy, a rule server serving a
 deterministic pair over a whole transcript loads no numpy, a RANDOM pair
-loads it and sends the decisions its recorded run made, and every name that
-`jsspt` exported before its regression names became lazy still resolves."""
+loads it and sends the decisions its recorded run made, a command loads it
+only if it generates or fits, and every name that `jsspt` exported before
+its regression names became lazy still resolves, `vif` aside."""
 
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 
 from helpers import RecordingPolicy
 from jsspt.bridge import hello_message, run_episode
+from jsspt.cli import main
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -76,8 +78,49 @@ def test_a_served_transcript_loads_numpy_only_for_a_random_pair(
     assert list(zip(choices[::2], choices[1::2])) == decisions
 
 
+COMMAND = f"""
+import json, sys
+from jsspt.cli import main
+
+code = main(sys.argv[1:])
+print(json.dumps({{"code": code, "loaded": {LOADED}}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A 2x2x1 instance in its own directory, and a grid results table."""
+    root = tmp_path_factory.mktemp("commands")
+    (root / "docs").mkdir()
+    save_instance(generate_instance(GenerationConfig(n=2, m=2, k=1, seed=5)), root / "docs")
+    assert main(["grid", "--sizes", "3x2", "--rhos", "0.5,1.0", "--instances-per-cell", "1",
+                 "--out", str(root / "grid")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    ("solve --instance {docs}/2x2x1-seed5.json --op-rule SPT --agv-rule SCTA", False),
+    ("oracle --instance {docs}/2x2x1-seed5.json", False),
+    ("eval-external --instances {docs} --out {out}/external.csv --cmd", False),
+    ("gen --n 3 --m 2 --k 1 --out {out}", True),
+    ("bench --sizes 3x2 --rhos 0.5 --instances 1 --solvers SPT+SCTA --out {out}", True),
+    ("grid --sizes 3x2 --rhos 0.5 --instances-per-cell 1 --out {out}", True),
+    ("regress --results {grid}/grid_results.csv --solver SPT+SCTA --baseline MOR+SCTA", True),
+], ids=lambda value: value.split()[0] if isinstance(value, str) else None)
+def test_a_command_loads_numpy_only_to_generate_or_fit(inputs, tmp_path, argv, numpy_loaded):
+    args = argv.format(docs=inputs / "docs", grid=inputs / "grid", out=tmp_path).split()
+    if args[0] == "eval-external":
+        args.append(f"{sys.executable} -m jsspt.rule_server --op-rule SPT --agv-rule SCTA "
+                    f"--instances-dir {inputs / 'docs'}")
+    report = fresh(COMMAND, *args)
+    assert report["code"] == 0
+    assert bool(report["loaded"]) is numpy_loaded
+    assert all(m.split(".")[0] == "numpy" for m in report["loaded"])
+
+
 # Every public name of `jsspt` after `import jsspt` before its regression
-# names became lazy, the submodules it imported included.
+# names became lazy, the submodules it imported included; `vif` has since
+# left the package, since each VIF is read off the fit.
 EXPORTED = (
     "ALL_COMBOS", "ActionError", "AgvRule", "BottleneckFeatures", "ConfigurationError",
     "DocumentError", "GRID_BINS", "GenerationConfig", "Instance", "JssptError", "LOAD",
@@ -89,7 +132,7 @@ EXPORTED = (
     "instance_to_document", "instances", "load_instance", "lower_bound", "machine_index",
     "make_record", "metrics", "ols_fit", "oracle", "parse_combo", "play", "regression", "rho",
     "rpi", "rules", "save_instance", "select_agv", "select_operation", "solve", "sweep",
-    "temporal_dominance", "terminal_reward", "validate_schedule", "vif", "win", "z_normalize",
+    "temporal_dominance", "terminal_reward", "validate_schedule", "win", "z_normalize",
 )
 
 RESOLVE = """
@@ -101,8 +144,7 @@ missing = [name for name in names if not hasattr(jsspt, name)]
 from jsspt import regression
 report = {
     "missing": missing,
-    "regression": [name for name in ("RegressionReport", "aggregate_ci", "ols_fit", "vif",
-                                     "z_normalize")
+    "regression": [name for name in ("RegressionReport", "aggregate_ci", "ols_fit", "z_normalize")
                    if getattr(jsspt, name) is not getattr(regression, name)],
     "unknown": hasattr(jsspt, "no_such_name"),
     "version": jsspt.__version__,

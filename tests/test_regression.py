@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_vif
 from jsspt.errors import MetricError
 from jsspt.metrics import bottleneck_features
-from jsspt.regression import _fdtrc, _stdtr, _stdtrit, aggregate_ci, ols_fit, vif, z_normalize
+from jsspt.regression import _fdtrc, _stdtr, _stdtrit, aggregate_ci, ols_fit, z_normalize
 
 RHO_AXIS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
 TAU_AXIS = tuple(round(-1.0 + 0.1 * i, 1) for i in range(21))
@@ -128,35 +129,85 @@ def test_axis_grid_feature_correlation_signs():
     assert bm_abn < 0
 
 
+def _fit_vif(regressors, names=None):
+    """ols_fit's VIFs for the regressors plus an intercept, on a response
+    that no column fits exactly."""
+    x = np.asarray(regressors, dtype=float)
+    y = np.sin(np.arange(1.0, len(x) + 1.0))
+    return ols_fit(np.column_stack([np.ones(len(x)), x]), y, names=names).vif
+
+
 def test_vif_orthogonal_columns():
     x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    assert vif(x) == pytest.approx([1.0, 1.0])
+    assert _fit_vif(x) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 def test_vif_known_correlation():
     # Construct two columns with sample correlation exactly 0.5.
     a = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     b = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
-    x = np.column_stack([a, b])
     assert np.corrcoef(a, b)[0, 1] == pytest.approx(0.5)
-    assert vif(x) == pytest.approx([4 / 3, 4 / 3], abs=1e-9)
+    assert _fit_vif(np.column_stack([a, b])) == pytest.approx((4 / 3, 4 / 3), abs=1e-9)
 
 
 def test_vif_duplicated_column_errors():
-    a = np.array([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(MetricError, match="collinearity"):
-        vif(np.column_stack([a, a]))
-    # The other two columns coincide, so the first one's regression is singular.
-    b = np.array([1.0, -1.0, 2.0, 0.5])
-    with pytest.raises(MetricError, match="^VIF undefined: auxiliary design for column 0 is singular$"):
-        vif(np.column_stack([a, b, b]))
-    with pytest.raises(MetricError, match="^VIF undefined: BM is constant$"):
-        vif(np.column_stack([np.ones(4), a]), names=["BM", "JBN"])
+    # A duplicated regressor, or a constant one beside the intercept, leaves
+    # the design rank-deficient, and the fit refuses it before any VIF.
+    a = np.array([1.0, 2.0, 3.0, 4.0, 6.0])
+    b = np.array([1.0, -1.0, 2.0, 0.5, 0.0])
+    for columns in ([a, a], [a, b, b], [np.ones(5), a]):
+        with pytest.raises(MetricError, match="^singular design: rank"):
+            _fit_vif(np.column_stack(columns))
 
 
 def test_vif_needs_two_columns():
-    with pytest.raises(MetricError):
-        vif(np.array([[1.0], [2.0]]))
+    x = np.array([1.0, 2.0, 4.0, 8.0])
+    report = ols_fit(np.column_stack([np.ones(4), x]), np.array([1.0, 3.0, 2.0, 5.0]))
+    assert report.vif == ()
+    assert [row.rsplit(",", 1)[1] for row in report.format_text().splitlines()[-2:]] == ["-", "-"]
+
+
+def test_vif_matches_the_auxiliary_regressions():
+    # 200 full-rank designs with 2 to 4 regressors, correlated by a random
+    # mixing and shifted and scaled per column: each VIF read off the fit
+    # equals 1 / (1 - R2) of that column's own regression on the others.
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    for _ in range(200):
+        cols = int(rng.integers(2, 5))
+        rows = int(rng.integers(cols + 3, 60))
+        mixing = np.eye(cols) + rng.uniform(-0.8, 0.8, size=(cols, cols))
+        x = rng.normal(size=(rows, cols)) @ mixing
+        x = x * rng.uniform(0.1, 10.0, size=cols) + rng.uniform(-10.0, 10.0, size=cols)
+        expected = reference_vif(x)
+        got = _fit_vif(x)
+        assert len(got) == cols
+        worst = max(worst, max(abs(g - e) / e for g, e in zip(got, expected)))
+    assert worst <= 1e-9
+
+
+def test_vif_of_a_near_collinear_design_is_infinite(monkeypatch):
+    # b differs from a by noise 3e-6 across: a VIF near 2.5e12, past the 1e12
+    # (auxiliary R2 of 1 - 1e-12) at which a VIF counts as infinite, though
+    # the design still has full rank.
+    a = np.arange(20.0)
+    b = a + 3e-6 * np.random.default_rng(3).normal(size=20)
+    assert reference_vif(np.column_stack([a, b]))[1] >= 1e12
+    with pytest.raises(MetricError, match="^perfect collinearity: VIF of a is infinite$"):
+        _fit_vif(np.column_stack([a, b]), names=["const", "a", "b"])
+    # Ten times the noise brings the VIF below the bound, and the fit reports it.
+    c = a + 3e-5 * np.random.default_rng(3).normal(size=20)
+    ac = np.column_stack([a, c])
+    assert _fit_vif(ac) == pytest.approx(reference_vif(ac), rel=1e-3)
+    # With narrower noise lstsq can still find full rank where X'X is too near
+    # singular to invert in floats, and the inverse's diagonal can come out
+    # negative (as for noise 1e-7 here, depending on the LAPACK build). That
+    # is no VIF either; a negated inverse stands in for it.
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: -inv(m))
+    with pytest.raises(MetricError, match="^perfect collinearity: VIF of a is infinite$"):
+        with np.errstate(invalid="ignore"):  # the standard errors' sqrt of a negative
+            _fit_vif(ac, names=["const", "a", "c"])
 
 
 def test_aggregate_ci_constant_series():
