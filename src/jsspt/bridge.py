@@ -364,8 +364,9 @@ class ExternalPolicyClient:
     One channel runs one episode at a time; episodes are executed back to back
     over the same pipes. Replies are read on the caller's thread, awaited with
     select and a per-decision timeout (POSIX pipes). A protocol or transport
-    error in an exchange closes the child, so a stale reply left in its pipe
-    cannot answer a later exchange; the next send starts a fresh child.
+    error in an exchange kills the child at once, so a stale reply left in its
+    pipe cannot answer a later exchange and a child that ignores end of input
+    costs no grace period; the next send starts a fresh child.
     """
 
     def __init__(self, command, timeout: float = DEFAULT_TIMEOUT):
@@ -407,7 +408,7 @@ class ExternalPolicyClient:
             # Checked on every pass, so output that never ends a line cannot hold the read.
             remaining = deadline - monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                raise TransportError(f"policy did not answer within {self.timeout:.0f}s")
+                raise TransportError(f"policy did not answer within {self.timeout:g}s")
             chunk = os.read(fd, 65536)
             if not chunk:
                 raise TransportError("policy process closed its output")
@@ -424,7 +425,7 @@ class ExternalPolicyClient:
             self._send(line)
             return parse(self._recv(), *args) if parse else None
         except (ProtocolError, TransportError):
-            self.close()
+            self.close(grace=0)
             raise
 
     # -- decider interface ----------------------------------------------------
@@ -441,14 +442,16 @@ class ExternalPolicyClient:
     def end_episode(self, message: str) -> None:
         self._exchange(message)
 
-    def close(self) -> None:
+    def close(self, grace: float = 5) -> None:
+        """End the child's input and give it `grace` seconds to exit before
+        killing it; reap it either way. A failed exchange gives it none."""
         proc, self._proc = self._proc, None
         self._pending = b""
         if proc is None:
             return
         try:
             proc.stdin.close()
-            proc.wait(timeout=5)
+            proc.wait(timeout=grace)
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()

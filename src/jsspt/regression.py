@@ -107,7 +107,10 @@ def ols_fit(
     rss = float(resid @ resid)
     dof = rows - cols
     sigma2 = rss / dof
-    xtx_inv = np.linalg.inv(x.T @ x)
+    try:
+        xtx_inv = np.linalg.inv(x.T @ x)
+    except np.linalg.LinAlgError:  # lstsq can see full rank where X'X meets a zero pivot
+        raise MetricError("singular design: X'X cannot be inverted") from None
     std_errors = np.sqrt(sigma2 * np.diag(xtx_inv))
 
     with np.errstate(divide="ignore", invalid="ignore"):

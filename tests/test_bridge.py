@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -430,8 +432,8 @@ def test_unresponsive_server_times_out(tmp_path, i1):
 
 
 def test_close_reaps_child_and_closes_pipes(tmp_path, i1):
-    # The child answers nothing, so the episode times out; the client closes
-    # it at the error and the child exits at EOF.
+    # The child answers nothing, so the episode times out; the client kills
+    # it at the error and reaps it.
     cmd = _write_server_script(tmp_path, "    pass\n")
     client = ExternalPolicyClient(cmd, timeout=0.5)
     with client:
@@ -440,7 +442,28 @@ def test_close_reaps_child_and_closes_pipes(tmp_path, i1):
             run_episode(i1, client, client)
         assert client._proc is None
     assert proc.stdin.closed and proc.stdout.closed
-    assert proc.returncode == 0
+    assert proc.returncode is not None
+
+
+def test_an_error_kills_the_child_without_a_grace_period(tmp_path, i1):
+    # The child answers the hello, then sleeps through the observation and
+    # its end of input. Given the 5 s grace of a normal close, the episode
+    # would end after 5.5 s, so the test fails rather than hangs.
+    cmd = _write_server_script(
+        tmp_path,
+        "    if msg['type'] == 'hello':\n"
+        "        reply({'type': 'ready', 'version': 1})\n"
+        "    else:\n"
+        "        time.sleep(30)\n",
+    )
+    client = ExternalPolicyClient(cmd, timeout=0.5)
+    with client:
+        proc = client._proc
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="^policy did not answer within 0.5s$"):
+            run_episode(i1, client, client)
+        assert time.monotonic() - start < 0.5 + 1
+    assert proc.returncode == -signal.SIGKILL and proc.stdout.closed
 
 
 def test_protocol_error_restarts_child(tmp_path, i1):
@@ -460,7 +483,7 @@ def test_protocol_error_restarts_child(tmp_path, i1):
         first = client._proc
         with pytest.raises(ProtocolError, match="stale decision: replied to step 0, pending 1"):
             run_episode(inst, client, client)
-        assert first.returncode == 0 and first.stdout.closed
+        assert first.returncode is not None and first.stdout.closed
         client.begin_episode(inst)
         assert client._proc is not first and client._proc.poll() is None
 
@@ -481,7 +504,7 @@ def test_overlong_integer_reply_closes_child(tmp_path, i1):
         with pytest.raises(ProtocolError, match="malformed protocol line"):
             run_episode(i1, client, client)
         assert client._proc is None
-    assert proc.returncode == 0 and proc.stdin.closed and proc.stdout.closed
+    assert proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
 
 
 def test_reply_split_across_writes_is_reassembled(tmp_path, i1):

@@ -39,6 +39,9 @@ ALLOWED = {
         "features.agv_features",
         "features.raw_transport_times",
     )
+} | {
+    name: "perfbench's checks rebuild a round's instances through it"
+    for name in ("harness.generate_bench_instances", "harness.generate_grid_instances")
 }
 
 

@@ -645,6 +645,17 @@ def test_eval_external_unreachable(tmp_path, capsys):
     assert not out_file.exists()  # zero rows on transport failure
 
 
+def test_eval_external_names_a_timeout_below_one_second(tmp_path, capsys):
+    # The timeout prints as given: 0.3 read "within 0s".
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
+    silent = tmp_path / "silent.py"
+    silent.write_text("import sys\nsys.stdin.read()\n", encoding="utf-8")
+    code = run_cli("eval-external", "--instances", str(path), "--cmd", f"{sys.executable} {silent}",
+                   "--timeout", "0.3", "--out", str(tmp_path / "external.csv"))
+    assert code == 6
+    assert capsys.readouterr().err == "jsspt: transport error: policy did not answer within 0.3s\n"
+
+
 @pytest.mark.parametrize(
     "option, named",
     [

@@ -13,6 +13,8 @@ why, as for the golden digests."""
 
 import hashlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,9 +36,34 @@ FULL_SCALE_DIGESTS = {
 }
 
 
+# Runs one command, then prints the largest peak resident set of the
+# processes it started, its pool workers, in KiB (ru_maxrss on Linux).
+WITH_WORKER_PEAK = """
+import resource, sys
+from jsspt.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def worker_peak_kib(*argv: str) -> int:
+    """Run `jsspt ARGV` in a fresh interpreter. Not in this one: a started
+    process's ru_maxrss begins at its starter's peak, so the workers of a
+    grid run after bench here would read bench's peak."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", WITH_WORKER_PEAK, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=1800)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.splitlines()[-1])
+
+
 def test_default_plans_write_the_recorded_bytes(tmp_path: Path):
-    assert cli.main(["bench", "--jobs", "2", "--out", str(tmp_path / "bench")]) == 0
-    assert cli.main(["grid", "--jobs", "2", "--out", str(tmp_path / "grid")]) == 0
+    # Each pool worker generates only the chunks it solves: the largest
+    # worker's peak stays far below the 653 MB a grid worker took when the
+    # parent generated the whole plan's instances before starting them.
+    for command in ("bench", "grid"):
+        assert worker_peak_kib(command, "--jobs", "2", "--out", str(tmp_path / command)) <= 100 * 1024
     assert cli.main([
         "regress", "--results", str(tmp_path / "grid" / "grid_results.csv"),
         "--solver", "MOR+SCTA", "--baseline", "SPT+SCTA", "--out", str(tmp_path / "regress.txt"),

@@ -1,7 +1,11 @@
+import concurrent.futures
 import json
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import plan_to_document
 from jsspt.errors import ConfigurationError, DocumentError, MetricError
@@ -11,12 +15,14 @@ from jsspt.harness import (
     TAU_BINS,
     ExperimentPlan,
     GridPlan,
+    bench_tasks,
     fleet_size,
     format_regression_suite,
     generate_bench_instances,
     generate_grid_instances,
     grid_cell_table,
     grid_cells_to_csv,
+    grid_tasks,
     heatmap_table,
     heatmap_to_csv,
     load_plan,
@@ -33,7 +39,7 @@ from jsspt.harness import (
     summary_to_csv,
     tau_bin,
 )
-from jsspt import engine, rules
+from jsspt import engine, harness, rules
 from jsspt.instances import GRID_BINS, GenerationConfig, generate_instance
 from jsspt.metrics import ResultRecord, make_record, temporal_dominance
 from jsspt.rules import ALL_COMBOS, parse_combo, solve
@@ -141,12 +147,143 @@ def test_bench_byte_determinism():
     assert summary_to_csv(summary_a) == summary_to_csv(summary_b)
 
 
-def test_parallel_fanout_matches_serial():
-    plan = small_plan()
+def _tables(records, summary, global_best) -> tuple[str, str, str]:
+    return records_to_csv(records), summary_to_csv(summary), global_best
+
+
+def _grid_tables(records, cells, heatmap) -> tuple[str, str, str]:
+    return records_to_csv(records), grid_cells_to_csv(cells), heatmap_to_csv(heatmap)
+
+
+# 200 instances. The tests below shrink the chunks to 4 instances, so that
+# a run has more chunks than the window of two workers holds.
+SMALL_GRID = dict(sizes=((3, 2),), rhos=(0.5, 1.0), instances_per_cell=1, seed=9)
+
+
+def test_one_and_two_jobs_write_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
+    plan = small_plan(instances_per_config=10)
+    assert _tables(*run_bench(plan, jobs=2)) == _tables(*run_bench(plan, jobs=1))
+    grid = GridPlan(**SMALL_GRID)
+    assert _grid_tables(*run_grid(grid, jobs=2)) == _grid_tables(*run_grid(grid, jobs=1))
+
+
+def test_no_more_than_a_chunk_of_instances_is_alive(monkeypatch):
+    # Every instance the harness generates is tracked without being kept.
+    live: weakref.WeakSet = weakref.WeakSet()
+    peaks = []
+
+    def tracked(config, **kwargs):
+        instance = generate_instance(config, **kwargs)
+        live.add(instance)
+        peaks.append(len(live))
+        return instance
+
+    monkeypatch.setattr(harness, "generate_instance", tracked)
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
+    # One chunk, and the instance of the state select_operation's memo
+    # (rules._last) holds from the previous chunk's last episode.
+    bound = harness.CHUNK_SIZE + 1
+    run_bench(small_plan(instances_per_config=10), jobs=1)
+    assert len(peaks) == 40 and max(peaks) == bound
+    peaks.clear()
+    run_grid(GridPlan(**SMALL_GRID), jobs=1)
+    assert len(peaks) == 200 and max(peaks) == bound
+
+
+class _FakeExecutor:
+    """A pool that starts no process. Each submission first runs the calls
+    still pending in this process, the newest first, so they finish out of
+    submission order; it counts the calls submitted and not yet taken."""
+
+    def __init__(self):
+        self.pending: list[_FakeFuture] = []
+        self.most = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, *args):
+        for future in reversed(self.pending):
+            future.run()
+        self.pending.append(_FakeFuture(self, fn, args))
+        self.most = max(self.most, len(self.pending))
+        return self.pending[-1]
+
+
+class _FakeFuture:
+    def __init__(self, pool: _FakeExecutor, fn, args):
+        self.pool, self.fn, self.args, self.value = pool, fn, args, None
+
+    def run(self):
+        if self.value is None:
+            self.value = self.fn(*self.args)
+
+    def result(self):
+        self.pool.pending.remove(self)
+        self.run()
+        return self.value
+
+
+def test_the_window_bounds_pending_chunks_and_keeps_instance_order(monkeypatch):
+    pools: list[_FakeExecutor] = []
+
+    def pool(max_workers, mp_context):
+        pools.append(_FakeExecutor())
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
+    plan = GridPlan(**SMALL_GRID)
+    bench = small_plan(instances_per_config=10)  # 40 instances, 10 chunks
+    assert _grid_tables(*run_grid(plan, jobs=2)) == _grid_tables(*run_grid(plan, jobs=1))
+    assert _tables(*run_bench(bench, jobs=2)) == _tables(*run_bench(bench, jobs=1))
+    assert [(p.most, p.pending) for p in pools] == [(harness.WINDOW_PER_JOB * 2, [])] * 2
+
+
+SIZES = st.sampled_from([(3, 2), (2, 3), (4, 2), (3, 3)])
+RHOS = st.sampled_from([0.4, 0.5, 1.0, 1.2])
+SEEDS = st.integers(0, 2**32)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    sizes=st.lists(SIZES, min_size=1, max_size=2, unique=True),
+    rhos=st.lists(RHOS, min_size=1, max_size=2, unique=True),
+    count=st.integers(1, 20),
+    seed=SEEDS,
+)
+def test_the_bench_task_stream_gives_the_plan_instances(sizes, rhos, count, seed):
+    plan = ExperimentPlan(sizes=tuple(sizes), rhos=tuple(rhos), instances_per_config=count,
+                          solvers=("SPT+SCTA",), seed=seed)
+    tasks = list(bench_tasks(plan))
     instances = generate_bench_instances(plan)
-    serial = solve_instances(instances, plan.solvers, jobs=1)
-    parallel = solve_instances(instances, plan.solvers, jobs=2)
-    assert records_to_csv(serial) == records_to_csv(parallel)
+    assert [(config.seed, ident, cell) for config, ident, cell in tasks] == [
+        (i.seed, None, "") for i in instances
+    ]
+    records, _, _ = run_bench(plan)
+    assert [(r.instance_id, r.seed, r.cell_id) for r in records] == [
+        (i.id, i.seed, "") for i in instances
+    ]
+
+
+@settings(max_examples=8, deadline=None)
+@given(size=SIZES, rhos=st.lists(RHOS, min_size=1, max_size=2, unique=True),
+       count=st.integers(1, 2), seed=SEEDS)
+def test_the_grid_task_stream_gives_the_plan_instances(size, rhos, count, seed):
+    plan = GridPlan(sizes=(size,), rhos=tuple(rhos), instances_per_cell=count, seed=seed)
+    tasks = list(grid_tasks(plan))
+    instances, cells = generate_grid_instances(plan)
+    assert [(config.seed, ident, cell) for config, ident, cell in tasks] == [
+        (i.seed, i.id, cell) for i, cell in zip(instances, cells)
+    ]
+    records, _, _ = run_grid(plan)
+    assert [(r.instance_id, r.seed, r.cell_id) for r in records[::2]] == [
+        (i.id, i.seed, cell) for i, cell in zip(instances, cells)
+    ]
 
 
 def test_solve_instances_builds_no_schedule(monkeypatch):

@@ -83,6 +83,16 @@ def test_ols_singular_design():
         ols_fit(design, x)
 
 
+def test_ols_design_whose_normal_matrix_is_singular():
+    # lstsq reports full rank, but inverting X'X meets a zero pivot: numpy's
+    # LinAlgError escaped as a traceback.
+    a = np.arange(20.0)
+    design = np.column_stack([np.ones(20), a, a + 1e-8 * np.random.default_rng(0).normal(size=20)])
+    assert np.linalg.matrix_rank(design) == 3
+    with pytest.raises(MetricError, match="^singular design: X'X cannot be inverted$"):
+        ols_fit(design, np.sin(np.arange(1.0, 21.0)))
+
+
 def test_ols_needs_more_rows_than_columns():
     with pytest.raises(MetricError):
         ols_fit(np.ones((2, 2)), np.array([1.0, 2.0]))
