@@ -50,6 +50,9 @@ from .instances import Instance
 PROTOCOL_VERSION = 1
 SCHEMA_VERSION = 1
 DEFAULT_TIMEOUT = 30.0
+#: The longest reply line, its newline included; a decision line is under
+#: 100 bytes. A reply that fills this much without a newline is refused.
+MAX_REPLY_BYTES = 65536
 
 OPERATION_PHASE = "operation"
 AGV_PHASE = "agv"
@@ -362,8 +365,10 @@ class ExternalPolicyClient:
     """Decider living in a child process that speaks protocol v1.
 
     One channel runs one episode at a time; episodes are executed back to back
-    over the same pipes. Replies are read on the caller's thread, awaited with
-    select and a per-decision timeout (POSIX pipes). A protocol or transport
+    over the same pipes. Lines go into a non-blocking pipe and replies are read
+    on the caller's thread, both awaited with select (POSIX pipes); one
+    deadline, `timeout` seconds, covers an exchange's send and its reply. A
+    reply line holds at most MAX_REPLY_BYTES. A protocol or transport
     error in an exchange kills the child at once, so a stale reply left in its
     pipe cannot answer a later exchange and a child that ignores end of input
     costs no grace period; the next send starts a fresh child.
@@ -373,7 +378,7 @@ class ExternalPolicyClient:
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._pending = b""  # bytes read past the last complete reply
+        self._pending = bytearray()  # bytes read past the last complete reply
 
     # -- channel plumbing ---------------------------------------------------
 
@@ -390,40 +395,61 @@ class ExternalPolicyClient:
             )
         except OSError as exc:
             raise TransportError(f"cannot start policy process {self.command}: {exc}") from exc
+        # A policy that stops reading then cannot hold a send past its deadline.
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
-    def _send(self, line: str) -> None:
+    def _send(self, line: str, deadline: float) -> None:
         self._ensure_running()
+        fd = self._proc.stdin.fileno()
         data = (line + "\n").encode("utf-8")
         try:
-            # An unbuffered pipe may take a large line in parts.
-            while data:
-                data = data[self._proc.stdin.write(data):]
+            # A line the pipe has no room for goes in parts, each written once
+            # select finds room; a line that fits takes one write.
+            while True:
+                try:
+                    data = data[os.write(fd, data):]
+                except BlockingIOError:
+                    pass
+                if not data:
+                    return
+                remaining = deadline - monotonic()
+                if remaining <= 0 or not select.select([], [fd], [], remaining)[1]:
+                    raise TransportError(f"policy did not read its input within {self.timeout:g}s")
         except OSError as exc:
             raise TransportError(f"policy channel closed while sending: {exc}") from exc
 
-    def _recv(self) -> str:
+    def _recv(self, deadline: float) -> str:
         fd = self._proc.stdout.fileno()
-        deadline = monotonic() + self.timeout
-        while (end := self._pending.find(b"\n")) < 0:
+        pending = self._pending
+        scanned = 0  # each pass searches only the bytes its read added
+        while (end := pending.find(b"\n", scanned)) < 0:
+            if len(pending) >= MAX_REPLY_BYTES:
+                raise ProtocolError(
+                    f"policy reply has no newline in its first {MAX_REPLY_BYTES} bytes"
+                )
             # Checked on every pass, so output that never ends a line cannot hold the read.
             remaining = deadline - monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
                 raise TransportError(f"policy did not answer within {self.timeout:g}s")
-            chunk = os.read(fd, 65536)
+            scanned = len(pending)
+            chunk = os.read(fd, MAX_REPLY_BYTES - scanned)
             if not chunk:
                 raise TransportError("policy process closed its output")
-            self._pending += chunk
-        line, self._pending = self._pending[:end], self._pending[end + 1:]
+            pending += chunk
+        line = pending[:end]
+        del pending[:end + 1]
         try:
             return line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"policy reply is not UTF-8: {exc}") from exc
 
     def _exchange(self, line: str, parse=None, *args):
-        """Send one line and, given `parse`, return `parse(reply, *args)`."""
+        """Send one line and, given `parse`, return `parse(reply, *args)`;
+        the send and the reply share one deadline."""
+        deadline = monotonic() + self.timeout
         try:
-            self._send(line)
-            return parse(self._recv(), *args) if parse else None
+            self._send(line, deadline)
+            return parse(self._recv(deadline), *args) if parse else None
         except (ProtocolError, TransportError):
             self.close(grace=0)
             raise
@@ -446,7 +472,7 @@ class ExternalPolicyClient:
         """End the child's input and give it `grace` seconds to exit before
         killing it; reap it either way. A failed exchange gives it none."""
         proc, self._proc = self._proc, None
-        self._pending = b""
+        self._pending.clear()
         if proc is None:
             return
         try:

@@ -195,27 +195,18 @@ CHUNK_SIZE = 32
 WINDOW_PER_JOB = 4
 
 
-def solve_instances(
-    instances: list[Instance],
-    solver_ids,
-    cell_ids: list[str] | None = None,
-) -> list[ResultRecord]:
-    """Run every solver on every instance, in instance order."""
-    solver_ids = tuple(solver_ids)
-    cells = cell_ids if cell_ids is not None else [""] * len(instances)
+def _solve_chunk(tasks: list[Task], solver_ids: tuple[str, ...]) -> list[ResultRecord]:
+    """Generate a chunk's instances, then run every solver on each, in task
+    order; runs in a worker process when bench or grid fans out. The whole
+    chunk is generated before the first sweep: generating and solving one
+    instance at a time is a chunk of one, which CHUNK_SIZE says is slow."""
     records: list[ResultRecord] = []
-    for instance, cell in zip(instances, cells):
+    for instance, (_, _, cell) in zip(_generate(tasks), tasks):
         makespans = sweep(instance, solver_ids, seed=instance.seed)
         records.extend(
             make_record(instance, ident, ms, cell) for ident, ms in zip(solver_ids, makespans)
         )
     return records
-
-
-def _solve_chunk(tasks: list[Task], solver_ids: tuple[str, ...]) -> list[ResultRecord]:
-    """Generate a chunk's instances and solve them; runs in a worker process
-    when bench or grid fans out."""
-    return solve_instances(_generate(tasks), solver_ids, [cell for _, _, cell in tasks])
 
 
 def _chunks(tasks: Iterable[Task]) -> Iterator[list[Task]]:

@@ -81,8 +81,11 @@ _SCPT = AgvRule.SCPT
 
 #: The last deterministic pick: (state, rule, state.steps, the pick's place in
 #: the frontier, the pick, its next_op, the rule's rows, the frontier's
-#: scores). It holds the state itself, so no other state can take its id.
-_last = (None,) * 8
+#: scores). It holds the state itself, so no other state can take its id;
+#: `play` clears it after its last step, so an episode's state, and with it
+#: its instance, dies with the episode.
+_NO_PICK = (None,) * 8
+_last = _NO_PICK
 
 
 def select_operation(rule, state, rng: np.random.Generator | None = None) -> int:
@@ -173,6 +176,7 @@ def play(instance: Instance, op_rule, agv_rule, seed=0) -> tuple[ScheduleState, 
     pair with a deterministic X draws all its vehicles in one sized call,
     which gives the same values as one scalar draw per step; RANDOM+Y draws
     per step, since the operation draw's bound is the frontier's length."""
+    global _last
     op_rule = OperationRule(op_rule)
     agv_rule = AgvRule(agv_rule)
     # Only the RANDOM rules draw, so no other pair pays for a generator.
@@ -191,6 +195,7 @@ def play(instance: Instance, op_rule, agv_rule, seed=0) -> tuple[ScheduleState, 
         agv = select_agv(agv_rule, state, job, rng) if vehicles is None else vehicles[step]
         state.advance(job, agv)
         decisions.append((job, agv))
+    _last = _NO_PICK
     return state, decisions
 
 

@@ -580,39 +580,80 @@ while True:
             pass
 """
 
-# An episode against the flood, timed; run in its own interpreter.
-FLOODED_EPISODE = """
-import json, sys, time
+# Answers the hello, then sleeps without reading.
+STALL_AFTER_HELLO = """
+import sys, time
+sys.stdin.readline()
+print('{"type":"ready","version":1}', flush=True)
+time.sleep(30)
+"""
+
+# An episode against POLICY on an n x m x k instance with the given timeout,
+# timed; exits with the error's exit code and prints the seconds the episode
+# took and the bytes read from the policy. Run in its own interpreter.
+TIMED_EPISODE = """
+import json, os, sys, time
 from jsspt.bridge import ExternalPolicyClient, run_episode
-from jsspt.errors import TransportError
+from jsspt.errors import JssptError, report_error
 from jsspt.instances import GenerationConfig, generate_instance
 
-instance = generate_instance(GenerationConfig(n=2, m=2, k=1, seed=0))
+policy, n, m, k, timeout = sys.argv[1:]
+instance = generate_instance(GenerationConfig(n=int(n), m=int(m), k=int(k), seed=0))
+read, real_read = [], os.read
+
+
+def counting_read(fd, size):
+    data = real_read(fd, size)
+    read.append(len(data))
+    return data
+
+
+code = 0
 start = time.monotonic()
 try:
-    with ExternalPolicyClient([sys.executable, sys.argv[1]], timeout=1.0) as client:
+    with ExternalPolicyClient([sys.executable, policy], timeout=float(timeout)) as client:
+        os.read = counting_read
         run_episode(instance, client, client)
-    error = None
-except TransportError as exc:
-    error = str(exc)
-print(json.dumps({"error": error, "seconds": time.monotonic() - start}))
+except JssptError as exc:
+    code = report_error(exc)
+print(json.dumps({"seconds": time.monotonic() - start, "read": sum(read)}))
+sys.exit(code)
 """
 
 
-def test_a_flood_without_newline_ends_at_the_timeout(tmp_path):
-    # Every read pass checks the deadline, not only a pass with nothing to
-    # read. The client runs in its own interpreter, so a read that never
-    # ends fails the test at the watchdog instead of hanging it.
-    flood = tmp_path / "flood.py"
-    flood.write_text(FLOOD, encoding="utf-8")
+def _timed_episode(tmp_path, policy: str, shape, timeout: float):
+    """(exit code, stderr, report) of TIMED_EPISODE. A send or read that
+    never ends fails the test at the watchdog instead of hanging it."""
+    script = tmp_path / "policy.py"
+    script.write_text(policy, encoding="utf-8")
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", FLOODED_EPISODE, str(flood)], env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, check=True, timeout=20,
-    ).stdout
-    report = json.loads(out)
-    assert report["error"] == "policy did not answer within 1s"
-    assert 1.0 <= report["seconds"] < 3.0
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_EPISODE, str(script), *map(str, shape), str(timeout)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=20,
+    )
+    return proc.returncode, proc.stderr, json.loads(proc.stdout)
+
+
+def test_a_flood_without_newline_is_refused_at_the_reply_cap(tmp_path):
+    # The buffer stops at the cap, so the flood is refused long before the
+    # deadline, and the client reads no byte past the cap.
+    code, err, report = _timed_episode(tmp_path, FLOOD, (2, 2, 1), 5.0)
+    assert (code, err) == (5, "jsspt: protocol error: policy reply has no newline in its "
+                              "first 65536 bytes\n")
+    assert report["read"] == bridge.MAX_REPLY_BYTES == 65536
+    assert report["seconds"] < 5.0
+
+
+def test_a_policy_that_stops_reading_ends_the_send_at_the_timeout(tmp_path):
+    # The first operation line is longer than a pipe holds (64 KiB), so the
+    # send cannot finish while the policy sleeps.
+    first = serialize_observation(
+        ScheduleState(generate_instance(GenerationConfig(n=120, m=12, k=2, seed=0))), OPERATION_PHASE
+    )
+    assert len(first) > 65536
+    code, err, report = _timed_episode(tmp_path, STALL_AFTER_HELLO, (120, 12, 2), 1.0)
+    assert (code, err) == (6, "jsspt: transport error: policy did not read its input within 1s\n")
+    assert report["seconds"] < 1.0 + 1
 
 
 def test_close_kills_stalled_child_and_closes_pipes(tmp_path, monkeypatch):

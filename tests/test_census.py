@@ -1,16 +1,18 @@
 """The census: every public function of the package is entered by what the
 program runs, or is on ALLOWED with a reason.
 
-The commands are those CI runs as its smoke steps (.github/workflows/tests.yml)
-and the subcommands they leave out, run in process under sys.setprofile:
-- the smoke steps: gen, solve --all-combos, solve with RANDOM vehicles and
-  --out, the load_result + validate_schedule snippet, the two bad hellos
-  through rule_server.main, and the exit-2 and exit-3 cases through main;
+The commands run in process under sys.setprofile:
+- gen, solve --all-combos, solve with RANDOM vehicles and --out, and the
+  load_result + validate_schedule check of that schedule;
+- one failing command per entry point: gen with a negative seed through
+  main, and a hello naming a missing instance through rule_server.main;
 - bench --plan with --solvers; grid, then regress on its table;
 - eval-external against a rule_server child; oracle;
 - one whole episode served by rule_server.serve from a recorded transcript
   (the eval-external child is another process, so its serve is not seen).
-The smoke steps and this list change together.
+A failure case is pinned, with its exit code and message, by its command's
+tests; it joins this list only if it enters a public function that no
+command here enters.
 """
 
 from __future__ import annotations
@@ -77,41 +79,17 @@ def _run_commands(root, capsys, monkeypatch) -> None:
     def cli(*argv, code=0):
         assert main([str(a) for a in argv]) == code, capsys.readouterr().err
 
-    def serve_main(line: str) -> None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
-        argv = ["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(smoke)]
-        assert rule_server.main(argv) == 5, capsys.readouterr().err
-
     smoke = root / "smoke"
     instance = smoke / "4x3x2-seed1.json"
-    # The smoke steps.
     cli("gen", "--n", 4, "--m", 3, "--k", 2, "--seed", 1, "--out", smoke)
     cli("solve", "--instance", instance, "--all-combos")
     cli("solve", "--instance", instance, "--op-rule", "SPT", "--agv-rule", "RANDOM",
         "--seed", 3, "--out", smoke / "spt-random.json")
     assert validate_schedule(load_result(smoke / "spt-random.json"), load_instance(instance)) == []
-    serve_main('{"type":"hello","instance":"missing"}')
-    serve_main('{"type":"hello","schema":1,"version":7,"instance":"4x3x2-seed1","n":4,"m":3,"k":2}')
     cli("gen", "--n", 4, "--m", 3, "--k", 2, "--seed", -1, "--out", smoke, code=2)
-    cli("gen", "--n", 1001, "--m", 1, "--k", 1, "--out", smoke, code=2)
-    cli("bench", "--sizes", "4x3", "--rhos", 0.5, "--instances", 1, "--seed", -1,
-        "--out", root / "b", code=2)
-    cli("bench", "--sizes", "4x3", "--rhos", 0.5, "--instances", 1, "--jobs", 0,
-        "--out", root / "b", code=2)
-    for text in ('{"sizes":[[4,3]],"sead":4}', '{"sizes":[4,3]}',
-                 '{"sizes":[[4,3]],"solvers":"SPT+SCTA"}'):
-        (smoke / "plan.json").write_text(text)
-        cli("bench", "--plan", smoke / "plan.json", "--out", root / "b", code=2)
-    cli("bench", "--sizes", "3x2", "--rhos", "1e308", "--instances", 1, "--out", root / "b", code=2)
-    cli("grid", "--sizes", "3x2", "--rhos", "0.5,1.0", "--instances-per-cell", 1,
-        "--solver-a", "SPT+SCTA", "--solver-b", "SPT+SCTA", "--out", root / "g", code=2)
-    (smoke / "bad.json").write_bytes(b"\xff\xfe{}")
-    cli("solve", "--instance", smoke / "bad.json", code=3)
-    (smoke / "bad.json").write_text(json.dumps({**json.loads(instance.read_text()), "routings": 5}))
-    capsys.readouterr()
-    cli("solve", "--instance", smoke / "bad.json", code=3)
-    assert "jsspt: document error: routings: " in capsys.readouterr().err
-    # The other subcommands.
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"type":"hello","instance":"missing"}\n'))
+    argv = ["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(smoke)]
+    assert rule_server.main(argv) == 5, capsys.readouterr().err
     plan = root / "plan.json"
     plan.write_text(json.dumps({"sizes": [[3, 2]], "rhos": [0.5, 1.0], "seed": 2}))
     cli("bench", "--plan", plan, "--solvers", "SPT+SCTA,MOR+SCTA", "--instances", 2,

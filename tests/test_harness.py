@@ -34,7 +34,6 @@ from jsspt.harness import (
     run_grid,
     run_regression_suite,
     select_global_best,
-    solve_instances,
     summarize_results,
     summary_to_csv,
     tau_bin,
@@ -181,14 +180,13 @@ def test_no_more_than_a_chunk_of_instances_is_alive(monkeypatch):
 
     monkeypatch.setattr(harness, "generate_instance", tracked)
     monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
-    # One chunk, and the instance of the state select_operation's memo
-    # (rules._last) holds from the previous chunk's last episode.
-    bound = harness.CHUNK_SIZE + 1
+    # One chunk: select_operation's memo (rules._last) lets go of an
+    # episode's state, and its instance, when the episode ends.
     run_bench(small_plan(instances_per_config=10), jobs=1)
-    assert len(peaks) == 40 and max(peaks) == bound
+    assert len(peaks) == 40 and max(peaks) == harness.CHUNK_SIZE
     peaks.clear()
     run_grid(GridPlan(**SMALL_GRID), jobs=1)
-    assert len(peaks) == 200 and max(peaks) == bound
+    assert len(peaks) == 200 and max(peaks) == harness.CHUNK_SIZE
 
 
 class _FakeExecutor:
@@ -286,16 +284,15 @@ def test_the_grid_task_stream_gives_the_plan_instances(size, rhos, count, seed):
     ]
 
 
-def test_solve_instances_builds_no_schedule(monkeypatch):
+def test_a_chunk_builds_no_schedule(monkeypatch):
     """The harness reads makespans from the played states: it never builds a
     schedule result, and its records equal those made from solve()."""
-    instances = [
-        generate_instance(GenerationConfig(n=n, m=m, k=k, seed=seed))
-        for n, m, k, seed in ((4, 3, 2, 11), (5, 2, 1, 12), (3, 4, 3, 13))
-    ]
+    configs = [GenerationConfig(n=n, m=m, k=k, seed=seed)
+               for n, m, k, seed in ((4, 3, 2, 11), (5, 2, 1, 12), (3, 4, 3, 13))]
     cells = ["p1_t1", "p1_t11", ""]
     want = []
-    for instance, cell in zip(instances, cells):
+    for config, cell in zip(configs, cells):
+        instance = generate_instance(config)
         for index, ident in enumerate(ALL_COMBOS):
             result = solve(instance, *parse_combo(ident), seed=(instance.seed, index))
             want.append(make_record(instance, result.solver_id, result.makespan, cell))
@@ -305,7 +302,8 @@ def test_solve_instances_builds_no_schedule(monkeypatch):
 
     monkeypatch.setattr(engine, "build_result", refuse)
     monkeypatch.setattr(rules, "build_result", refuse)
-    assert solve_instances(instances, ALL_COMBOS, cell_ids=cells) == want
+    tasks = [(config, None, cell) for config, cell in zip(configs, cells)]
+    assert harness._solve_chunk(tasks, ALL_COMBOS) == want
 
 
 def test_summary_semantics():

@@ -439,7 +439,7 @@ GOLDEN_SCHEDULE_DOCS = "50fc59a9c14ba061a5b080a6d5b56e90906db8557270a7694361fc4a
 def test_golden_bench_digests():
     plan = harness.ExperimentPlan(**GOLDEN_PLAN)
     insts = harness.generate_bench_instances(plan)
-    table = harness.records_to_csv(harness.solve_instances(insts, plan.solvers))
+    table = harness.records_to_csv(harness.run_bench(plan)[0])
     assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_RESULTS_CSV
     docs = [
         json.dumps(
