@@ -64,18 +64,10 @@ def encode_message(obj: dict) -> str:
 
 
 class _LineFragments(NamedTuple):
-    """The parts of the observation lines that are fixed per instance, and
-    the operation line's memo of per-job runs."""
+    """The parts of the observation lines that are fixed per instance."""
 
-    done_heads: tuple[tuple[str, ...], ...]  # per job, "[job,op,machine,1," per op
-    open_heads: tuple[tuple[str, ...], ...]  # per job, "[job,op,machine,0," per op
     ratio_texts: tuple[str, ...]  # machine ratio text for c of n jobs scheduled
-    tail: str  # ',"precedence":[..],"assignment":[..]}'
     agv_mask: str  # "0,1,..,k-1"
-    # Per job, the last run encoded: (entries snapshot, (raw bounds,
-    # "[job,op,machine,s,raw," prefixes), lo, hi, run text). The snapshot
-    # fixes the raw bounds and the heads, so with (lo, hi) it fixes the text.
-    runs: list
 
 
 def _line_fragments(instance: Instance) -> _LineFragments:
@@ -83,6 +75,20 @@ def _line_fragments(instance: Instance) -> _LineFragments:
     # without hashing the instance, and gone with it.
     frags = instance.__dict__.get("_line_fragments")
     if frags is None:
+        frags = instance.__dict__["_line_fragments"] = _LineFragments(
+            ratio_texts=tuple(_scaled_texts(range(instance.n + 1), 0, instance.n)),
+            agv_mask=",".join(map(str, range(instance.k))),
+        )
+    return frags
+
+
+def operation_tail(instance: Instance) -> str:
+    """The text every operation line of the instance ends with: its
+    precedence and assignment lists and the closing brace,
+    ',"precedence":[..],"assignment":[..]}'. Held in the instance's
+    __dict__ on its own: the rule server's hello needs only this."""
+    tail = instance.__dict__.get("_operation_tail")
+    if tail is None:
         precedence, assignment = instance.graph_edges
         edges = encode_message(
             {
@@ -90,25 +96,35 @@ def _line_fragments(instance: Instance) -> _LineFragments:
                 "assignment": [list(e) for e in assignment],
             }
         )
+        tail = instance.__dict__["_operation_tail"] = "," + edges[1:]
+    return tail
+
+
+class _OperationBuffers:
+    """The operation line's per-instance state, kept between its steps, in
+    the instance's __dict__ beside the fragments.
+
+    Operation v = job * (m + 1) + op - 1 has its bound in raw[v], and parts
+    holds at 2v its row's prefix "[job,op,machine,s,raw," (after "]," for
+    v >= 1) and at 2v + 1 its bound scaled over (lo, hi); so the operations
+    text is "".join(parts) + "]". All of job j's values are those its entries
+    snapshot gives."""
+
+    __slots__ = ("done_heads", "open_heads", "raw", "parts", "snapshots", "lo", "hi")
+
+    def __init__(self, instance: Instance):
         heads = [
-            [f"[{j},{i},{t}," for i, t in enumerate(machines, start=1)]
+            f"],[{j},{i},{t},"
             for j, machines in enumerate(instance.op_machines)
+            for i, t in enumerate(machines, start=1)
         ]
-        frags = instance.__dict__["_line_fragments"] = _LineFragments(
-            done_heads=tuple(tuple(h + "1," for h in row) for row in heads),
-            open_heads=tuple(tuple(h + "0," for h in row) for row in heads),
-            ratio_texts=tuple(_scaled_texts(range(instance.n + 1), 0, instance.n)),
-            tail="," + edges[1:],
-            agv_mask=",".join(map(str, range(instance.k))),
-            runs=[None] * instance.n,
-        )
-    return frags
-
-
-def operation_tail(instance: Instance) -> str:
-    """The text every operation line of the instance ends with: its
-    precedence and assignment lists and the closing brace."""
-    return _line_fragments(instance).tail
+        heads[0] = heads[0].removeprefix("],")
+        self.done_heads = [head + "1," for head in heads]
+        self.open_heads = [head + "0," for head in heads]
+        self.raw = [0] * len(heads)
+        self.parts = [""] * (2 * len(heads))
+        self.snapshots = [None] * instance.n
+        self.lo = self.hi = None
 
 
 def _round6_text(value: float) -> str:
@@ -117,9 +133,10 @@ def _round6_text(value: float) -> str:
 
 
 # ("0.%06d" % q).rstrip("0") for q = 1000 * a + b with a >= 1 or b >= 100:
-# _MILLI[a] + _DIGITS3[b], or _MILLI_SHORT[a] when b == 0.
+# _MILLI[a] + _DIGITS3[b], or _MILLI_SHORT[a] when b == 0. _MILLI_SHORT
+# also writes q == 0 as "0.0" and q == 10**6 as "1.0".
 _MILLI = tuple(f"0.{a:03d}" for a in range(1000))
-_MILLI_SHORT = tuple(text.rstrip("0") for text in _MILLI)
+_MILLI_SHORT = ("0.0", *(text.rstrip("0") for text in _MILLI[1:]), "1.0")
 _DIGITS3 = tuple(f"{b:03d}".rstrip("0") for b in range(1000))
 
 
@@ -131,31 +148,42 @@ def _scaled_texts(values, lo: int, hi: int, heads=None) -> list[str]:
     With num = v - lo and span = hi - lo, q is num/span in millionths
     rounded half up, and r is 0 only at an exact 7th-digit tie. For
     span <= 10**5 a rational that is not a tie lies at least 5e-12 from one,
-    far beyond the error of the double num / span, so both round to q. The
-    endpoints num == 0 and num == span are exact; ties, larger spans and
-    values below 1e-4 (which repr writes with an exponent) take the float
-    path."""
+    far beyond the error of the double num / span, so both round to q.
+
+    A tie makes 2e6 * num / span an odd integer, and 2e6 = 2**7 * 5**6, so
+    only a span that 128 divides has ties; and num >= 1 gives q >= 100
+    (no exponent in repr) while span <= 10_050. So on those spans, unless
+    128 divides them, every text is a lookup of q. On the others the
+    endpoints num == 0 and num == span are exact; ties, spans above 10**5
+    and values below 1e-4 (which repr writes with an exponent) take the
+    float path."""
+    if heads is not None:
+        return [head + text for head, text in zip(heads, _scaled_texts(values, lo, hi))]
     span = hi - lo
-    if heads is None:
-        heads = [""] * len(values)
     if not span:
-        return [head + "0.0" for head in heads]
-    if span > 100_000:
-        return [head + _round6_text((v - lo) / span) for head, v in zip(heads, values)]
+        return ["0.0"] * len(values)
     two_span = 2 * span
     base = span - 2_000_000 * lo
+    if span <= 10_050 and span % 128:
+        return [
+            _MILLI[a] + _DIGITS3[b] if b else _MILLI_SHORT[a]
+            for v in values
+            for a, b in (divmod((2_000_000 * v + base) // two_span, 1000),)
+        ]
+    if span > 100_000:
+        return [_round6_text((v - lo) / span) for v in values]
     texts = []
-    for head, v in zip(heads, values):
+    for v in values:
         q, r = divmod(2_000_000 * v + base, two_span)
         if r and 100 <= q < 1_000_000:
             a, b = divmod(q, 1000)
-            texts.append(head + _MILLI[a] + _DIGITS3[b] if b else head + _MILLI_SHORT[a])
+            texts.append(_MILLI[a] + _DIGITS3[b] if b else _MILLI_SHORT[a])
         elif v == lo:
-            texts.append(head + "0.0")
+            texts.append("0.0")
         elif v == hi:
-            texts.append(head + "1.0")
+            texts.append("1.0")
         else:
-            texts.append(head + _round6_text((v - lo) / span))
+            texts.append(_round6_text((v - lo) / span))
     return texts
 
 
@@ -165,40 +193,44 @@ def _minmax_texts(values: list[int]) -> list[str]:
 
 def _operation_line(state: ScheduleState) -> str:
     """The operation-phase line: per-step values are formatted into the
-    per-instance fragments. Each bound is features.op_lower_bound, min-max
+    per-instance buffers. Each bound is features.op_lower_bound, min-max
     scaled over all operations.
 
+    Only the jobs whose entries differ from their snapshot are re-derived.
     A job's bounds ascend (its done ends, then offset + work_prefix), so its
-    first and last bound are its min and max. A job's run of operations is
-    re-encoded only when its entries or the line's (lo, hi) differ from the
-    memo's; when only (lo, hi) differ, only the scaled texts are."""
+    first and last bound are its min and max, and give (lo, hi). If (lo, hi)
+    moved, every bound is scaled in one pass; if not, only the re-derived
+    jobs' bounds are."""
     inst = state.instance
     frags = _line_fragments(inst)
-    runs = frags.runs
+    buf = inst.__dict__.get("_operation_buffers")
+    if buf is None:
+        buf = inst.__dict__["_operation_buffers"] = _OperationBuffers(inst)
+    snapshots, raw, parts = buf.snapshots, buf.raw, buf.parts
     all_entries = state.entries
-    prefixes = inst.work_prefix
-    lo = min([ent[0].end if ent else prefix[0] for ent, prefix in zip(all_entries, prefixes)])
-    hi = max([_open_offset(ent, prefix) + prefix[-1] for ent, prefix in zip(all_entries, prefixes)])
-    texts: list[str] = []
-    for j, entries in enumerate(all_entries):
-        run = runs[j]
-        if run is not None and run[0] == entries:
-            if run[2] == lo and run[3] == hi:
-                texts.append(run[4])
-                continue
-            snapshot, (raw, pre) = run[0], run[1]
-        else:
-            prefix = prefixes[j]
-            done = len(entries)
-            offset = _open_offset(entries, prefix)
-            raw = [e.end for e in entries] + [offset + p for p in prefix[done:]]
-            heads = frags.done_heads[j][:done] + frags.open_heads[j][done:]
-            pre = [f"{head}{v}," for head, v in zip(heads, raw)]
-            snapshot = entries.copy()
-        text = "],".join(_scaled_texts(raw, lo, hi, pre)) + "]"
-        runs[j] = (snapshot, (raw, pre), lo, hi, text)
-        texts.append(text)
-    operations = ",".join(texts)
+    changed = [j for j, snapshot in enumerate(snapshots) if all_entries[j] != snapshot]
+    width = inst.m + 1
+    for j in changed:
+        entries = all_entries[j]
+        prefix = inst.work_prefix[j]
+        done = len(entries)
+        offset = _open_offset(entries, prefix)
+        bounds = [e.end for e in entries] + [offset + p for p in prefix[done:]]
+        s = j * width
+        heads = buf.done_heads[s:s + done] + buf.open_heads[s + done:s + width]
+        raw[s:s + width] = bounds
+        parts[2 * s:2 * (s + width):2] = [f"{head}{v}," for head, v in zip(heads, bounds)]
+        snapshots[j] = entries.copy()
+    lo = min(raw[::width])
+    hi = max(raw[width - 1::width])
+    if lo != buf.lo or hi != buf.hi:
+        parts[1::2] = _scaled_texts(raw, lo, hi)
+        buf.lo, buf.hi = lo, hi
+    else:
+        for j in changed:
+            s = j * width
+            parts[2 * s + 1:2 * (s + width):2] = _scaled_texts(raw[s:s + width], lo, hi)
+    operations = "".join(parts)
     # The v1 machine flag is always 0.
     ratios = frags.ratio_texts
     machines = ",".join([f"[{t},0,{ratios[c]}]" for t, c in enumerate(state.machine_ops)])
@@ -206,7 +238,7 @@ def _operation_line(state: ScheduleState) -> str:
     return (
         f'{{"type":"observation","schema":{SCHEMA_VERSION},"step":{state.steps},'
         f'"phase":"{OPERATION_PHASE}","mask":[{mask}],'
-        f'"operations":[{operations}],"machines":[{machines}]{frags.tail}'
+        f'"operations":[{operations}]],"machines":[{machines}]{operation_tail(inst)}'
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import signal
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     OVERLONG_INT,
@@ -37,7 +40,7 @@ from jsspt.bridge import (
 )
 from jsspt.engine import ScheduleState, lower_bound
 from jsspt.errors import ProtocolError, TransportError
-from jsspt.features import agv_features
+from jsspt.features import agv_features, build_graph
 from jsspt.instances import GenerationConfig, Instance, generate_instance, save_instance
 from jsspt.rules import play, solve
 
@@ -159,6 +162,60 @@ def test_scaled_texts_are_repr_of_rounded_ratio():
         values = [lo + num for num in nums]
         assert _scaled_texts(values, lo, lo + span) == [repr(round(num / span, 6)) for num in nums]
     assert _scaled_texts([4, 4], 4, 4) == ["0.0", "0.0"]
+
+
+def test_scaled_texts_are_exact_at_the_lookup_thresholds():
+    # Spans up to 10,050 that 128 does not divide are pure lookups: every
+    # num around that limit. Spans 128 divides are the only ones with ties:
+    # up to the float path's limit of 10**5, each with an offset lo, its
+    # first two ties and random nums.
+    for span in range(10_040, 10_061):
+        nums = range(span + 1)
+        assert _scaled_texts(nums, 0, span) == [repr(round(num / span, 6)) for num in nums]
+    rng = np.random.default_rng(29)
+    for span in range(128, 100_001, 128):
+        lo = int(rng.integers(0, 10**6))
+        tie = span // math.gcd(2_000_000, span)
+        assert (tie * 2_000_000 + span) % (2 * span) == 0
+        nums = [0, 1, tie, 3 * tie, span // 2, span - 1, span,
+                *rng.integers(0, span + 1, 60).tolist()]
+        nums = [num for num in nums if num <= span]
+        values = [lo + num for num in nums]
+        assert _scaled_texts(values, lo, lo + span) == [repr(round(num / span, 6)) for num in nums]
+
+
+def test_an_operation_line_scales_one_job_unless_the_bound_range_moved(monkeypatch):
+    # On a recorded episode, a step where (lo, hi) stayed scales only the
+    # stepped job's m + 1 bounds; a step where it moved scales all n(m + 1)
+    # bounds in one call.
+    inst = generate_instance(GenerationConfig(n=15, m=10, k=9, seed=3))
+    decisions = solve(inst, "SPT", "SCTA").decisions
+    bridge._line_fragments(inst)  # the machine ratio texts, scaled once per instance
+    scaled = []
+    real_scaled_texts = bridge._scaled_texts
+
+    def counting(values, lo, hi, heads=None):
+        scaled.append(len(values))
+        return real_scaled_texts(values, lo, hi, heads)
+
+    monkeypatch.setattr(bridge, "_scaled_texts", counting)
+    state = ScheduleState(inst)
+    width = inst.m + 1
+    kept = moved = 0
+    bound_range = None
+    for job, agv in decisions:
+        scaled.clear()
+        serialize_observation(state, OPERATION_PHASE)
+        raw = build_graph(state).op_bound_raw
+        if (min(raw), max(raw)) == bound_range:
+            assert scaled == [width]
+            kept += 1
+        else:
+            assert scaled == [inst.n * width]
+            moved += 1
+        bound_range = min(raw), max(raw)
+        state.advance(job, agv)
+    assert kept and moved > 1
 
 
 def test_scaled_text_endpoints_skip_the_float_path(monkeypatch):
@@ -654,6 +711,75 @@ def test_a_policy_that_stops_reading_ends_the_send_at_the_timeout(tmp_path):
     code, err, report = _timed_episode(tmp_path, STALL_AFTER_HELLO, (120, 12, 2), 1.0)
     assert (code, err) == (6, "jsspt: transport error: policy did not read its input within 1s\n")
     assert report["seconds"] < 1.0 + 1
+
+
+# Answers protocol v1 up to its START-th observation line (0-based, both
+# phases counted), then misbehaves there as BEHAVIOUR says; both names are
+# set in a line put before this text.
+HOSTILE_POLICY = """
+import json, sys, time
+
+
+def send(data):
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
+
+
+def decide(step, choice):
+    send(json.dumps({"type": "decision", "step": step, "choice": choice}).encode() + b"\\n")
+
+
+seen = 0
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["type"] == "hello":
+        n, k = msg["n"], msg["k"]
+        send(b'{"type":"ready","version":1}\\n')
+        continue
+    if msg["type"] != "observation":
+        continue
+    step, operation = msg["step"], msg["phase"] == "operation"
+    if seen < START:
+        seen += 1
+        decide(step, msg["mask"][0])
+    elif BEHAVIOUR == "stall":
+        time.sleep(30)
+    elif BEHAVIOUR == "flood":
+        while True:
+            send(b"x" * 65536)
+    elif BEHAVIOUR == "not-utf8":
+        send(b"\\xff\\n")
+    elif BEHAVIOUR == "wrong-step":
+        decide(step + 1, msg["mask"][0])
+    elif BEHAVIOUR == "masked":
+        decide(step, n if operation else k)
+    elif BEHAVIOUR == "exit":
+        sys.exit(0)
+    # "silent" reads on and answers nothing.
+"""
+
+# The exit code each hostile behaviour ends an episode with: 5 for a
+# protocol error, 6 for a transport error.
+HOSTILE_EXIT_CODES = {"silent": 6, "stall": 6, "flood": 5, "not-utf8": 5, "wrong-step": 5,
+                      "masked": 5, "exit": 6}
+HOSTILE_SHAPE = (3, 2, 2)  # 9 steps, 18 observation lines
+
+
+@settings(max_examples=8, deadline=None)
+@given(behaviour=st.sampled_from(sorted(HOSTILE_EXIT_CODES)), start=st.integers(0, 17))
+@example("silent", 0)
+@example("stall", 0)
+@example("flood", 5)
+@example("not-utf8", 17)
+@example("wrong-step", 8)
+@example("masked", 3)
+@example("exit", 12)
+def test_a_hostile_policy_ends_its_episode_within_the_timeout(tmp_path_factory, behaviour, start):
+    policy = f"BEHAVIOUR, START = {behaviour!r}, {start}\n" + HOSTILE_POLICY
+    code, err, report = _timed_episode(tmp_path_factory.mktemp("hostile"), policy, HOSTILE_SHAPE, 0.5)
+    category = {5: "protocol", 6: "transport"}[HOSTILE_EXIT_CODES[behaviour]]
+    assert (code, err.split(":")[1]) == (HOSTILE_EXIT_CODES[behaviour], f" {category} error")
+    assert report["seconds"] < 0.5 + 1
 
 
 def test_close_kills_stalled_child_and_closes_pipes(tmp_path, monkeypatch):

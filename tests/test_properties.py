@@ -8,7 +8,8 @@ decider and, on X+RANDOM pairs, with a loop that draws each vehicle per
 step, sweep() agrees with solve(), scaling every time by c scales every
 combo's makespan by c and relabeling the machines changes none (under sweep,
 and for a rule decider both in process and served by rule_server), every
-operation line equals the reference encoder's in any encoding order, the
+operation line equals the reference encoder's in any encoding order
+(across two instances and revisited parents too), the
 canonical-line grammars read every encoder line as json.loads does and never
 change what a line gets,
 documents load back equal, the oracle bounds every combo, the results
@@ -429,6 +430,25 @@ def test_operation_lines_match_reference_in_any_encoding_order(data):
     assert_operation_lines_match(data.draw(st.permutations(trace)))
     other = trace_states(data, instance)
     assert_operation_lines_match(state for pair in zip(trace, other) for state in pair)
+
+
+@SETTINGS
+@given(st.data())
+def test_operation_lines_match_reference_across_instances_and_revisited_parents(data):
+    # The encoder's buffers live on each instance and hold one snapshot per
+    # job. States of two instances taken in turn, and an apply chain whose
+    # parent is encoded again after each child, must each give the
+    # reference line.
+    first, second = data.draw(instances()), data.draw(instances())
+    trace = trace_states(data, first)
+    assert_operation_lines_match(
+        state for pair in zip(trace, trace_states(data, second)) for state in pair
+    )
+    for parent in trace[:-1]:
+        for job in data.draw(st.lists(st.sampled_from(parent.valid_operations()),
+                                      min_size=1, max_size=3)):
+            child = parent.apply(job, data.draw(st.integers(0, first.k - 1)))
+            assert_operation_lines_match([parent, child, parent])
 
 
 @SETTINGS

@@ -248,6 +248,24 @@ def test_line_with_cached_tail_and_bad_head_is_a_protocol_error(
         _serve_raw(tmp_path, [hello_message(a), head + operation_tail(a)], monkeypatch)
 
 
+def test_a_hello_builds_only_the_operation_tail(tmp_path, monkeypatch):
+    # The server matches lines against the tail and encodes none, so a hello
+    # builds neither the encoder's fragments nor its buffers.
+    loaded = []
+    real_load = rule_server.load_instance
+
+    def load_instance(path):
+        loaded.append(real_load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(rule_server, "load_instance", load_instance)
+    assert _serve(tmp_path, _hello(tmp_path)) == [{"type": "ready", "version": 1}]
+    (instance,) = loaded
+    built = {name for name in vars(instance) if name.startswith("_")}
+    assert built == {"_operation_tail"}
+    assert instance.__dict__["_operation_tail"] == operation_tail(micro_instance(idle_leg=1))
+
+
 HEAD = '{"type":"observation","schema":1,"step":0,"phase":"operation"'
 
 
