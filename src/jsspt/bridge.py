@@ -77,7 +77,7 @@ def _line_fragments(instance: Instance) -> _LineFragments:
     if frags is None:
         frags = instance.__dict__["_line_fragments"] = _LineFragments(
             ratio_texts=tuple(_scaled_texts(range(instance.n + 1), 0, instance.n)),
-            agv_mask=",".join(map(str, range(instance.k))),
+            agv_mask=_ints_text(range(instance.k)),
         )
     return frags
 
@@ -108,9 +108,13 @@ class _OperationBuffers:
     holds at 2v its row's prefix "[job,op,machine,s,raw," (after "]," for
     v >= 1) and at 2v + 1 its bound scaled over (lo, hi); so the operations
     text is "".join(parts) + "]". All of job j's values are those its entries
-    snapshot gives."""
+    snapshot gives.
 
-    __slots__ = ("done_heads", "open_heads", "raw", "parts", "snapshots", "lo", "hi")
+    Beside them it keeps the machine counts and the frontier the machine
+    rows and the mask were written from, and those texts."""
+
+    __slots__ = ("done_heads", "open_heads", "raw", "parts", "snapshots", "lo", "hi",
+                 "machine_ops", "machine_rows", "machines", "frontier", "mask")
 
     def __init__(self, instance: Instance):
         heads = [
@@ -125,6 +129,19 @@ class _OperationBuffers:
         self.parts = [""] * (2 * len(heads))
         self.snapshots = [None] * instance.n
         self.lo = self.hi = None
+        self.machine_ops = [None] * (instance.m + 2)
+        self.machine_rows = [""] * (instance.m + 2)
+        self.machines = self.frontier = self.mask = None
+
+
+def _ints_text(values) -> str:
+    """The items of a JSON list of integers: "0,1,2"."""
+    return ",".join(map(str, values))
+
+
+def _machine_row(machine: int, ratio_text: str) -> str:
+    # The v1 machine flag is always 0.
+    return f"[{machine},0,{ratio_text}]"
 
 
 def _round6_text(value: float) -> str:
@@ -140,10 +157,10 @@ _MILLI_SHORT = ("0.0", *(text.rstrip("0") for text in _MILLI[1:]), "1.0")
 _DIGITS3 = tuple(f"{b:03d}".rstrip("0") for b in range(1000))
 
 
-def _scaled_texts(values, lo: int, hi: int, heads=None) -> list[str]:
+def _scaled_texts(values, lo: int, hi: int) -> list[str]:
     """[_round6_text((v - lo) / (hi - lo)) for v in values] for integers
     lo <= v <= hi; all "0.0" when hi == lo, as features' min-max scaling
-    collapses. Given `heads`, each text comes after its head.
+    collapses.
 
     With num = v - lo and span = hi - lo, q is num/span in millionths
     rounded half up, and r is 0 only at an exact 7th-digit tie. For
@@ -157,8 +174,6 @@ def _scaled_texts(values, lo: int, hi: int, heads=None) -> list[str]:
     endpoints num == 0 and num == span are exact; ties, spans above 10**5
     and values below 1e-4 (which repr writes with an exponent) take the
     float path."""
-    if heads is not None:
-        return [head + text for head, text in zip(heads, _scaled_texts(values, lo, hi))]
     span = hi - lo
     if not span:
         return ["0.0"] * len(values)
@@ -200,7 +215,9 @@ def _operation_line(state: ScheduleState) -> str:
     A job's bounds ascend (its done ends, then offset + work_prefix), so its
     first and last bound are its min and max, and give (lo, hi). If (lo, hi)
     moved, every bound is scaled in one pass; if not, only the re-derived
-    jobs' bounds are."""
+    jobs' bounds are. Likewise only the machine rows whose count differs
+    from the last line's are written (in an episode, the last advance's
+    target), and the mask only when the frontier differs (a job finished)."""
     inst = state.instance
     frags = _line_fragments(inst)
     buf = inst.__dict__.get("_operation_buffers")
@@ -231,14 +248,21 @@ def _operation_line(state: ScheduleState) -> str:
             s = j * width
             parts[2 * s + 1:2 * (s + width):2] = _scaled_texts(raw[s:s + width], lo, hi)
     operations = "".join(parts)
-    # The v1 machine flag is always 0.
-    ratios = frags.ratio_texts
-    machines = ",".join([f"[{t},0,{ratios[c]}]" for t, c in enumerate(state.machine_ops)])
-    mask = ",".join(map(str, state.frontier))
+    machine_ops = state.machine_ops
+    if machine_ops != buf.machine_ops:
+        ratios, rows = frags.ratio_texts, buf.machine_rows
+        for t, (c, last) in enumerate(zip(machine_ops, buf.machine_ops)):
+            if c != last:
+                rows[t] = _machine_row(t, ratios[c])
+        buf.machine_ops = machine_ops.copy()
+        buf.machines = ",".join(rows)
+    if state.frontier != buf.frontier:
+        buf.frontier = state.frontier.copy()
+        buf.mask = _ints_text(buf.frontier)
     return (
         f'{{"type":"observation","schema":{SCHEMA_VERSION},"step":{state.steps},'
-        f'"phase":"{OPERATION_PHASE}","mask":[{mask}],'
-        f'"operations":[{operations}]],"machines":[{machines}]{operation_tail(inst)}'
+        f'"phase":"{OPERATION_PHASE}","mask":[{buf.mask}],'
+        f'"operations":[{operations}]],"machines":[{buf.machines}]{operation_tail(inst)}'
     )
 
 
@@ -289,22 +313,27 @@ def _agv_line(state: ScheduleState, job: int) -> str:
 # Full-match grammars for the two observation texts the v1 encoders write:
 # the operation line's head (from "{" up to its edge lists) and the AGV line.
 # The reference server reads a canonical line through them instead of
-# json.loads. They accept only valid JSON: fixed keys in the encoders' order,
-# no whitespace, ASCII digits without leading zeros. So a match has one
-# reading, and its groups are what json.loads gives. Any other line, valid or
-# not, is left to parse_message.
+# json.loads. They accept only the shapes the encoders write: fixed keys in
+# the encoders' order, no whitespace, ASCII integers without leading zeros,
+# and a scaled feature only as _scaled_texts writes one ("0." and one to six
+# digits, "1.0", or a mantissa with "e-05" or "e-06"). So a match is valid
+# JSON with one reading, and its groups are what json.loads gives. Any other
+# line, valid or not, is left to parse_message.
 #
 # The repeats are possessive: they keep no state to backtrack into. With
 # plain repeats the external benchmark's step took 1.17x as long
-# (BENCH_12.json).
+# (BENCH_12.json). Atoms of the exact shapes take fewer steps per number than
+# general JSON numbers: an operation head takes about 0.7x as long to match
+# (BENCH_30.json).
 
 # A non-negative JSON integer: of any length where the server reads it (step,
 # selected_job: a named error), else no longer than int() converts.
 _READ_INT = "(?:0|[1-9][0-9]*+)"
 _DIGITS = sys.get_int_max_str_digits()  # 0: no limit
-_INT = f"(?:0|[1-9][0-9]{{0,{_DIGITS - 1}}}+)" if _DIGITS else _READ_INT
-# A scaled feature as _round6_text writes it: 0.0 to 1.0, or 1e-06 to 9.9e-05.
-_SCALED = r"[0-9](?:\.[0-9]++)?+(?:e-[0-9]++)?+"
+_INT = rf"(?!0[0-9])[0-9]{{1,{_DIGITS}}}+" if _DIGITS else r"(?!0[0-9])[0-9]++"
+# A scaled feature as _round6_text writes it: 0.0 to 1.0 with at most 6
+# decimals, or 1e-06 to 9.9e-05.
+_SCALED = r"(?:0\.[0-9]{1,6}+|1\.0|[1-9](?:\.[0-9]++)?+e-0[56])"
 
 
 def _list(item: str) -> str:
@@ -352,9 +381,24 @@ def parse_message(line: str) -> dict:
     return msg
 
 
+# A decision reply as encode_message writes it. Its integers have at most 18
+# digits, which int() reads whatever the digit limit. Groups: step, choice.
+_DECISION_INT = "(-?(?:0|[1-9][0-9]{0,17}+))"
+_match_decision = re.compile(
+    rf'\{{"type":"decision","step":{_DECISION_INT},"choice":{_DECISION_INT}\}}'
+).fullmatch
+
+
 def parse_decision(line: str, expected_step: int) -> int:
     """Extract the chosen index from a decision reply; the reply must answer
-    the pending step."""
+    the pending step. A canonical reply to the pending step is read by a
+    grammar; any other reply is parsed in full, which gives the same value
+    or raises the error for it."""
+    match = _match_decision(line)
+    if match is not None:
+        step, choice = match.groups()
+        if int(step) == expected_step:
+            return int(choice)
     msg = parse_message(line)
     if msg.get("type") != "decision":
         raise ProtocolError(f"expected a decision line, got type {msg.get('type')!r}")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,9 +195,9 @@ def test_an_operation_line_scales_one_job_unless_the_bound_range_moved(monkeypat
     scaled = []
     real_scaled_texts = bridge._scaled_texts
 
-    def counting(values, lo, hi, heads=None):
+    def counting(values, lo, hi):
         scaled.append(len(values))
-        return real_scaled_texts(values, lo, hi, heads)
+        return real_scaled_texts(values, lo, hi)
 
     monkeypatch.setattr(bridge, "_scaled_texts", counting)
     state = ScheduleState(inst)
@@ -218,6 +219,44 @@ def test_an_operation_line_scales_one_job_unless_the_bound_range_moved(monkeypat
     assert kept and moved > 1
 
 
+def test_an_operation_line_writes_the_moved_machine_row_and_a_changed_mask(monkeypatch):
+    # On a recorded episode, the first line writes every machine row and the
+    # mask; each later line writes one row, the last advance's target, and
+    # the mask only after a job finished.
+    inst = generate_instance(GenerationConfig(n=15, m=10, k=9, seed=3))
+    decisions = solve(inst, "SPT", "SCTA").decisions
+    bridge._line_fragments(inst)  # the AGV mask, written once per instance
+    rows, masks = [], []
+    real_row, real_ints_text = bridge._machine_row, bridge._ints_text
+
+    def counting_row(machine, ratio_text):
+        rows.append(machine)
+        return real_row(machine, ratio_text)
+
+    def counting_ints_text(values):
+        masks.append(list(values))
+        return real_ints_text(values)
+
+    monkeypatch.setattr(bridge, "_machine_row", counting_row)
+    monkeypatch.setattr(bridge, "_ints_text", counting_ints_text)
+    state = ScheduleState(inst)
+    target = finished = None
+    for job, agv in decisions:
+        rows.clear()
+        masks.clear()
+        line = serialize_observation(state, OPERATION_PHASE)
+        assert line == _reference_operation_line(state)
+        if target is None:
+            assert rows == list(range(inst.m + 2)) and masks == [state.frontier]
+        else:
+            assert rows == [target]
+            assert masks == ([state.frontier] if finished else [])
+        op = state.next_op[job]
+        target, finished = inst.op_machines[job][op - 1], op == inst.m + 1
+        state.advance(job, agv)
+    assert not state.frontier and finished
+
+
 def test_scaled_text_endpoints_skip_the_float_path(monkeypatch):
     def float_path(value):
         raise AssertionError(f"float path taken for {value!r}")
@@ -225,8 +264,8 @@ def test_scaled_text_endpoints_skip_the_float_path(monkeypatch):
     monkeypatch.setattr(bridge, "_round6_text", float_path)
     for span in range(1, 1001):
         lo = 7 * span
-        want = ["a" + repr(round(0 / span, 6)), "b" + repr(round(span / span, 6))]
-        assert _scaled_texts([lo, lo + span], lo, lo + span, ["a", "b"]) == want
+        want = [repr(round(0 / span, 6)), repr(round(span / span, 6))]
+        assert _scaled_texts([lo, lo + span], lo, lo + span) == want
 
 
 def _reference_agv_line(state, job):
@@ -307,6 +346,64 @@ def test_parse_decision_rejects_overlong_integer(field):
     reply = f'{{"type":"decision","step":{values["step"]},"choice":{values["choice"]}}}'
     with pytest.raises(ProtocolError, match="malformed protocol line"):
         parse_decision(reply, 3)
+
+
+def _decision_outcome(line, step):
+    try:
+        return parse_decision(line, step)
+    except ProtocolError as exc:
+        return ProtocolError, str(exc)
+
+
+def test_a_canonical_decision_is_read_without_the_parser():
+    with mock.patch.object(bridge, "parse_message", side_effect=AssertionError("parsed")):
+        assert parse_decision('{"type":"decision","step":3,"choice":2}', 3) == 2
+        assert parse_decision('{"type":"decision","step":0,"choice":0}', 0) == 0
+        assert parse_decision('{"type":"decision","step":7,"choice":-1}', 7) == -1
+        big = 10**17 + 5
+        assert parse_decision(f'{{"type":"decision","step":{big},"choice":{big}}}', big) == big
+
+
+def test_every_other_decision_reply_gets_what_the_parser_gives():
+    # Pending step 3. Each reply is not the canonical answer to it, so the
+    # grammar hands it to the parse: the same value or the same error as
+    # with the grammar turned off.
+    digits19 = "1234567890123456789"
+    replies = [
+        '{"type": "decision", "step": 3, "choice": 2}',
+        '{"type":"decision", "step":3, "choice":2}',
+        '{"type":"decision","step": 3,"choice": 2}',
+        '{"step":3,"type":"decision","choice":2}',
+        '{"type":"decision","choice":2,"step":3}',
+        '{"type":"decision","step":3,"choice":01}',
+        '{"type":"decision","step":3,"choice":true}',
+        '{"type":"decision","step":3,"choice":1.0}',
+        '{"type":"decision","step":03,"choice":2}',
+        '{"type":"decision","step":2,"choice":2}',
+        '{"type":"decision","step":-3,"choice":2}',
+        f'{{"type":"decision","step":{digits19},"choice":2}}',
+        f'{{"type":"decision","step":3,"choice":{digits19}}}',
+        f'{{"type":"decision","step":{OVERLONG_INT},"choice":2}}',
+        f'{{"type":"decision","step":3,"choice":{OVERLONG_INT}}}',
+        '{"type":"decision","step":3,"choice":2}x',
+        '{"type":"decision","step":3,"choice":2} ',
+        '{"type":"decision","step":3,"choice":2,"x":1}',
+        '{"type":"ready","step":3,"choice":2}',
+    ]
+    parsed = []
+    real_parse = bridge.parse_message
+
+    def spy(line):
+        parsed.append(line)
+        return real_parse(line)
+
+    with mock.patch.object(bridge, "parse_message", spy):
+        fast = [_decision_outcome(reply, 3) for reply in replies]
+    assert parsed == replies
+    with mock.patch.object(bridge, "_match_decision", lambda line: None):
+        assert [_decision_outcome(reply, 3) for reply in replies] == fast
+    assert fast[:5] == [2, 2, 2, 2, 2] and fast[12] == int(digits19)
+    assert fast[9] == (ProtocolError, "stale decision: replied to step 2, pending 3")
 
 
 def test_hello_message_fields(i1):

@@ -1,15 +1,19 @@
 import io
 import json
+import math
 import re
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from helpers import OVERLONG_INT, micro_instance, needs_int_digit_limit
-from jsspt import rule_server
+from jsspt import bridge, rule_server
 from jsspt.bridge import (
     AGV_PHASE,
     OPERATION_PHASE,
+    _scaled_texts,
     encode_message,
     hello_message,
     match_agv_line,
@@ -19,7 +23,7 @@ from jsspt.bridge import (
 from jsspt.engine import ScheduleState
 from jsspt.errors import ProtocolError
 from jsspt.instances import GenerationConfig, generate_instance, save_instance
-from jsspt.rule_server import main, serve
+from jsspt.rule_server import _read_canonical, main, serve
 
 
 def _serve(tmp_path, *lines):
@@ -354,3 +358,74 @@ def test_main_maps_mismatched_hello_to_exit_5(tmp_path, monkeypatch, capsys):
     hello = dict(_hello(tmp_path), version=7, n=99, m=0, k=-3)
     assert _main(tmp_path, monkeypatch, hello) == 5
     assert capsys.readouterr().err == "jsspt: protocol error: hello version must be 1 for 'micro', got 7\n"
+
+
+# -- grammar atoms ------------------------------------------------------------------
+
+def test_every_scaled_text_the_encoder_writes_fits_the_grammar():
+    # The grammars accept a scaled feature only in the shapes _scaled_texts
+    # writes; every text it writes must still match.
+    texts = set()
+    for span in range(1, 301):  # every num
+        texts.update(_scaled_texts(range(span + 1), 0, span))
+    rng = np.random.default_rng(30)
+    for span in range(128, 100_001, 128):  # spans with 7th-digit ties
+        tie = span // math.gcd(2_000_000, span)
+        nums = [0, 1, tie, 3 * tie, span - 1, span, *rng.integers(0, span + 1, 8).tolist()]
+        texts.update(_scaled_texts([num for num in nums if num <= span], 0, span))
+    for span in rng.integers(100_001, 10**8, 300).tolist():  # below 1e-4
+        texts.update(_scaled_texts([0, 1, *rng.integers(1, span // 10**4, 30).tolist(), span],
+                                   0, span))
+    for n in range(1, 1001):  # machine ratios
+        texts.update(_scaled_texts(range(n + 1), 0, n))
+    assert any(text.endswith("e-05") for text in texts)
+    assert any(text.endswith("e-06") for text in texts)
+    scaled = re.compile(bridge._SCALED).fullmatch
+    assert [text for text in texts if not scaled(text)] == []
+
+
+def _served(tmp_path, lines, fast):
+    """What serve writes for the lines and the error it ends with, with the
+    grammars on, or off so that every line is parsed."""
+    out = io.StringIO()
+    with mock.patch.object(rule_server, "match_operation_head",
+                           bridge.match_operation_head if fast else lambda *args: None), \
+            mock.patch.object(rule_server, "match_agv_line",
+                              bridge.match_agv_line if fast else lambda *args: None):
+        try:
+            serve("SPT", "SCTA", tmp_path, stdin=io.StringIO("".join(l + "\n" for l in lines)),
+                  stdout=out)
+        except ProtocolError as exc:
+            return out.getvalue(), str(exc)
+    return out.getvalue(), None
+
+
+# JSON numbers of shapes the encoders never write as a scaled feature, and a
+# raw bound with a leading zero, which is not JSON.
+FOREIGN_SCALED = ["1e2", "0.5e-3", "0.1234567", "2.0", "1.00", "5e-07", "1E-05"]
+
+
+@pytest.mark.parametrize("text", [*FOREIGN_SCALED, "raw 01"])
+def test_a_number_of_a_shape_the_encoder_never_writes_is_parsed(tmp_path, text):
+    inst = generate_instance(GenerationConfig(n=4, m=3, k=2, seed=3))
+    save_instance(inst, tmp_path)
+    state = ScheduleState(inst)
+    first, agv = _operation_line(inst), serialize_observation(state, AGV_PHASE, selected_op=0)
+    tail = operation_tail(inst)
+    assert _read_canonical(first, tail) and _read_canonical(agv, tail)
+    # The first operation row's raw bound or scaled bound, the first machine
+    # ratio, and the AGV line's first scaled value.
+    if text == "raw 01":
+        edits = [re.sub(r'("operations":\[\[[0-9]+,[0-9]+,[0-9]+,[01],)[0-9]+',
+                        r"\g<1>01", first, count=1)]
+    else:
+        edits = [
+            re.sub(r'("operations":\[\[(?:[0-9]+,){5})[^\]]+', rf"\g<1>{text}", first, count=1),
+            re.sub(r'("machines":\[\[[0-9]+,0,)[^\]]+', rf"\g<1>{text}", first, count=1),
+            re.sub(r'("agvs":\[\[(?:[0-9]+,){7})[^,]+', rf"\g<1>{text}", agv, count=1),
+        ]
+    for line in edits:
+        assert text.removeprefix("raw ") in line and line not in (first, agv)
+        assert _read_canonical(line, tail) is None
+        lines = [hello_message(inst), line]
+        assert _served(tmp_path, lines, fast=True) == _served(tmp_path, lines, fast=False)
