@@ -35,7 +35,6 @@ import shlex
 import subprocess
 import sys
 from time import monotonic
-from typing import NamedTuple
 
 from .engine import ScheduleState, terminal_reward
 # Unused here; kept importable because the benchmark's traced run
@@ -63,25 +62,6 @@ def encode_message(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-class _LineFragments(NamedTuple):
-    """The parts of the observation lines that are fixed per instance."""
-
-    ratio_texts: tuple[str, ...]  # machine ratio text for c of n jobs scheduled
-    agv_mask: str  # "0,1,..,k-1"
-
-
-def _line_fragments(instance: Instance) -> _LineFragments:
-    # Held in the instance's __dict__, beside its cached properties: found
-    # without hashing the instance, and gone with it.
-    frags = instance.__dict__.get("_line_fragments")
-    if frags is None:
-        frags = instance.__dict__["_line_fragments"] = _LineFragments(
-            ratio_texts=tuple(_scaled_texts(range(instance.n + 1), 0, instance.n)),
-            agv_mask=_ints_text(range(instance.k)),
-        )
-    return frags
-
-
 def operation_tail(instance: Instance) -> str:
     """The text every operation line of the instance ends with: its
     precedence and assignment lists and the closing brace,
@@ -100,9 +80,11 @@ def operation_tail(instance: Instance) -> str:
     return tail
 
 
-class _OperationBuffers:
-    """The operation line's per-instance state, kept between its steps, in
-    the instance's __dict__ beside the fragments.
+class _LineBuffers:
+    """The state both observation lines read, kept between their steps in
+    the instance's __dict__: found without hashing the instance, and gone
+    with it. Fixed per instance: ratio_texts[c] for c of n jobs scheduled,
+    agv_mask "0,1,..,k-1" and the operation line's tail.
 
     Operation v = job * (m + 1) + op - 1 has its bound in raw[v], and parts
     holds at 2v its row's prefix "[job,op,machine,s,raw," (after "]," for
@@ -113,10 +95,14 @@ class _OperationBuffers:
     Beside them it keeps the machine counts and the frontier the machine
     rows and the mask were written from, and those texts."""
 
-    __slots__ = ("done_heads", "open_heads", "raw", "parts", "snapshots", "lo", "hi",
+    __slots__ = ("ratio_texts", "agv_mask", "tail",
+                 "done_heads", "open_heads", "raw", "parts", "snapshots", "lo", "hi",
                  "machine_ops", "machine_rows", "machines", "frontier", "mask")
 
     def __init__(self, instance: Instance):
+        self.ratio_texts = _scaled_texts(range(instance.n + 1), 0, instance.n)
+        self.agv_mask = _ints_text(range(instance.k))
+        self.tail = operation_tail(instance)
         heads = [
             f"],[{j},{i},{t},"
             for j, machines in enumerate(instance.op_machines)
@@ -132,6 +118,13 @@ class _OperationBuffers:
         self.machine_ops = [None] * (instance.m + 2)
         self.machine_rows = [""] * (instance.m + 2)
         self.machines = self.frontier = self.mask = None
+
+
+def _line_buffers(instance: Instance) -> _LineBuffers:
+    buf = instance.__dict__.get("_line_buffers")
+    if buf is None:
+        buf = instance.__dict__["_line_buffers"] = _LineBuffers(instance)
+    return buf
 
 
 def _ints_text(values) -> str:
@@ -219,10 +212,7 @@ def _operation_line(state: ScheduleState) -> str:
     from the last line's are written (in an episode, the last advance's
     target), and the mask only when the frontier differs (a job finished)."""
     inst = state.instance
-    frags = _line_fragments(inst)
-    buf = inst.__dict__.get("_operation_buffers")
-    if buf is None:
-        buf = inst.__dict__["_operation_buffers"] = _OperationBuffers(inst)
+    buf = _line_buffers(inst)
     snapshots, raw, parts = buf.snapshots, buf.raw, buf.parts
     all_entries = state.entries
     changed = [j for j, snapshot in enumerate(snapshots) if all_entries[j] != snapshot]
@@ -250,7 +240,7 @@ def _operation_line(state: ScheduleState) -> str:
     operations = "".join(parts)
     machine_ops = state.machine_ops
     if machine_ops != buf.machine_ops:
-        ratios, rows = frags.ratio_texts, buf.machine_rows
+        ratios, rows = buf.ratio_texts, buf.machine_rows
         for t, (c, last) in enumerate(zip(machine_ops, buf.machine_ops)):
             if c != last:
                 rows[t] = _machine_row(t, ratios[c])
@@ -262,7 +252,7 @@ def _operation_line(state: ScheduleState) -> str:
     return (
         f'{{"type":"observation","schema":{SCHEMA_VERSION},"step":{state.steps},'
         f'"phase":"{OPERATION_PHASE}","mask":[{buf.mask}],'
-        f'"operations":[{operations}]],"machines":[{buf.machines}]{operation_tail(inst)}'
+        f'"operations":[{operations}]],"machines":[{buf.machines}]{buf.tail}'
     )
 
 
@@ -304,7 +294,7 @@ def _agv_line(state: ScheduleState, job: int) -> str:
     return (
         f'{{"type":"observation","schema":{SCHEMA_VERSION},"step":{state.steps},'
         f'"phase":"{AGV_PHASE}","selected_job":{job},'
-        f'"mask":[{_line_fragments(inst).agv_mask}],"agvs":[{agvs}]}}'
+        f'"mask":[{_line_buffers(inst).agv_mask}],"agvs":[{agvs}]}}'
     )
 
 

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import shlex
 from pathlib import Path
 
 from . import harness
@@ -26,7 +27,7 @@ from .instances import (
     write_text_atomic,
 )
 from .oracle import DEFAULT_LIMIT, brute_force_oracle
-from .rules import ALL_COMBOS, parse_combo, solve, sweep
+from .rules import ALL_COMBOS, AgvRule, OperationRule, solve, sweep
 
 
 def _out_dir(value: str | None) -> Path:
@@ -108,8 +109,7 @@ def _cmd_solve(args) -> int:
         best = min(makespans)  # ties keep the canonical order
         print(f"best,{ALL_COMBOS[makespans.index(best)]},{best}")
         return 0
-    op_rule, agv_rule = parse_combo(f"{args.op_rule}+{args.agv_rule}")
-    result = solve(instance, op_rule, agv_rule, seed=args.seed)
+    result = solve(instance, args.op_rule, args.agv_rule, seed=args.seed)
     if args.out:
         save_result(result, args.out)
     print(f"{result.solver_id},{result.makespan}")
@@ -165,6 +165,11 @@ def _cmd_eval_external(args) -> int:
     # The label fills a results-table cell, which the table keeps on one line.
     if "\r" in args.label or "\n" in args.label:
         raise ConfigurationError(f"--label must be one line, got {args.label!r}")
+    try:
+        if not shlex.split(args.cmd):
+            raise ValueError("it names no program")
+    except ValueError as exc:  # also an unclosed quote
+        raise ConfigurationError(f"--cmd {args.cmd!r} is not a command line: {exc}") from exc
     paths: list[Path] = []
     for entry in args.instances:
         p = Path(entry)
@@ -222,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one rule combo (or all 40) on an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--op-rule", default="SPT")
-    p.add_argument("--agv-rule", default="SCTA")
+    p.add_argument("--op-rule", default="SPT", choices=[r.value for r in OperationRule])
+    p.add_argument("--agv-rule", default="SCTA", choices=[r.value for r in AgvRule])
     p.add_argument("--all-combos", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the schedule document here")

@@ -83,7 +83,8 @@ def _check_hello(msg: dict, instance: Instance) -> None:
 def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
           stdin=None, stdout=None) -> None:
     """Answer protocol v1 lines until stdin closes; a line the protocol does
-    not allow raises ProtocolError naming the missing field or bad value.
+    not allow raises ProtocolError naming the missing field or bad value, as
+    does an operation line for a step other than the steps played so far.
 
     A canonical observation line is read by the bridge grammars, without
     json.loads. The server reads no edge list, and every operation line of
@@ -140,6 +141,9 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
         if state is None:
             raise ProtocolError("observation before any hello")
         if phase == "operation":
+            if step != state.steps:
+                raise ProtocolError(f"operation line for step {step}, but the server has "
+                                    f"played {state.steps} steps (it advances on AGV lines)")
             decide(step, select_operation(op_rule, state, rng))
         elif phase == "agv":
             if canonical is None:
@@ -160,8 +164,8 @@ def main(argv=None) -> int:
         prog="jsspt.rule_server",
         description="Serve a dispatching-rule pair over the external policy protocol.",
     )
-    parser.add_argument("--op-rule", required=True, help="operation-selection rule name")
-    parser.add_argument("--agv-rule", required=True, help="AGV-selection rule name")
+    parser.add_argument("--op-rule", required=True, choices=[r.value for r in OperationRule])
+    parser.add_argument("--agv-rule", required=True, choices=[r.value for r in AgvRule])
     parser.add_argument(
         "--instances-dir",
         required=True,

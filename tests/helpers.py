@@ -18,7 +18,7 @@ import pytest
 from jsspt.bridge import encode_message
 from jsspt.engine import ScheduleResult, ScheduleState
 from jsspt.errors import MetricError, ProtocolError
-from jsspt.features import build_graph
+from jsspt.features import agv_features, build_graph
 from jsspt.harness import PREFERRED_GLOBAL_BEST, ExperimentPlan
 from jsspt.instances import LOAD, GenerationConfig, Instance, generate_instance
 from jsspt.metrics import ResultRecord, rpi, win
@@ -269,6 +269,29 @@ def all_decision_sequences(instance: Instance):
                 yield from expand(state.apply(job, agv), trail + ((job, agv),))
 
     yield from expand(ScheduleState(instance), ())
+
+
+def _reference_agv_line(state, job):
+    """The documented v1 AGV line, built as a dict from features.agv_features
+    and encoded in one piece."""
+    return encode_message({
+        "type": "observation",
+        "schema": 1,
+        "step": state.steps,
+        "phase": "agv",
+        "selected_job": job,
+        "mask": list(range(state.instance.k)),
+        "agvs": [
+            [
+                f.agv, f.pickup_ready, f.machine_ready, f.agv_ready, f.empty_travel,
+                f.arrival, f.task_finish,
+                round(f.pickup_ready_scaled, 6), round(f.machine_ready_scaled, 6),
+                round(f.agv_ready_scaled, 6), round(f.empty_travel_scaled, 6),
+                round(f.arrival_scaled, 6), round(f.task_finish_scaled, 6),
+            ]
+            for f in agv_features(state, job)
+        ],
+    })
 
 
 def _reference_operation_line(state):

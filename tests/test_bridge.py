@@ -18,6 +18,7 @@ from helpers import (
     OVERLONG_INT,
     RecordingPolicy,
     RulePolicy,
+    _reference_agv_line,
     _reference_operation_line,
     episode_digest,
     micro_instance,
@@ -41,7 +42,7 @@ from jsspt.bridge import (
 )
 from jsspt.engine import ScheduleState, lower_bound
 from jsspt.errors import ProtocolError, TransportError
-from jsspt.features import agv_features, build_graph
+from jsspt.features import build_graph
 from jsspt.instances import GenerationConfig, Instance, generate_instance, save_instance
 from jsspt.rules import play, solve
 
@@ -191,7 +192,7 @@ def test_an_operation_line_scales_one_job_unless_the_bound_range_moved(monkeypat
     # bounds in one call.
     inst = generate_instance(GenerationConfig(n=15, m=10, k=9, seed=3))
     decisions = solve(inst, "SPT", "SCTA").decisions
-    bridge._line_fragments(inst)  # the machine ratio texts, scaled once per instance
+    bridge._line_buffers(inst)  # the machine ratio texts, scaled once per instance
     scaled = []
     real_scaled_texts = bridge._scaled_texts
 
@@ -225,7 +226,7 @@ def test_an_operation_line_writes_the_moved_machine_row_and_a_changed_mask(monke
     # the mask only after a job finished.
     inst = generate_instance(GenerationConfig(n=15, m=10, k=9, seed=3))
     decisions = solve(inst, "SPT", "SCTA").decisions
-    bridge._line_fragments(inst)  # the AGV mask, written once per instance
+    bridge._line_buffers(inst)  # the AGV mask, written once per instance
     rows, masks = [], []
     real_row, real_ints_text = bridge._machine_row, bridge._ints_text
 
@@ -266,29 +267,6 @@ def test_scaled_text_endpoints_skip_the_float_path(monkeypatch):
         lo = 7 * span
         want = [repr(round(0 / span, 6)), repr(round(span / span, 6))]
         assert _scaled_texts([lo, lo + span], lo, lo + span) == want
-
-
-def _reference_agv_line(state, job):
-    """The documented v1 AGV line, built as a dict from features.agv_features
-    and encoded in one piece."""
-    return encode_message({
-        "type": "observation",
-        "schema": 1,
-        "step": state.steps,
-        "phase": "agv",
-        "selected_job": job,
-        "mask": list(range(state.instance.k)),
-        "agvs": [
-            [
-                f.agv, f.pickup_ready, f.machine_ready, f.agv_ready, f.empty_travel,
-                f.arrival, f.task_finish,
-                round(f.pickup_ready_scaled, 6), round(f.machine_ready_scaled, 6),
-                round(f.agv_ready_scaled, 6), round(f.empty_travel_scaled, 6),
-                round(f.arrival_scaled, 6), round(f.task_finish_scaled, 6),
-            ]
-            for f in agv_features(state, job)
-        ],
-    })
 
 
 def test_agv_lines_match_reference_encoder():

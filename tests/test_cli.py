@@ -680,6 +680,28 @@ def test_eval_external_rejects_bad_timeout_and_label(tmp_path, capsys, option, n
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("cmd, reason", [("", "it names no program"), ("   ", "it names no program"),
+                                         ("'x", "No closing quotation")],
+                         ids=["empty", "blank", "unclosed-quote"])
+def test_eval_external_rejects_a_cmd_that_is_no_command_line(tmp_path, capsys, cmd, reason):
+    # Checked before any document is read: the instance path does not exist.
+    code = run_cli("eval-external", "--instances", str(tmp_path / "missing.json"), "--cmd", cmd,
+                   "--out", str(tmp_path / "external.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"jsspt: configuration error: --cmd {cmd!r} is not a command line: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", ["--op-rule", "--agv-rule"])
+def test_solve_rejects_an_unknown_rule_name_with_exit_2(tmp_path, capsys, option):
+    path = save_instance(micro_instance(idle_leg=1), tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        run_cli("solve", "--instance", str(path), option, "BOGUS")
+    assert exited.value.code == 2
+    assert f"argument {option}: invalid choice: 'BOGUS'" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "jsspt.cli", "gen", "--n", "2", "--m", "2",

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from helpers import (
     RecordingPolicy,
     RulePolicy,
+    _reference_agv_line,
     _reference_operation_line,
     micro_instance,
     plan_to_document,
@@ -423,9 +424,15 @@ def test_relabeling_the_machines_keeps_a_rule_deciders_episode(data, instance, s
 def test_operation_lines_match_reference_in_any_encoding_order(data):
     # The encoder keeps one memo run per job. Its key must hold the job's
     # entries themselves, not their count: one trace never shows a job with
-    # as many entries but other times, two interleaved traces do.
+    # as many entries but other times, two interleaved traces do. Both
+    # lines read one per-instance state, built here by an AGV line.
     instance = data.draw(instances())
     trace = trace_states(data, instance)
+    job = data.draw(st.sampled_from(trace[0].valid_operations()))
+    agv_line = serialize_observation(trace[0], AGV_PHASE, selected_op=job)
+    assert agv_line == _reference_agv_line(trace[0], job)
+    assert {name for name in vars(instance) if name.startswith("_")} == {
+        "_line_buffers", "_operation_tail"}
     assert_operation_lines_match(trace)
     assert_operation_lines_match(data.draw(st.permutations(trace)))
     other = trace_states(data, instance)

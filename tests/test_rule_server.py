@@ -56,7 +56,8 @@ def test_serves_one_step(tmp_path):
 @pytest.mark.parametrize("step", [0, 7, 10**20, True, 1.5, "3", None])
 def test_decision_lines_are_canonical(tmp_path, step):
     # A decision line is the encoder's text; a step that is not a plain
-    # integer (a bool included) is a protocol error.
+    # integer (a bool included) is a protocol error, and so is one the
+    # server has not reached.
     lines = [_hello(tmp_path), {"type": "observation", "step": step, "phase": "operation"}]
     out = io.StringIO()
     stdin = io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
@@ -64,9 +65,35 @@ def test_decision_lines_are_canonical(tmp_path, step):
         with pytest.raises(ProtocolError, match="step must be an integer"):
             serve("SPT", "SCTA", tmp_path, stdin=stdin, stdout=out)
         return
+    if step:
+        with pytest.raises(ProtocolError, match=f"step {step}, but the server has played 0 "):
+            serve("SPT", "SCTA", tmp_path, stdin=stdin, stdout=out)
+        return
     serve("SPT", "SCTA", tmp_path, stdin=stdin, stdout=out)
     expected = encode_message({"type": "decision", "step": step, "choice": 0})
     assert out.getvalue().splitlines()[1] == expected
+
+
+def test_an_operation_line_must_be_for_the_step_the_server_played(tmp_path):
+    # The server advances on AGV lines only, so as an operation-only decider
+    # it refuses the second step instead of answering from the first.
+    out = io.StringIO()
+    lines = [_hello(tmp_path), _observation(0, "operation"), _observation(1, "operation")]
+    stdin = io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(ProtocolError,
+                       match=r"operation line for step 1, but the server has played 0 steps"):
+        serve("SPT", "SCTA", tmp_path, stdin=stdin, stdout=out)
+    assert out.getvalue().splitlines()[1:] == ['{"type":"decision","step":0,"choice":0}']
+
+
+@pytest.mark.parametrize("option", ["--op-rule", "--agv-rule"])
+def test_main_rejects_an_unknown_rule_name_with_exit_2(tmp_path, capsys, option):
+    argv = {"--op-rule": "SPT", "--agv-rule": "SCTA", "--instances-dir": str(tmp_path)}
+    argv[option] = "BOGUS"
+    with pytest.raises(SystemExit) as exited:
+        main([text for pair in argv.items() for text in pair])
+    assert exited.value.code == 2
+    assert f"argument {option}: invalid choice: 'BOGUS'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
