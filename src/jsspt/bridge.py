@@ -316,9 +316,7 @@ def _agv_line(state: ScheduleState, job: int) -> str:
 # general JSON numbers: an operation head takes about 0.7x as long to match
 # (BENCH_30.json).
 
-# A non-negative JSON integer: of any length where the server reads it (step,
-# selected_job: a named error), else no longer than int() converts.
-_READ_INT = "(?:0|[1-9][0-9]*+)"
+# A non-negative JSON integer no longer than int() converts.
 _DIGITS = sys.get_int_max_str_digits()  # 0: no limit
 _INT = rf"(?!0[0-9])[0-9]{{1,{_DIGITS}}}+" if _DIGITS else r"(?!0[0-9])[0-9]++"
 # A scaled feature as _round6_text writes it: 0.0 to 1.0 with at most 6
@@ -330,7 +328,7 @@ def _list(item: str) -> str:
     return rf"\[(?:{item}(?:,{item})*+)?+\]"
 
 
-_OBSERVATION = rf'\{{"type":"observation","schema":{SCHEMA_VERSION},"step":({_READ_INT}),'
+_OBSERVATION = rf'\{{"type":"observation","schema":{SCHEMA_VERSION},"step":({_INT}),'
 _OPERATION_ROW = rf"\[{_INT},{_INT},{_INT},[01],{_INT},{_SCALED}\]"  # job,op,machine,s,raw,bound
 _MACHINE_ROW = rf"\[{_INT},0,{_SCALED}\]"  # machine, the flag 0, ratio
 _AGV_ROW = r"\[" + ",".join([_INT] * 7 + [_SCALED] * 6) + r"\]"  # vehicle, 6 raw, 6 scaled
@@ -341,7 +339,7 @@ match_operation_head = re.compile(
 ).fullmatch
 # Groups: step, selected_job.
 match_agv_line = re.compile(
-    rf'{_OBSERVATION}"phase":"{AGV_PHASE}","selected_job":({_READ_INT}),'
+    rf'{_OBSERVATION}"phase":"{AGV_PHASE}","selected_job":({_INT}),'
     rf'"mask":{_list(_INT)},"agvs":{_list(_AGV_ROW)}\}}'
 ).fullmatch
 

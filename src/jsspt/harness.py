@@ -382,11 +382,11 @@ def records_to_csv(records: list[ResultRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
-    """The records of a results table. A missing column, a short or long
-    row, a cell that is not a number of its column's type, a number that is
-    not finite, a makespan, rho or tau outside its range or a repeated
-    (instance, solver) pair raises DocumentError naming the line, as does
-    text the csv module cannot read."""
+    """The records of a results table. A missing, repeated or unknown
+    column, a short or long row, a cell that is not a number of its
+    column's type, a number that is not finite, a makespan, rho or tau
+    outside its range or a repeated (instance, solver) pair raises
+    DocumentError naming the line, as does text the csv module cannot read."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         return _read_records(reader)
@@ -396,9 +396,14 @@ def records_from_csv(text: str) -> list[ResultRecord]:
 
 
 def _read_records(reader: csv.DictReader) -> list[ResultRecord]:
+    columns = list(reader.fieldnames or ())
     for column in RESULT_COLUMNS:
-        if column not in (reader.fieldnames or ()):
+        if column not in columns:
             raise DocumentError(f"results table line 1: no {column!r} column")
+        columns.remove(column)
+    if columns:  # what is left of the header once each column is taken once
+        kind = "repeated" if columns[0] in RESULT_COLUMNS else "unknown"
+        raise DocumentError(f"results table line 1: {kind} column {columns[0]!r}")
     records = []
     lines: dict[tuple[str, str], int] = {}
     for row in reader:

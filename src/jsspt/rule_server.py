@@ -37,25 +37,15 @@ def _field(msg: dict, name: str):
     return msg[name]
 
 
-def _group_int(match, group: int, name: str) -> int:
-    try:
-        return int(match[group])
-    except ValueError as exc:  # more digits than int() converts
-        raise ProtocolError(f"observation {name} has {len(match[group])} digits, "
-                            "too many to read") from exc
-
-
 def _read_canonical(line: str, tail: str | None) -> tuple[str, int, int | None] | None:
     """(phase, step, selected_job) of a canonical observation line, read by
     the bridge grammars: an operation line ending in the instance's tail,
     whose head matches, or an AGV line. None for any other line."""
     if tail is not None and line.endswith(tail):
         match = match_operation_head(line, 0, len(line) - len(tail))
-        return None if match is None else ("operation", _group_int(match, 1, "step"), None)
+        return None if match is None else ("operation", int(match[1]), None)
     match = match_agv_line(line)
-    if match is None:
-        return None
-    return "agv", _group_int(match, 1, "step"), _group_int(match, 2, "selected_job")
+    return None if match is None else ("agv", int(match[1]), int(match[2]))
 
 
 def _instance_path(instances_dir: Path, msg: dict) -> Path:
@@ -84,7 +74,7 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
           stdin=None, stdout=None) -> None:
     """Answer protocol v1 lines until stdin closes; a line the protocol does
     not allow raises ProtocolError naming the missing field or bad value, as
-    does an operation line for a step other than the steps played so far.
+    does an observation for a step other than the steps played so far.
 
     A canonical observation line is read by the bridge grammars, without
     json.loads. The server reads no edge list, and every operation line of
@@ -140,23 +130,23 @@ def serve(op_rule, agv_rule, instances_dir: Path, seed: int = 0,
                 raise ProtocolError(f"observation step must be an integer, got {step!r}")
         if state is None:
             raise ProtocolError("observation before any hello")
-        if phase == "operation":
-            if step != state.steps:
-                raise ProtocolError(f"operation line for step {step}, but the server has "
-                                    f"played {state.steps} steps (it advances on AGV lines)")
-            decide(step, select_operation(op_rule, state, rng))
-        elif phase == "agv":
-            if canonical is None:
-                job = _field(msg, "selected_job")
-                if type(job) is not int:
-                    raise ProtocolError(f"selected_job must be an integer, got {job!r}")
-            if job not in state.frontier:
-                raise ProtocolError(f"selected_job {job} is not an unfinished job")
-            agv = select_agv(agv_rule, state, job, rng)
-            decide(step, agv)
-            state.advance(job, agv)
-        else:
+        if phase not in ("operation", "agv"):
             raise ProtocolError(f"unknown observation phase {phase!r}")
+        if step != state.steps:
+            raise ProtocolError(f"{phase} line for step {step}, but the server has "
+                                f"played {state.steps} steps")
+        if phase == "operation":
+            decide(step, select_operation(op_rule, state, rng))
+            continue
+        if canonical is None:
+            job = _field(msg, "selected_job")
+            if type(job) is not int:
+                raise ProtocolError(f"selected_job must be an integer, got {job!r}")
+        if job not in state.frontier:
+            raise ProtocolError(f"selected_job {job} is not an unfinished job")
+        agv = select_agv(agv_rule, state, job, rng)
+        decide(step, agv)
+        state.advance(job, agv)
 
 
 def main(argv=None) -> int:

@@ -447,6 +447,8 @@ def test_regress_cli(tmp_path, capsys):
     [
         ("set-79.5", "makespan", "line 2, column 'makespan': must be an integer, got '79.5'"),
         ("drop-column", "seed", "line 1: no 'seed' column"),
+        ("repeat-column", "makespan", "line 1: repeated column 'makespan'"),
+        ("add-column", "seed", "line 1: unknown column 'note'"),
         ("cut-row", "tau", "line 2: the row ends before column 'tau'"),
         ("extend-row", "seed", "line 2: the row runs past column 'seed'"),
         ("repeat-row", "instance", "line 3: instance '{0}', solver '{1}' repeats line 2"),
@@ -463,9 +465,9 @@ def test_regress_cli(tmp_path, capsys):
         ("set-0", "makespan", "line 2, column 'makespan': must be in [1, 2**53], got '0'"),
         ("latin-1", "instance", "line 2: not UTF-8 (invalid continuation byte)"),
     ],
-    ids=["float-makespan", "no-seed-column", "short-row", "long-row", "repeated-pair",
-         "nan-tau", "inf-rho", "huge-tau", "huge-rho", "huge-makespan", "low-tau", "zero-rho",
-         "zero-makespan", "latin-1"],
+    ids=["float-makespan", "no-seed-column", "repeated-column", "unknown-column", "short-row",
+         "long-row", "repeated-pair", "nan-tau", "inf-rho", "huge-tau", "huge-rho",
+         "huge-makespan", "low-tau", "zero-rho", "zero-makespan", "latin-1"],
 )
 def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, column, named):
     code = run_cli(
@@ -478,6 +480,10 @@ def test_regress_rejects_malformed_results_table(tmp_path, capsys, mangle, colum
     at = rows[0].index(column)
     if mangle == "drop-column":
         rows = [row[:at] + row[at + 1:] for row in rows]
+    elif mangle == "repeat-column":
+        rows = [row + [row[at]] for row in rows]
+    elif mangle == "add-column":  # the column's cells again, under a name the table lacks
+        rows = [rows[0] + ["note"]] + [row + [row[at]] for row in rows[1:]]
     elif mangle == "cut-row":
         rows[1] = rows[1][:at]
     elif mangle == "extend-row":

@@ -371,6 +371,20 @@ def test_short_row_is_rejected_whatever_the_column_order():
         records_from_csv(text)
 
 
+@pytest.mark.parametrize("extra, named", [("makespan", "repeated column 'makespan'"),
+                                          ("note", "unknown column 'note'")],
+                         ids=["repeated", "unknown"])
+def test_repeated_or_unknown_column_is_a_document_error(extra, named):
+    # csv.DictReader keeps the later of two cells under one name and files an
+    # unknown column's cells unread, so the header is checked whole; the
+    # columns themselves may come in any order.
+    header = "seed,instance,solver,makespan,n,m,k,p_raw,t_raw,rho,tau,regime,cell"
+    row = "3,a,SPT+SCTA,50,2,2,1,50.0,50.0,0.5,0.1,r,"
+    assert records_from_csv(f"{header}\n{row}\n")[0].makespan == 50
+    with pytest.raises(DocumentError, match=f"^results table line 1: {named}$"):
+        records_from_csv(f"{header},{extra}\n{row},999\n")
+
+
 def test_carriage_return_in_a_cell_is_a_document_error():
     # The csv module cannot read a lone carriage return in an unquoted cell,
     # as a hand-edited table may hold; records_to_csv quotes such a table.

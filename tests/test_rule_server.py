@@ -162,10 +162,33 @@ def test_finished_job_is_a_protocol_error(tmp_path, canonical):
     if not canonical:
         line = json.dumps(json.loads(line))  # with spaces after the separators
     assert bool(match_agv_line(line)) == canonical
-    lines = [hello_message(inst)] + [line] * 3
+    lines = [hello_message(inst)] + [_with_field(line, "step", step) for step in range(3)]
     with pytest.raises(ProtocolError, match="selected_job 0 is not an unfinished job"):
         serve("SPT", "SCTA", tmp_path, stdin=io.StringIO("".join(l + "\n" for l in lines)),
               stdout=io.StringIO())
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["matched", "parsed"])
+def test_an_agv_line_must_be_for_the_step_the_server_played(
+        tmp_path, monkeypatch, capsys, canonical):
+    # Serving the AGV phase alone, the server follows the episode through its
+    # AGV lines: a skipped or a repeated step exits 5 instead of putting the
+    # server's state out of step with the client's.
+    inst = micro_instance(idle_leg=1)
+    save_instance(inst, tmp_path)
+    line = serialize_observation(ScheduleState(inst), AGV_PHASE, selected_op=0)
+    if not canonical:
+        line = json.dumps(json.loads(line))  # with spaces after the separators
+    assert bool(match_agv_line(line)) == canonical
+    argv = ["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)]
+    for lines, step, played in (([_with_field(line, "step", 5)], 5, 0), ([line, line], 0, 1)):
+        lines = [hello_message(inst), *lines]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.err == (f"jsspt: protocol error: agv line for step {step}, "
+                                f"but the server has played {played} steps\n")
+        assert captured.out.splitlines()[1:] == ['{"type":"decision","step":0,"choice":0}'] * played
 
 
 def _main(tmp_path, monkeypatch, *lines):
@@ -308,37 +331,39 @@ def test_uncached_tail_parses_in_full(tmp_path, monkeypatch, two_instances):
 
 # -- over-long integers ------------------------------------------------------------
 
-def _with_step(line, step_text):
-    return line.replace('"step":0,', f'"step":{step_text},', 1).replace(
-        '"step": 0,', f'"step": {step_text},', 1)
+def _with_field(line, name, text):
+    """The line with its first field of that name and value 0, canonical or
+    spaced, set to text."""
+    return line.replace(f'"{name}":0,', f'"{name}":{text},', 1).replace(
+        f'"{name}": 0,', f'"{name}": {text},', 1)
 
 
 @needs_int_digit_limit
-@pytest.mark.parametrize("phase", [OPERATION_PHASE, AGV_PHASE])
+@pytest.mark.parametrize("phase, field",
+                         [(OPERATION_PHASE, "step"), (AGV_PHASE, "step"), (AGV_PHASE, "selected_job")],
+                         ids=[OPERATION_PHASE, AGV_PHASE, "agv-selected_job"])
 @pytest.mark.parametrize("canonical", [True, False], ids=["matched", "parsed"])
-def test_overlong_step_exits_5(tmp_path, monkeypatch, capsys, two_instances, phase, canonical):
-    # A step of 5,000 digits is valid JSON that neither json.loads nor int()
-    # reads: the server exits 5, whether the line takes a grammar or the parse.
+def test_overlong_step_exits_5(tmp_path, monkeypatch, capsys, two_instances, phase, field,
+                               canonical):
+    # A step or selected job of 5,000 digits is valid JSON that neither
+    # json.loads nor int() reads: the grammars' digit bound hands the line to
+    # the parse, which exits 5 naming the length, as for any other line.
     inst = two_instances[0]
-    state = ScheduleState(inst)
-    first = _operation_line(inst)
     if phase == OPERATION_PHASE:
-        line = _with_step(first, OVERLONG_INT)
-        # A later line ending in the first line's tail takes the grammar.
-        lines = [hello_message(inst), first, line] if canonical else [hello_message(inst), line]
+        line = _operation_line(inst)
     else:
-        line = serialize_observation(state, AGV_PHASE, selected_op=0)
-        if not canonical:
-            line = json.dumps(json.loads(line))  # with spaces after the separators
-        line = _with_step(line, OVERLONG_INT)
-        lines = [hello_message(inst), line]
+        line = serialize_observation(ScheduleState(inst), AGV_PHASE, selected_op=0)
+    if not canonical:
+        line = json.dumps(json.loads(line))  # with spaces after the separators
+    assert bool(_read_canonical(line, operation_tail(inst))) == canonical
+    line = _with_field(line, field, OVERLONG_INT)
     assert OVERLONG_INT in line
+    lines = [hello_message(inst), line]
     monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
     assert main(["--op-rule", "SPT", "--agv-rule", "SCTA", "--instances-dir", str(tmp_path)]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("jsspt: protocol error: ")
-    if canonical:
-        assert "observation step has 5000 digits" in err
+    assert err.startswith("jsspt: protocol error: malformed protocol line: ")
+    assert "5000 digits" in err
 
 
 @needs_int_digit_limit
